@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .games import Game, MixedStrategy, other
-from .lp import INFEASIBLE, OPTIMAL, maximize
+from .lp import OPTIMAL, maximize
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def weakly_dominated(
     a_eq.append([Fraction(1)] * k + [Fraction(0)] * nm)
     b_eq.append(Fraction(1))
     res = maximize(c, a_eq=a_eq, b_eq=b_eq)
-    if res.status == INFEASIBLE or res.status != OPTIMAL or res.value <= 0:
+    if res.status != OPTIMAL or res.value <= 0:
         return None
     return MixedStrategy(i, {t: w for t, w in zip(cands, res.x) if w > 0})
 

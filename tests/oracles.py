@@ -5,16 +5,24 @@ rational grid over the dominator simplex (common denominator 24) with exact
 vertex checks, solving every small system of tight constraints by Gaussian
 elimination.  For at most three dominator strategies the vertex sweep is a
 complete decision procedure, so the oracle is exact, not just a sampler.
+
+``reference_maximize`` is the plain ``Fraction``-tableau simplex with Bland's
+rule; the fraction-free :func:`egk.lp.maximize` must return exactly its results.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Sequence
 
 from egk.games import Game
+from egk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
 GRID_DENOMINATOR = 24
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def payoff(game: Game, i: int, s_i: str, s_j: str) -> Fraction:
@@ -156,3 +164,137 @@ def verify_justifier(game, r, i, s_i, mix) -> bool:
 
     target = eu(s_i)
     return all(target >= eu(s) for s in r.sets[i])
+
+
+def reference_maximize(
+    c: Sequence[Fraction],
+    a_ub: Sequence[Sequence[Fraction]] = (),
+    b_ub: Sequence[Fraction] = (),
+    a_eq: Sequence[Sequence[Fraction]] = (),
+    b_eq: Sequence[Fraction] = (),
+) -> LPResult:
+    """The plain ``Fraction``-tableau simplex that :func:`egk.lp.maximize` must match.
+
+    Same problem, same Bland's rule, same phase-1 clean-up; every entry is a
+    normalised ``Fraction``.  A test reference only.
+    """
+    c = [Fraction(v) for v in c]
+    n = len(c)
+
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    kinds: list[str] = []
+    for row, b in zip(a_ub, b_ub):
+        rows.append([Fraction(v) for v in row])
+        rhs.append(Fraction(b))
+        kinds.append("le")
+    for row, b in zip(a_eq, b_eq):
+        rows.append([Fraction(v) for v in row])
+        rhs.append(Fraction(b))
+        kinds.append("eq")
+    m = len(rows)
+
+    # One slack column per inequality row.
+    nslack = kinds.count("le")
+    cols = n + nslack
+    tab = []
+    slack_col = {}
+    si = 0
+    for r in range(m):
+        row = rows[r] + [_ZERO] * nslack
+        if kinds[r] == "le":
+            slack_col[r] = n + si
+            row[n + si] = _ONE
+            si += 1
+        tab.append(row)
+
+    for r in range(m):
+        if rhs[r] < 0:
+            tab[r] = [-v for v in tab[r]]
+            rhs[r] = -rhs[r]
+
+    # Start from slack columns where they are still +1; add artificials elsewhere.
+    basis = [-1] * m
+    art_cols: list[int] = []
+    for r in range(m):
+        sc = slack_col.get(r)
+        if sc is not None and tab[r][sc] == 1:
+            basis[r] = sc
+    for r in range(m):
+        if basis[r] == -1:
+            for rr in range(m):
+                tab[rr].append(_ONE if rr == r else _ZERO)
+            basis[r] = cols
+            art_cols.append(cols)
+            cols += 1
+    art_set = set(art_cols)
+
+    def pivot(rp: int, cp: int) -> None:
+        pv = tab[rp][cp]
+        tab[rp] = [v / pv for v in tab[rp]]
+        rhs[rp] /= pv
+        prow = tab[rp]
+        for r in range(len(tab)):
+            if r != rp:
+                f = tab[r][cp]
+                if f != 0:
+                    tab[r] = [a - f * b for a, b in zip(tab[r], prow)]
+                    rhs[r] -= f * rhs[rp]
+        basis[rp] = cp
+
+    def run(obj: list[Fraction], banned: set[int]) -> bool:
+        """Bland's rule; returns False when the objective is unbounded."""
+        while True:
+            lam = [obj[basis[r]] for r in range(len(tab))]
+            enter = -1
+            for j in range(cols):
+                if j in banned:
+                    continue
+                red = obj[j]
+                for r, l in enumerate(lam):
+                    if l != 0:
+                        red -= l * tab[r][j]
+                if red > 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return True
+            leave, best = -1, None
+            for r in range(len(tab)):
+                a = tab[r][enter]
+                if a > 0:
+                    ratio = rhs[r] / a
+                    if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                        leave, best = r, ratio
+            if leave < 0:
+                return False
+            pivot(leave, enter)
+
+    if art_cols:
+        obj1 = [_ZERO] * cols
+        for j in art_cols:
+            obj1[j] = Fraction(-1)
+        run(obj1, set())
+        value1 = sum((obj1[basis[r]] * rhs[r] for r in range(len(tab))), _ZERO)
+        if value1 != 0:
+            return LPResult(INFEASIBLE)
+        # Pivot leftover artificials out of the basis; drop redundant rows.
+        for r in range(len(tab) - 1, -1, -1):
+            if basis[r] in art_set:
+                cp = next((j for j in range(cols) if j not in art_set and tab[r][j] != 0), None)
+                if cp is None:
+                    tab.pop(r)
+                    rhs.pop(r)
+                    basis.pop(r)
+                else:
+                    pivot(r, cp)
+
+    obj2 = c + [_ZERO] * (cols - n)
+    if not run(obj2, art_set):
+        return LPResult(UNBOUNDED)
+    x = [_ZERO] * n
+    for r in range(len(tab)):
+        if basis[r] < n:
+            x[basis[r]] = rhs[r]
+    value = sum((ci * xi for ci, xi in zip(c, x)), _ZERO)
+    return LPResult(OPTIMAL, value, tuple(x))
