@@ -66,8 +66,7 @@ def _load_model(path: str, game_path: str | None = None):
 def _emit(payload: dict, out_path: str | None, as_json: bool) -> None:
     text = modelio.dumps(payload)
     if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
+        modelio.write_file(out_path, text)
     if as_json:
         sys.stdout.write(text)
 
@@ -354,14 +353,17 @@ def _cmd_converge(args) -> int:
     if not isinstance(model, OrderedKripkeModel):
         raise InputError("converge expects an ordered model")
     schedule = _parse_schedule(args.schedule)
-    report = convergence.verify_convergence(model, schedule, args.scheme)
-    if args.emit_family:
-        os.makedirs(args.emit_family, exist_ok=True)
-        for row in report.rows:
-            built = convergence.build_epsilon_model(model, row.eps, args.scheme)
-            path = os.path.join(args.emit_family, f"model_{row.n:02d}.json")
-            with open(path, "w") as handle:
-                handle.write(modelio.dumps(modelio.model_to_json(built)))
+
+    def emit(n: int, member: ProbKripkeModel) -> None:
+        try:
+            os.makedirs(args.emit_family, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"{args.emit_family}: {exc.strerror or exc}")
+        path = os.path.join(args.emit_family, f"model_{n:02d}.json")
+        modelio.write_file(path, modelio.dumps(modelio.model_to_json(member)))
+
+    report = convergence.verify_convergence(
+        model, schedule, args.scheme, emit if args.emit_family else None)
     if args.json:
         payload = {
             "rows": [
@@ -399,8 +401,7 @@ def _cmd_export_dot(args) -> int:
     model = _load_model(args.file, args.game)
     text = dot.export_dot(model)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        modelio.write_file(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

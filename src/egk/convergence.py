@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InputError
 from .kripke import ProbKripkeModel, validate_prob
@@ -100,6 +100,13 @@ def build_epsilon_model(
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     _check_scheme(scheme)
     _require_hypotheses(model)
+    return _build_member(model, eps, scheme, not check_lambda_constancy(model))
+
+
+def _build_member(
+    model: OrderedKripkeModel, eps: Fraction, scheme: str, lam_constant: bool
+) -> ProbKripkeModel:
+    """Build and check one family member; the source-only checks are the caller's."""
     p: list[dict[str, dict[str, Fraction]]] = [{}, {}]
     for i in (0, 1):
         for w in model.worlds:
@@ -108,16 +115,18 @@ def build_epsilon_model(
             total = sum(masses, Fraction(0))
             dist: dict[str, Fraction] = {}
             for mass, level in zip(masses, levels):
+                scale = mass / total
                 for w1, v in level.items():
-                    dist[w1] = mass * v / total
+                    dist[w1] = scale * v
             p[i][w] = dist
     out = ProbKripkeModel(model.base, (p[0], p[1]))
-    _check_output(model, out, eps)
+    _check_output(model, out, eps, lam_constant)
     return out
 
 
-def _check_output(source: OrderedKripkeModel, out: ProbKripkeModel, eps: Fraction) -> None:
-    lam_constant = not check_lambda_constancy(source)
+def _check_output(
+    source: OrderedKripkeModel, out: ProbKripkeModel, eps: Fraction, lam_constant: bool
+) -> None:
     for v in validate_prob(out):
         # Belief constancy can only fail where the source levels already
         # varied inside a class; everything else is a construction bug.
@@ -178,6 +187,7 @@ def verify_convergence(
     model: OrderedKripkeModel,
     schedule: EpsilonSchedule,
     scheme: str = "perfect",
+    on_member: Callable[[int, ProbKripkeModel], None] | None = None,
 ) -> ConvergenceReport:
     """Compare the tail of upper common belief in rationality with its limit.
 
@@ -185,15 +195,20 @@ def verify_convergence(
     threshold in rationality per member, and reports every tail
     intersection, the index where the tail stops changing, and whether the
     stabilized set equals common primary belief in lexicographic
-    rationality on the source model.
+    rationality on the source model.  ``on_member(n, member)``, if given,
+    receives each member as it is built, so a caller can keep or write the
+    family without building it again.
     """
     _check_scheme(scheme)
     _require_hypotheses(model)
+    lam_constant = not check_lambda_constancy(model)
     eps_values = schedule.values()
     rows = []
     events = []
     for n, eps in enumerate(eps_values):
-        built = build_epsilon_model(model, eps, scheme)
+        built = _build_member(model, eps, scheme, lam_constant)
+        if on_member is not None:
+            on_member(n, built)
         _, rat_event = rat(built)
         cb = upper_common_belief(built, eps, rat_event)
         events.append(cb)

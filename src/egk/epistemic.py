@@ -14,14 +14,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InputError
-from .games import (
-    GREATER,
-    Game,
-    MixedStrategy,
-    expected_utility,
-    lex_compare,
-    other,
-)
+from .games import Game, MixedStrategy, lex_best_replies, other, push_forward
 from .kripke import ProbKripkeModel, StandardKripkeModel
 from .ordered import OrderedKripkeModel
 from . import dominance
@@ -151,32 +144,26 @@ def type_caution(model: EpistemicModel, i: int, t: str) -> bool:
     return True
 
 
+def _pair_strategy(pair: Pair) -> str:
+    return pair[0]
+
+
 def strategy_marginal(model: EpistemicModel, i: int, t: str, k: int = 0) -> MixedStrategy:
     """Marginal of level ``k`` (0-based) on opponent strategies."""
-    dists = _level_dists(model, i, t)
-    weights: dict[str, Fraction] = {}
-    for (s_j, _), v in dists[k].items():
-        weights[s_j] = weights.get(s_j, Fraction(0)) + v
-    return MixedStrategy(other(i), weights)
-
-
-def _utility_vector(model: EpistemicModel, i: int, t: str, s: str):
-    dists = _level_dists(model, i, t)
-    return tuple(
-        expected_utility(model.game, i, s, strategy_marginal(model, i, t, k))
-        for k in range(len(dists))
-    )
+    j = other(i)
+    weights = push_forward(model.game, j, _level_dists(model, i, t)[k], _pair_strategy)
+    den = sum(weights)
+    return MixedStrategy(j, {s: Fraction(n, den)
+                             for s, n in zip(model.game.strategies[j], weights)})
 
 
 def optimal_strategies(model: EpistemicModel, i: int, t: str) -> frozenset[str]:
     """Strategies not lexicographically beaten under ``t``'s belief levels."""
     model.check_type(i, t)
-    vectors = {s: _utility_vector(model, i, t, s) for s in model.game.strategies[i]}
-    out = set()
-    for s, vec in vectors.items():
-        if not any(lex_compare(v2, vec) == GREATER for v2 in vectors.values()):
-            out.add(s)
-    return frozenset(out)
+    j = other(i)
+    levels = tuple(push_forward(model.game, j, dist, _pair_strategy)
+                   for dist in _level_dists(model, i, t))
+    return lex_best_replies(model.game, i, levels)
 
 
 def primary_belief_in_rationality(model: LexEpistemicModel, i: int, t: str) -> bool:

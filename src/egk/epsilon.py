@@ -69,11 +69,14 @@ def check_trembling(
         for i in (0, 1):
             j = other(i)
             name = model.game.players[i]
+            replies: dict[str, frozenset[str]] = {}
             for w in model.worlds:
                 for w1, v in model.p[i][w].items():
                     own = model.sigma[i][w1]
                     opp = model.sigma[j][w1]
-                    if own not in optimal_pure(model.game, i, point_mass(j, opp)) and v > eps:
+                    if opp not in replies:
+                        replies[opp] = optimal_pure(model.game, i, point_mass(j, opp))
+                    if own not in replies[opp] and v > eps:
                         out.append(Violation(
                             "trembling", i, (w, w1),
                             f"player {name}: weight {v} at {w} on {w1}, where {own!r} is not a "

@@ -7,9 +7,10 @@ results (survivor sets, belief events) are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import InputError
 
@@ -142,6 +143,106 @@ def lex_compare(u: Sequence[Fraction], v: Sequence[Fraction]) -> int:
 
 def optimal_pure(game: Game, i: int, mix_j: MixedStrategy) -> frozenset[str]:
     """Strategies of ``i`` maximizing expected utility against ``mix_j``."""
-    values = {s: expected_utility(game, i, s, mix_j) for s in game.strategies[i]}
-    best = max(values.values())
-    return frozenset(s for s, v in values.items() if v == best)
+    j = other(i)
+    if mix_j.owner != j:
+        raise InputError(f"mixture owner is player index {mix_j.owner}, expected {j}")
+    return lex_best_replies(game, i, (push_forward(game, j, mix_j.weights, _itself),))
+
+
+def _itself(label: str) -> str:
+    return label
+
+
+def push_forward(
+    game: Game, j: int, belief: Mapping[Hashable, Fraction], strategy_of: Callable[[Hashable], str]
+) -> tuple[int, ...]:
+    """A belief pushed onto player ``j``'s strategies, as integer weights.
+
+    ``belief`` maps worlds, (strategy, type) pairs or strategy labels to
+    weights; ``strategy_of`` names the strategy of ``j`` each key carries.
+    The result holds one weight per strategy of ``j`` in file order: the
+    per-strategy totals as numerators over their least common denominator,
+    so equal push-forwards are equal tuples.  A negative per-strategy total,
+    or totals not summing to 1, raise the same ``InputError`` as
+    :class:`MixedStrategy`.
+    """
+    den = math.lcm(*(v.denominator for v in belief.values()))
+    totals: dict[str, int] = {}
+    for key, v in belief.items():
+        s = strategy_of(key)
+        totals[s] = totals.get(s, 0) + v.numerator * (den // v.denominator)
+    for s, n in totals.items():
+        if n < 0:
+            raise InputError(f"negative weight {Fraction(n, den)} on strategy {s!r}")
+    total = sum(totals.values())
+    if total != den:
+        raise InputError(f"mixed-strategy weights sum to {Fraction(total, den)}, expected 1")
+    index = _compiled(game)[1][j]
+    out = [0] * len(index)
+    for s, n in totals.items():
+        if s not in index:
+            game.check_strategy(j, s)
+        out[index[s]] = n
+    g = math.gcd(*out)
+    return tuple(n // g for n in out)
+
+
+def _compiled(game: Game) -> tuple[tuple[dict, dict], tuple[dict, dict]]:
+    """The kernel's form of ``game``, built on first use and kept on the game.
+
+    Per player: each own strategy's payoffs against the opponent's
+    strategies (file order) as integers over one common denominator, and a
+    label -> position index of the player's strategies.
+    """
+    compiled = getattr(game, "_compiled", None)
+    if compiled is None:
+        rows = []
+        for i in (0, 1):
+            values = {
+                s_i: [Fraction(game.payoff(i, *((s_i, s_j) if i == 0 else (s_j, s_i))))
+                      for s_j in game.strategies[1 - i]]
+                for s_i in game.strategies[i]
+            }
+            den = math.lcm(*(v.denominator for row in values.values() for v in row))
+            rows.append({s: tuple(v.numerator * (den // v.denominator) for v in row)
+                         for s, row in values.items()})
+        index = tuple({s: k for k, s in enumerate(game.strategies[i])} for i in (0, 1))
+        compiled = (tuple(rows), index)
+        object.__setattr__(game, "_compiled", compiled)
+    return compiled
+
+
+def _dot(row: tuple[int, ...], weights: tuple[int, ...]) -> int:
+    return sum(u * w for u, w in zip(row, weights))
+
+
+def lex_values(game: Game, i: int, s_i: str, levels: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """Level-wise utilities of ``s_i`` against push-forwards, positively rescaled.
+
+    Each level's values share one positive factor, so the vectors of two
+    strategies of ``i`` against the same levels compare as their exact
+    expected-utility vectors do.
+    """
+    game.check_strategy(i, s_i)
+    row = _compiled(game)[0][i][s_i]
+    return tuple(_dot(row, weights) for weights in levels)
+
+
+def lex_best_replies(game: Game, i: int, levels: Sequence[tuple[int, ...]]) -> frozenset[str]:
+    """Strategies of ``i`` that no strategy beats lexicographically.
+
+    ``levels`` are push-forwards onto the opponent's strategies, level 1
+    first (one level is expected-utility maximization).  Each level keeps
+    the maximizers among the previous level's survivors; the lexicographic
+    order is total, so the survivors are exactly the unbeaten strategies.
+    """
+    if not levels:
+        raise InputError("belief sequence is empty")
+    alive = _compiled(game)[0][i]
+    for weights in levels:
+        if len(alive) == 1:
+            break
+        values = {s: _dot(row, weights) for s, row in alive.items()}
+        best = max(values.values())
+        alive = {s: alive[s] for s, v in values.items() if v == best}
+    return frozenset(alive)

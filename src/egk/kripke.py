@@ -8,13 +8,14 @@ model checker can surface every defect at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .dominance import Restriction, iesds, justifying_belief
 from .errors import InputError
-from .games import Game, MixedStrategy, optimal_pure, other
+from .games import Game, lex_best_replies, other, push_forward
 
 EventSet = frozenset
 
@@ -87,7 +88,7 @@ class ProbKripkeModel:
                 bad = set(dist) - wset
                 if bad:
                     raise InputError(f"belief at {w!r} weights unknown worlds {sorted(bad)}")
-                per[w] = {t: Fraction(v) for t, v in dist.items() if Fraction(v) != 0}
+                per[w] = exact_weights(dist)
             cleaned.append(per)
         object.__setattr__(self, "p", tuple(cleaned))
 
@@ -112,6 +113,23 @@ class ProbKripkeModel:
 
     def order(self, event: Iterable[str]) -> tuple[str, ...]:
         return self.base.order(event)
+
+
+def exact_weights(dist: Mapping[str, Fraction]) -> dict[str, Fraction]:
+    """``dist`` with each weight converted to ``Fraction`` once and zeros dropped."""
+    out = {}
+    for t, v in dist.items():
+        if type(v) is not Fraction:
+            v = Fraction(v)
+        if v:
+            out[t] = v
+    return out
+
+
+def weight_sum(dist: Mapping[str, Fraction]) -> Fraction:
+    """The exact total of ``dist``, summed as integers over the common denominator."""
+    den = math.lcm(*(v.denominator for v in dist.values()))
+    return Fraction(sum(v.numerator * (den // v.denominator) for v in dist.values()), den)
 
 
 def validate_standard(model: StandardKripkeModel) -> list[Violation]:
@@ -154,7 +172,12 @@ def validate_prob(model: ProbKripkeModel) -> list[Violation]:
         name = model.game.players[i]
         for w in model.worlds:
             dist = model.p[i][w]
-            total = sum(dist.values(), Fraction(0))
+            for t, v in dist.items():
+                if v.numerator < 0:
+                    out.append(Violation(
+                        "p-negative", i, (w, t),
+                        f"player {name}: negative weight {v} at {w} on {t}"))
+            total = weight_sum(dist)
             if total != 1:
                 out.append(Violation("p-sum", i, (w,), f"player {name}: weights at {w} sum to {total}"))
             extra = set(dist) - model.access[i][w]
@@ -162,14 +185,33 @@ def validate_prob(model: ProbKripkeModel) -> list[Violation]:
                 out.append(Violation(
                     "p-support", i, (w, t),
                     f"player {name}: positive weight on {t}, not accessible from {w}"))
+        belief_id = belief_ids(model.worlds, lambda w: (model.p[i][w],))
         for w in model.worlds:
             for w1 in model.access[i][w]:
-                if model.p[i][w1] != model.p[i][w]:
+                if belief_id[w1] != belief_id[w]:
                     out.append(Violation(
                         "p-constancy", i, (w, w1),
                         f"player {name}: belief at {w1} differs from belief at {w} "
                         f"although {w1} is accessible from {w}"))
     return out
+
+
+def belief_ids(
+    worlds: Iterable[str], levels: Callable[[str], tuple[Mapping[str, Fraction], ...]]
+) -> dict[str, int]:
+    """Per world, an id that two worlds share exactly when their belief levels are equal.
+
+    Each level becomes the canonical key sorted ``(world, numerator,
+    denominator)``, built once per world, so constancy checks compare ids
+    instead of ``Fraction`` dicts.
+    """
+    ids: dict[tuple, int] = {}
+    return {
+        w: ids.setdefault(tuple(
+            tuple(sorted((t, v.numerator, v.denominator) for t, v in dist.items()))
+            for dist in levels(w)), len(ids))
+        for w in worlds
+    }
 
 
 def belief(model: StandardKripkeModel | ProbKripkeModel, i: int, event: Iterable[str]) -> EventSet:
@@ -186,27 +228,33 @@ def common_belief(model: StandardKripkeModel | ProbKripkeModel, event: Iterable[
     return frozenset(w for w in base.worlds if (base.access[0][w] | base.access[1][w]) <= ev)
 
 
-def induced_mixture(model: ProbKripkeModel, i: int, w: str) -> MixedStrategy:
-    """Opponent-strategy mixture induced by p_i(w) through the assignment."""
-    j = other(i)
-    weights: dict[str, Fraction] = {}
-    for w1, v in model.p[i][w].items():
-        s = model.sigma[j][w1]
-        weights[s] = weights.get(s, Fraction(0)) + v
-    return MixedStrategy(j, weights)
-
-
 def rat(model: ProbKripkeModel) -> tuple[tuple[EventSet, EventSet], EventSet]:
     """Per-player rationality events and their intersection RAT."""
-    per = []
-    for i in (0, 1):
-        ok = set()
-        for w in model.worlds:
-            mix = induced_mixture(model, i, w)
-            if model.sigma[i][w] in optimal_pure(model.game, i, mix):
-                ok.add(w)
-        per.append(frozenset(ok))
+    per = [best_reply_worlds(model, i, lambda w: (model.p[i][w],)) for i in (0, 1)]
     return (per[0], per[1]), per[0] & per[1]
+
+
+def best_reply_worlds(model, i: int, levels: Callable[[str], tuple]) -> EventSet:
+    """Worlds where player ``i``'s strategy is a lexicographic best reply.
+
+    ``levels(w)`` is the belief at ``w`` as a sequence of weights over
+    worlds (one level for a probabilistic model).  Best replies are memoized
+    on the integer push-forward of the levels, so worlds sharing a belief,
+    such as the members of an R_i class, cost one evaluation.
+    """
+    game = model.game
+    j = other(i)
+    strategy_of = model.sigma[j].__getitem__
+    memo: dict[tuple, frozenset[str]] = {}
+    ok = set()
+    for w in model.worlds:
+        key = tuple(push_forward(game, j, dist, strategy_of) for dist in levels(w))
+        best = memo.get(key)
+        if best is None:
+            best = memo[key] = lex_best_replies(game, i, key)
+        if model.sigma[i][w] in best:
+            ok.add(w)
+    return frozenset(ok)
 
 
 @dataclass(frozen=True)

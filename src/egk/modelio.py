@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .epistemic import LexEpistemicModel, ProbEpistemicModel
-from .errors import FormatError
+from .errors import FormatError, InputError
 from .games import Game
 from .kripke import ProbKripkeModel, StandardKripkeModel
 from .ordered import OrderedKripkeModel
@@ -56,20 +56,30 @@ def _expect(data: Mapping, key: str, where: str):
     return data[key]
 
 
+def _list(value: Any, where: str, what: str) -> list:
+    """``value`` itself, which must be a JSON list (a string is not one)."""
+    if not isinstance(value, list):
+        raise FormatError(f"{where}: expected a list of {what}, got {value!r}")
+    return value
+
+
 def game_from_json(data: Mapping, where: str = "game") -> Game:
-    players = _expect(data, "players", where)
-    strategies = _expect(data, "strategies", where)
+    players = _list(_expect(data, "players", where), f"{where}.players", "player names")
+    strategies = _list(_expect(data, "strategies", where), f"{where}.strategies",
+                       "strategy lists")
     payoffs_raw = _expect(data, "payoffs", where)
     if len(players) != 2 or len(strategies) != 2:
         raise FormatError(f"{where}: exactly two players are supported")
-    strategies = (tuple(strategies[0]), tuple(strategies[1]))
+    strategies = tuple(
+        tuple(_list(strategies[i], f"{where}.strategies[{i}]", "strategy labels"))
+        for i in (0, 1))
     payoffs = {}
     for s1 in strategies[0]:
         for s2 in strategies[1]:
             key = f"{s1},{s2}"
             if key not in payoffs_raw:
                 raise FormatError(f"{where}.payoffs: missing cell {key!r}")
-            cell = payoffs_raw[key]
+            cell = _list(payoffs_raw[key], f"{where}.payoffs.{key}", "two payoffs")
             if len(cell) != 2:
                 raise FormatError(f"{where}.payoffs.{key}: expected two payoffs")
             payoffs[(s1, s2)] = (
@@ -109,11 +119,14 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
     """Load a standard, probabilistic, or ordered model, by the keys present."""
     if game is None:
         game = game_from_json(_expect(data, "game", where), f"{where}.game")
-    worlds = tuple(_expect(data, "worlds", where))
+    worlds = tuple(_list(_expect(data, "worlds", where), f"{where}.worlds", "world labels"))
     access_raw = _player_maps(data, "access", game, where)
     sigma_raw = _player_maps(data, "sigma", game, where)
     access = tuple(
-        {w: frozenset(access_raw[i].get(w, ())) for w in worlds} for i in (0, 1))
+        {w: frozenset(_list(access_raw[i].get(w, []),
+                            f"{where}.access.{game.players[i]}.{w}", "world labels"))
+         for w in worlds}
+        for i in (0, 1))
     sigma = tuple({w: sigma_raw[i].get(w) for w in worlds} for i in (0, 1))
     for i in (0, 1):
         for w in worlds:
@@ -138,7 +151,8 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
             for w in worlds:
                 if w not in lam_raw[i]:
                     raise FormatError(f"{where}.lambda: missing world {w!r} for player {game.players[i]!r}")
-                levels = lam_raw[i][w]
+                levels = _list(lam_raw[i][w], f"{where}.lambda.{game.players[i]}.{w}",
+                               "belief levels")
                 per[w] = tuple(
                     {t: parse_rational(v, f"{where}.lambda.{game.players[i]}.{w}[{k}].{t}")
                      for t, v in level.items()}
@@ -192,10 +206,11 @@ def types_from_json(data: Mapping, game: Game | None = None, where: str = "types
     """Load a type model; a belief given as a list of levels is lexicographic."""
     if game is None:
         game = game_from_json(_expect(data, "game", where), f"{where}.game")
-    types_raw = _expect(data, "types", where)
+    types_raw = _list(_expect(data, "types", where), f"{where}.types", "type lists")
     if len(types_raw) != 2:
         raise FormatError(f"{where}.types: expected two type lists")
-    types = (tuple(types_raw[0]), tuple(types_raw[1]))
+    types = tuple(
+        tuple(_list(types_raw[i], f"{where}.types[{i}]", "type labels")) for i in (0, 1))
     beliefs_raw = _player_maps(data, "beliefs", game, where)
     lex = None
     parsed = []
@@ -247,7 +262,7 @@ def types_to_json(model: TypeModel) -> dict:
 
 
 def event_from_json(data: Mapping, where: str = "event") -> tuple[str, ...]:
-    return tuple(_expect(data, "worlds", where))
+    return tuple(_list(_expect(data, "worlds", where), f"{where}.worlds", "world labels"))
 
 
 def event_to_json(worlds) -> dict:
@@ -268,3 +283,12 @@ def load_file(path: str) -> dict:
         raise FormatError(f"{path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})")
+
+
+def write_file(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; an unwritable path is an ``InputError``."""
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}")

@@ -8,19 +8,20 @@ Levels are 0-based internally and rendered 1-based in reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InputError
-from .games import (
-    GREATER,
-    Game,
-    MixedStrategy,
-    lex_compare,
-    lex_utility_vector,
-    other,
+from .games import Game, lex_compare, lex_values, other, push_forward
+from .kripke import (
+    EventSet,
+    StandardKripkeModel,
+    Violation,
+    belief_ids,
+    best_reply_worlds,
+    exact_weights,
+    validate_standard,
+    weight_sum,
 )
-from .kripke import EventSet, StandardKripkeModel, Violation, validate_standard
 
 LevelSeq = tuple  # tuple of per-level weight mappings
 
@@ -45,7 +46,7 @@ class OrderedKripkeModel:
                     bad = set(dist) - wset
                     if bad:
                         raise InputError(f"level belief at {w!r} weights unknown worlds {sorted(bad)}")
-                    fixed.append({t: Fraction(v) for t, v in dist.items() if Fraction(v) != 0})
+                    fixed.append(exact_weights(dist))
                 per[w] = tuple(fixed)
             cleaned.append(per)
         object.__setattr__(self, "lam", tuple(cleaned))
@@ -84,7 +85,13 @@ def validate_ordered(model: OrderedKripkeModel) -> list[Violation]:
         for w in model.worlds:
             levels = model.lam[i][w]
             for k, dist in enumerate(levels):
-                total = sum(dist.values(), Fraction(0))
+                for t, v in dist.items():
+                    if v.numerator < 0:
+                        out.append(Violation(
+                            "lambda-negative", i, (w, t),
+                            f"player {name}: level {k + 1} at {w} gives {t} the negative "
+                            f"weight {v}"))
+                total = weight_sum(dist)
                 if total != 1:
                     out.append(Violation(
                         "lambda-sum", i, (w,),
@@ -113,9 +120,10 @@ def check_lambda_constancy(model: OrderedKripkeModel) -> list[Violation]:
     out = []
     for i in (0, 1):
         name = model.game.players[i]
+        levels_id = belief_ids(model.worlds, model.lam[i].__getitem__)
         for w in model.worlds:
             for w1 in model.access[i][w]:
-                if model.lam[i][w1] != model.lam[i][w]:
+                if levels_id[w1] != levels_id[w]:
                     out.append(Violation(
                         "lambda-constancy", i, (w, w1),
                         f"player {name}: levels at {w1} differ from levels at {w} "
@@ -143,42 +151,20 @@ def check_caution(model: OrderedKripkeModel) -> list[Violation]:
     return out
 
 
-def level_mixture(model: OrderedKripkeModel, i: int, w: str, k: int) -> MixedStrategy:
-    """Opponent-strategy mixture induced by level ``k`` (0-based) at ``w``."""
-    j = other(i)
-    weights: dict[str, Fraction] = {}
-    for w1, v in model.lam[i][w][k].items():
-        s = model.sigma[j][w1]
-        weights[s] = weights.get(s, Fraction(0)) + v
-    return MixedStrategy(j, weights)
-
-
-def _lex_vector(model: OrderedKripkeModel, i: int, w: str, s: str):
-    beliefs = [level_mixture(model, i, w, k) for k in range(len(model.lam[i][w]))]
-    return lex_utility_vector(model.game, i, s, beliefs)
-
-
 def lex_prefers(model: OrderedKripkeModel, i: int, w: str, s_i: str, s_i2: str) -> int:
     """Lexicographic preference at ``w``: GREATER, EQUAL (indifferent) or LESS."""
-    model.game.check_strategy(i, s_i)
-    model.game.check_strategy(i, s_i2)
-    return lex_compare(_lex_vector(model, i, w, s_i), _lex_vector(model, i, w, s_i2))
+    game = model.game
+    game.check_strategy(i, s_i)
+    game.check_strategy(i, s_i2)
+    j = other(i)
+    strategy_of = model.sigma[j].__getitem__
+    levels = [push_forward(game, j, dist, strategy_of) for dist in model.lam[i][w]]
+    return lex_compare(lex_values(game, i, s_i, levels), lex_values(game, i, s_i2, levels))
 
 
 def lrat(model: OrderedKripkeModel) -> tuple[tuple[EventSet, EventSet], EventSet]:
     """Per-player lexicographic rationality events and their intersection."""
-    per = []
-    for i in (0, 1):
-        ok = set()
-        for w in model.worlds:
-            vec = _lex_vector(model, i, w, model.sigma[i][w])
-            beaten = any(
-                lex_compare(_lex_vector(model, i, w, s), vec) == GREATER
-                for s in model.game.strategies[i]
-            )
-            if not beaten:
-                ok.add(w)
-        per.append(frozenset(ok))
+    per = [best_reply_worlds(model, i, model.lam[i].__getitem__) for i in (0, 1)]
     return (per[0], per[1]), per[0] & per[1]
 
 

@@ -8,6 +8,13 @@ complete decision procedure, so the oracle is exact, not just a sampler.
 
 ``reference_maximize`` is the plain ``Fraction``-tableau simplex with Bland's
 rule; the fraction-free :func:`egk.lp.maximize` must return exactly its results.
+
+``reference_rat``, ``reference_lrat`` and ``reference_optimal_strategies`` are
+the per-candidate ``Fraction`` best-reply routines that rebuild a
+``MixedStrategy`` for every candidate strategy, and
+``reference_strategy_marginal`` the ``Fraction`` push-forward of a type's
+level; the integer best-reply kernel in :mod:`egk.games` must give exactly
+their results and errors.
 """
 
 from __future__ import annotations
@@ -16,7 +23,16 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from egk.games import Game
+from egk.epistemic import LexEpistemicModel
+from egk.games import (
+    GREATER,
+    Game,
+    MixedStrategy,
+    expected_utility,
+    lex_compare,
+    lex_utility_vector,
+    other,
+)
 from egk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
 GRID_DENOMINATOR = 24
@@ -298,3 +314,96 @@ def reference_maximize(
             x[basis[r]] = rhs[r]
     value = sum((ci * xi for ci, xi in zip(c, x)), _ZERO)
     return LPResult(OPTIMAL, value, tuple(x))
+
+
+def _reference_optimal_pure(game: Game, i: int, mix_j: MixedStrategy) -> frozenset[str]:
+    values = {s: expected_utility(game, i, s, mix_j) for s in game.strategies[i]}
+    best = max(values.values())
+    return frozenset(s for s, v in values.items() if v == best)
+
+
+def _induced_mixture(model, i: int, w: str) -> MixedStrategy:
+    j = other(i)
+    weights: dict[str, Fraction] = {}
+    for w1, v in model.p[i][w].items():
+        s = model.sigma[j][w1]
+        weights[s] = weights.get(s, Fraction(0)) + v
+    return MixedStrategy(j, weights)
+
+
+def reference_rat(model):
+    """Per-player rationality events and their intersection RAT."""
+    per = []
+    for i in (0, 1):
+        ok = set()
+        for w in model.worlds:
+            mix = _induced_mixture(model, i, w)
+            if model.sigma[i][w] in _reference_optimal_pure(model.game, i, mix):
+                ok.add(w)
+        per.append(frozenset(ok))
+    return (per[0], per[1]), per[0] & per[1]
+
+
+def _level_mixture(model, i: int, w: str, k: int) -> MixedStrategy:
+    j = other(i)
+    weights: dict[str, Fraction] = {}
+    for w1, v in model.lam[i][w][k].items():
+        s = model.sigma[j][w1]
+        weights[s] = weights.get(s, Fraction(0)) + v
+    return MixedStrategy(j, weights)
+
+
+def _lex_vector(model, i: int, w: str, s: str):
+    beliefs = [_level_mixture(model, i, w, k) for k in range(len(model.lam[i][w]))]
+    return lex_utility_vector(model.game, i, s, beliefs)
+
+
+def reference_lrat(model):
+    """Per-player lexicographic rationality events and their intersection."""
+    per = []
+    for i in (0, 1):
+        ok = set()
+        for w in model.worlds:
+            vec = _lex_vector(model, i, w, model.sigma[i][w])
+            beaten = any(
+                lex_compare(_lex_vector(model, i, w, s), vec) == GREATER
+                for s in model.game.strategies[i]
+            )
+            if not beaten:
+                ok.add(w)
+        per.append(frozenset(ok))
+    return (per[0], per[1]), per[0] & per[1]
+
+
+def _level_dists(model, i: int, t: str) -> tuple:
+    if isinstance(model, LexEpistemicModel):
+        return model.levels(i, t)
+    return (model.belief(i, t),)
+
+
+def reference_strategy_marginal(model, i: int, t: str, k: int = 0) -> MixedStrategy:
+    """Marginal of level ``k`` (0-based) on opponent strategies."""
+    dists = _level_dists(model, i, t)
+    weights: dict[str, Fraction] = {}
+    for (s_j, _), v in dists[k].items():
+        weights[s_j] = weights.get(s_j, Fraction(0)) + v
+    return MixedStrategy(other(i), weights)
+
+
+def _utility_vector(model, i: int, t: str, s: str):
+    dists = _level_dists(model, i, t)
+    return tuple(
+        expected_utility(model.game, i, s, reference_strategy_marginal(model, i, t, k))
+        for k in range(len(dists))
+    )
+
+
+def reference_optimal_strategies(model, i: int, t: str) -> frozenset[str]:
+    """Strategies not lexicographically beaten under ``t``'s belief levels."""
+    model.check_type(i, t)
+    vectors = {s: _utility_vector(model, i, t, s) for s in model.game.strategies[i]}
+    out = set()
+    for s, vec in vectors.items():
+        if not any(lex_compare(v2, vec) == GREATER for v2 in vectors.values()):
+            out.add(s)
+    return frozenset(out)

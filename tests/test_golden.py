@@ -1,0 +1,117 @@
+"""Byte-for-byte CLI output on the fixtures, against stored golden files.
+
+Each case runs one ``egk`` command on ``fixtures/`` and compares its exit
+code and standard output with ``tests/golden/<name>.out``; ``converge
+--emit-family`` also compares the written member files with
+``tests/golden/family/``.  Regenerate the files, after a deliberate change
+of output, with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from egk import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+GAME = "fixtures/myerson_game.json"
+PROB = "fixtures/myerson_prob.json"
+ORDERED = "fixtures/myerson_ordered.json"
+LEX_TYPES = "fixtures/myerson_lex_types.json"
+PROB_TYPES = "fixtures/myerson_prob_types.json"
+EVENT = "tests/golden/event_w1_w2.json"
+FAMILY = "family"
+
+# name -> (argv, exit code); paths are relative to the repository root.
+CASES = {
+    "game_analyze_df": (["game", "analyze", GAME, "--procedure", "df", "--json"], 0),
+    "game_analyze_iesds": (["game", "analyze", GAME, "--procedure", "iesds", "--json"], 0),
+    "model_check_prob": (["model", "check", PROB, "--json"], 0),
+    "model_check_prob_eps": (
+        ["model", "check", PROB, "--eps", "1/4", "--show-upper", "--json"], 0),
+    "model_check_prob_pointwise": (
+        ["model", "check", PROB, "--eps", "1/4", "--trembling-reading", "pointwise",
+         "--json"], 1),
+    "model_check_ordered": (["model", "check", ORDERED, "--json"], 0),
+    "model_operators_b": (
+        ["model", "operators", PROB, "--op", "b", "--player", "1", "--event", EVENT,
+         "--json"], 0),
+    "model_operators_cb": (["model", "operators", PROB, "--op", "cb", "--event", EVENT,
+                            "--json"], 0),
+    "model_operators_b1": (
+        ["model", "operators", ORDERED, "--op", "b1", "--player", "2", "--event", EVENT,
+         "--json"], 0),
+    "model_operators_cb1": (["model", "operators", ORDERED, "--op", "cb1", "--event", EVENT,
+                             "--json"], 0),
+    "model_operators_beps": (
+        ["model", "operators", PROB, "--op", "beps", "--player", "1", "--eps", "1/4",
+         "--event", EVENT, "--json"], 0),
+    "model_operators_cbeps": (
+        ["model", "operators", PROB, "--op", "cbeps", "--eps", "1/4", "--event", EVENT,
+         "--json"], 0),
+    "model_rat": (["model", "rat", PROB, "--json"], 0),
+    "model_lrat": (["model", "lrat", ORDERED, "--json"], 0),
+    "model_to_types": (["model", "to-types", PROB, "--json"], 0),
+    "types_analyze_lex": (["types", "analyze", LEX_TYPES, "--json"], 0),
+    "types_analyze_prob": (["types", "analyze", PROB_TYPES, "--json"], 0),
+    "types_analyze_prob_eps": (["types", "analyze", PROB_TYPES, "--eps", "1/3", "--json"], 0),
+    "types_to_kripke": (["types", "to-kripke", LEX_TYPES, "--json"], 0),
+    "converge_perfect": (
+        ["converge", ORDERED, "--schedule", "geometric:1/2,5", "--emit-family", FAMILY,
+         "--json"], 0),
+    "converge_proper": (
+        ["converge", ORDERED, "--schedule", "geometric:1/3,4", "--scheme", "proper",
+         "--json"], 0),
+    "export_dot_ordered": (["export", "dot", ORDERED], 0),
+    "export_dot_prob": (["export", "dot", PROB], 0),
+}
+
+
+def _argv(argv: list[str], workdir: Path) -> list[str]:
+    out = []
+    for arg in argv:
+        if arg == FAMILY:
+            out.append(str(workdir / FAMILY))
+        elif arg.startswith(("fixtures/", "tests/")):
+            out.append(str(ROOT / arg))
+        else:
+            out.append(arg)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tmp_path, capsys):
+    argv, code = CASES[name]
+    assert cli.main(_argv(argv, tmp_path)) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / f"{name}.out").read_text()
+    if FAMILY in argv:
+        expected = sorted(p.name for p in (GOLDEN / FAMILY).iterdir())
+        assert sorted(os.listdir(tmp_path / FAMILY)) == expected
+        for member in expected:
+            assert ((tmp_path / FAMILY / member).read_text()
+                    == (GOLDEN / FAMILY / member).read_text())
+
+
+def _regenerate() -> None:
+    import contextlib
+    import io
+
+    for name, (argv, code) in sorted(CASES.items()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            got = cli.main(_argv(argv, GOLDEN))
+        if got != code:
+            raise SystemExit(f"{name}: exit {got}, expected {code}")
+        (GOLDEN / f"{name}.out").write_text(out.getvalue())
+
+
+if __name__ == "__main__":
+    sys.exit(_regenerate())

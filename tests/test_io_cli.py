@@ -229,3 +229,79 @@ def test_cli_color_toggle(tmp_path, capsys, monkeypatch):
     cli.main(["model", "check", path])
     plain = capsys.readouterr().out
     assert "\x1b[" not in plain
+
+
+def test_cli_model_check_rejects_negative_beliefs(tmp_path, capsys):
+    data = modelio.model_to_json(myerson_prob_model(F(1, 4)))
+    for w in ("w1", "w2"):
+        data["p"]["1"][w] = {"w1": "3/2", "w2": "-1/2"}
+    path = write(tmp_path, "negative.json", data)
+    assert cli.main(["model", "check", path]) == 1
+    out = capsys.readouterr().out
+    assert "[p-negative] player 1: negative weight -1/2 at w1 on w2" in out
+    assert "ok" not in out.split()
+
+
+def _shape_cases():
+    game = modelio.game_to_json(myerson_game())
+    model = modelio.model_to_json(myerson_prob_model(F(1, 4)))
+    cell = json.loads(json.dumps(game))
+    cell["payoffs"]["A,C"] = "12"
+    strategies = json.loads(json.dumps(game))
+    strategies["strategies"] = "AB"
+    one_player = json.loads(json.dumps(game))
+    one_player["strategies"][0] = "AB"
+    worlds = json.loads(json.dumps(model))
+    worlds["worlds"] = "w"
+    return [
+        ("game", cell, "game.payoffs.A,C"),
+        ("game", strategies, "game.strategies"),
+        ("game", one_player, "game.strategies[0]"),
+        ("model", worlds, "model.worlds"),
+        ("event", {"worlds": "w"}, "event.worlds"),
+    ]
+
+
+@pytest.mark.parametrize("kind,data,where", _shape_cases())
+def test_strings_where_lists_belong_are_located_format_errors(
+        kind, data, where, tmp_path, capsys):
+    load = {"game": modelio.game_from_json, "model": modelio.model_from_json,
+            "event": modelio.event_from_json}[kind]
+    with pytest.raises(FormatError, match=re.escape(f"{where}: expected a list")):
+        load(data)
+    path = write(tmp_path, "input.json", data)
+    if kind == "game":
+        argv = ["game", "analyze", path]
+    elif kind == "model":
+        argv = ["model", "check", path]
+    else:
+        model = write(tmp_path, "pm.json", modelio.model_to_json(myerson_prob_model(F(1, 4))))
+        argv = ["model", "operators", model, "--op", "cb", "--event", path]
+    assert cli.main(argv) == 2
+    # The CLI names locations after the file: game.x becomes <path>.x.
+    located = f"{path}.{where.split('.', 1)[1]}"
+    assert capsys.readouterr().err.startswith(f"error: {located}: expected a list")
+
+
+def test_cli_unwritable_outputs_exit_2(tmp_path, capsys):
+    ordered = write(tmp_path, "om.json", modelio.model_to_json(myerson_ordered_model()))
+    lex = write(tmp_path, "lex.json", modelio.types_to_json(myerson_lex_types()))
+    event = write(tmp_path, "event.json", {"worlds": ["w1"]})
+    missing = tmp_path / "missing" / "out.json"
+    write(tmp_path, "plain_file", {"not": "a directory"})
+    family = str(tmp_path / "plain_file" / "family")
+    commands = [
+        (["types", "to-kripke", lex, "--out", str(missing)], str(missing)),
+        (["model", "lrat", ordered, "--event-out", str(missing)], str(missing)),
+        (["model", "operators", ordered, "--op", "cb1", "--event", event,
+          "--event-out", str(missing)], str(missing)),
+        (["export", "dot", ordered, "--out", str(missing)], str(missing)),
+        (["converge", ordered, "--schedule", "geometric:1/2,2", "--emit-family", family],
+         family),
+    ]
+    for argv, path in commands:
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: "), captured.err
+        assert captured.out == ""
+    assert not missing.parent.exists()

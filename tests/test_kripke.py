@@ -189,3 +189,13 @@ def test_iesds_inclusion_property(seed):
     rng = random.Random(seed)
     model = random_prob_model(rng, random_game(rng))
     assert check_iesds_inclusion(model).holds
+
+
+def test_negative_weight_is_a_violation():
+    good = myerson_prob_model(F(1, 4))
+    tilted = {"w1": F(3, 2), "w2": F(-1, 2)}
+    model = ProbKripkeModel(good.base, ({**good.p[0], "w1": tilted, "w2": tilted}, good.p[1]))
+    found = validate_prob(model)
+    assert [(v.kind, v.player, v.where) for v in found] == [
+        ("p-negative", 0, ("w1", "w2")), ("p-negative", 0, ("w2", "w2"))]
+    assert found[0].detail == "player 1: negative weight -1/2 at w1 on w2"

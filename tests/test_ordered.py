@@ -248,3 +248,12 @@ def test_one_step_common_belief_can_outrun_df_with_cross_cluster_primaries():
     assert "w1" in certified
     assert model.base.profile("w1") == ("B", "X")
     assert "B" not in survivors.sets[0]
+
+
+def test_negative_level_weight_is_a_violation():
+    good = myerson_ordered_model()
+    levels = ({"w1": ONE}, {"w2": F(3, 2), "w1": F(-1, 2)})
+    model = OrderedKripkeModel(good.base, ({**good.lam[0], "w1": levels}, good.lam[1]))
+    found = validate_ordered(model)
+    assert [(v.kind, v.player, v.where) for v in found] == [("lambda-negative", 0, ("w1", "w1"))]
+    assert found[0].detail == "player 1: level 2 at w1 gives w1 the negative weight -1/2"
