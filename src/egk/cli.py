@@ -197,11 +197,10 @@ def _cmd_model_operators(args) -> int:
         if args.eps is None:
             raise InputError(f"operator {op!r} needs --eps")
     game = model.game
-    plain = model.base if isinstance(model, OrderedKripkeModel) else model
     if op == "b":
-        result = kripke.belief(plain, _player_index(game, args.player), event)
+        result = kripke.belief(model, _player_index(game, args.player), event)
     elif op == "cb":
-        result = kripke.common_belief(plain, event)
+        result = kripke.common_belief(model, event)
     elif op == "b1":
         result = ordered.level1_belief(model, _player_index(game, args.player), event)
     elif op == "cb1":

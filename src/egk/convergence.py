@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import InputError
-from .kripke import ProbKripkeModel, validate_prob
+from .kripke import ProbKripkeModel, validate_beliefs, validate_standard
 from .ordered import (
     OrderedKripkeModel,
     check_caution,
@@ -68,6 +68,11 @@ def _require_hypotheses(model: OrderedKripkeModel) -> None:
         raise InputError(f"level supports are not disjoint: {structural.violations[0]}")
     if not structural.surjection:
         raise InputError(f"levels are not surjective: {structural.violations[0]}")
+    # Every family member shares the source's frame, so its axioms are
+    # checked here once, reported as the first member's defect.
+    frame = validate_standard(model.base)
+    if frame:
+        raise InputError(f"built model is invalid: {frame[0]}")
 
 
 def _level_masses(levels, eps: Fraction, scheme: str) -> list[Fraction]:
@@ -127,7 +132,7 @@ def _build_member(
 def _check_output(
     source: OrderedKripkeModel, out: ProbKripkeModel, eps: Fraction, lam_constant: bool
 ) -> None:
-    for v in validate_prob(out):
+    for v in validate_beliefs(out):
         # Belief constancy can only fail where the source levels already
         # varied inside a class; everything else is a construction bug.
         if v.kind == "p-constancy" and not lam_constant:

@@ -20,15 +20,14 @@ def _quote(text: str) -> str:
 
 
 def export_dot(model) -> str:
-    base = model.base if isinstance(model, (ProbKripkeModel, OrderedKripkeModel)) else model
     lines = ["digraph model {", "  rankdir=LR;"]
-    for w in base.worlds:
-        s1, s2 = base.profile(w)
+    for w in model.worlds:
+        s1, s2 = model.profile(w)
         lines.append(f"  {_quote(w)} [label={_quote(f'{w}:({s1},{s2})')}];")
     for i in (0, 1):
-        for w in base.worlds:
-            for w1 in base.worlds:
-                if w1 not in base.access[i][w]:
+        for w in model.worlds:
+            for w1 in model.worlds:
+                if w1 not in model.access[i][w]:
                     continue
                 attrs = [f"style={_EDGE_STYLE[i]}"]
                 if isinstance(model, ProbKripkeModel):

@@ -238,32 +238,32 @@ def common_full_belief(
     return frozenset(alive[0]), frozenset(alive[1])
 
 
+def _permissible_under(
+    model: EpistemicModel, rationality: TypeProperty
+) -> tuple[frozenset[str], frozenset[str]]:
+    """Strategies optimal for a type surviving common full belief in caution and ``rationality``."""
+    alive = common_full_belief(model, conjoin(caution_property(model), rationality))
+    return tuple(
+        frozenset().union(*(optimal_strategies(model, i, t) for t in alive[i]))
+        if alive[i] else frozenset()
+        for i in (0, 1)
+    )
+
+
 def permissible(model: LexEpistemicModel) -> tuple[frozenset[str], frozenset[str]]:
     """Strategies optimal for a surviving type under caution and primary rationality.
 
     Model-relative: it quantifies over this model's types.  The global
     notion coincides with survival of the Dekel-Fudenberg procedure.
     """
-    prop = conjoin(caution_property(model), primary_rationality_property(model))
-    alive = common_full_belief(model, prop)
-    return tuple(
-        frozenset().union(*(optimal_strategies(model, i, t) for t in alive[i]))
-        if alive[i] else frozenset()
-        for i in (0, 1)
-    )
+    return _permissible_under(model, primary_rationality_property(model))
 
 
 def eps_permissible(
     model: ProbEpistemicModel, eps: Fraction
 ) -> tuple[frozenset[str], frozenset[str]]:
     """Strategies optimal for a surviving type under caution and eps-trembling."""
-    prop = conjoin(caution_property(model), trembling_property(model, eps))
-    alive = common_full_belief(model, prop)
-    return tuple(
-        frozenset().union(*(optimal_strategies(model, i, t) for t in alive[i]))
-        if alive[i] else frozenset()
-        for i in (0, 1)
-    )
+    return _permissible_under(model, trembling_property(model, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +274,37 @@ def _world_label(t1: str, t2: str, s1: str, s2: str) -> str:
     return f"{t1}|{t2}|{s1}|{s2}"
 
 
-def _product_worlds(game: Game, types):
+def _product_model(
+    game: Game, types, levels_of
+) -> tuple[StandardKripkeModel, tuple[dict[str, tuple], dict[str, tuple]]]:
+    """The frame over (type pair, profile) worlds and each world's levels over worlds.
+
+    ``levels_of[i][t]`` is type ``t``'s sequence of levels over opponent
+    (strategy, type) pairs.  At a world where player ``i`` has type ``t``
+    and plays ``s``, each level weighs the world that pairs ``(t, s)`` with
+    the opponent's (type, strategy) by the level's weight on that pair;
+    R_i(w) is the union of the level supports.
+    """
+    worlds = []
+    sigma: tuple[dict[str, str], dict[str, str]] = ({}, {})
+    access: tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]] = ({}, {})
+    lam: tuple[dict[str, tuple], dict[str, tuple]] = ({}, {})
     for t1 in types[0]:
         for t2 in types[1]:
             for s1 in game.strategies[0]:
                 for s2 in game.strategies[1]:
-                    yield (t1, t2, s1, s2)
+                    w = _world_label(t1, t2, s1, s2)
+                    worlds.append(w)
+                    sigma[0][w], sigma[1][w] = s1, s2
+                    lam[0][w] = tuple(
+                        {_world_label(t1, t_j, s1, s_j): v for (s_j, t_j), v in dist.items()}
+                        for dist in levels_of[0][t1])
+                    lam[1][w] = tuple(
+                        {_world_label(t_j, t2, s_j, s2): v for (s_j, t_j), v in dist.items()}
+                        for dist in levels_of[1][t2])
+                    for i in (0, 1):
+                        access[i][w] = frozenset().union(*lam[i][w])
+    return StandardKripkeModel(game, tuple(worlds), access, sigma), lam
 
 
 def kripke_from_lex_types(model: LexEpistemicModel) -> OrderedKripkeModel:
@@ -315,63 +340,15 @@ def kripke_from_lex_types(model: LexEpistemicModel) -> OrderedKripkeModel:
                     f"type {t!r} of player {game.players[i]!r} repeats a belief level; "
                     "the induced level sequence would not be injective")
             levels_of[i][t] = tuple(merged)
-
-    coords = list(_product_worlds(game, model.types))
-    worlds = tuple(_world_label(*c) for c in coords)
-    sigma = ({}, {})
-    for c in coords:
-        w = _world_label(*c)
-        sigma[0][w] = c[2]
-        sigma[1][w] = c[3]
-
-    access: list[dict[str, frozenset[str]]] = [{}, {}]
-    lam: list[dict[str, tuple]] = [{}, {}]
-    for (t1, t2, s1, s2) in coords:
-        w = _world_label(t1, t2, s1, s2)
-        for i in (0, 1):
-            t_i = (t1, t2)[i]
-            s_i = (s1, s2)[i]
-            dists = []
-            support = set()
-            for dist in levels_of[i][t_i]:
-                level = {}
-                for (s_j, t_j), v in dist.items():
-                    coords2 = (t_i, t_j, s_i, s_j) if i == 0 else (t_j, t_i, s_j, s_i)
-                    w2 = _world_label(*coords2)
-                    level[w2] = v
-                dists.append(level)
-                support |= set(level)
-            access[i][w] = frozenset(support)
-            lam[i][w] = tuple(dists)
-    base = StandardKripkeModel(game, worlds, (access[0], access[1]), (sigma[0], sigma[1]))
-    return OrderedKripkeModel(base, (lam[0], lam[1]))
+    return OrderedKripkeModel(*_product_model(game, model.types, levels_of))
 
 
 def kripke_from_prob_types(model: ProbEpistemicModel) -> ProbKripkeModel:
     """Probabilistic Kripke model over (type pair, profile) worlds."""
-    game = model.game
-    coords = list(_product_worlds(game, model.types))
-    worlds = tuple(_world_label(*c) for c in coords)
-    sigma = ({}, {})
-    for c in coords:
-        w = _world_label(*c)
-        sigma[0][w] = c[2]
-        sigma[1][w] = c[3]
-    access: list[dict[str, frozenset[str]]] = [{}, {}]
-    p: list[dict[str, dict[str, Fraction]]] = [{}, {}]
-    for (t1, t2, s1, s2) in coords:
-        w = _world_label(t1, t2, s1, s2)
-        for i in (0, 1):
-            t_i = (t1, t2)[i]
-            s_i = (s1, s2)[i]
-            dist = {}
-            for (s_j, t_j), v in model.belief(i, t_i).items():
-                coords2 = (t_i, t_j, s_i, s_j) if i == 0 else (t_j, t_i, s_j, s_i)
-                dist[_world_label(*coords2)] = v
-            access[i][w] = frozenset(dist)
-            p[i][w] = dist
-    base = StandardKripkeModel(game, worlds, (access[0], access[1]), (sigma[0], sigma[1]))
-    return ProbKripkeModel(base, (p[0], p[1]))
+    base, lam = _product_model(model.game, model.types, [
+        {t: (model.belief(i, t),) for t in model.types[i]} for i in (0, 1)])
+    return ProbKripkeModel(base, tuple({w: levels[0] for w, levels in per.items()}
+                                       for per in lam))
 
 
 def types_from_kripke(

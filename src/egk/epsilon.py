@@ -9,11 +9,11 @@ be checked at several thresholds.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import InputError
 from .games import optimal_pure, other, point_mass
-from .kripke import EventSet, ProbKripkeModel, Violation, rat
+from .kripke import EventSet, ProbKripkeModel, Violation, box, rat
 
 TREMBLING_READINGS = ("belief", "pointwise")
 
@@ -93,31 +93,24 @@ def _check_eps(eps: Fraction) -> Fraction:
 
 def upper_access(model: ProbKripkeModel, i: int, w: str, eps: Fraction) -> frozenset[str]:
     """Accessible worlds with belief weight strictly above ``eps``."""
-    eps = _check_eps(eps)
-    return frozenset(w1 for w1, v in model.p[i][w].items() if v > eps)
+    return _upper_view(model, i, _check_eps(eps))(w)
+
+
+def _upper_view(model: ProbKripkeModel, i: int, eps: Fraction) -> Callable[[str], frozenset[str]]:
+    """Player ``i``'s worlds weighted strictly above an already checked ``eps``."""
+    p = model.p[i]
+    return lambda w: frozenset(w1 for w1, v in p[w].items() if v > eps)
 
 
 def upper_belief(
     model: ProbKripkeModel, i: int, eps: Fraction, event: Iterable[str]
 ) -> EventSet:
     eps = _check_eps(eps)
-    ev = model.event(event)
-    return frozenset(
-        w for w in model.worlds
-        if frozenset(w1 for w1, v in model.p[i][w].items() if v > eps) <= ev
-    )
+    return box(model, (_upper_view(model, i, eps),), event)
 
 
 def upper_common_belief(
     model: ProbKripkeModel, eps: Fraction, event: Iterable[str]
 ) -> EventSet:
     eps = _check_eps(eps)
-    ev = model.event(event)
-    out = set()
-    for w in model.worlds:
-        union = set()
-        for i in (0, 1):
-            union |= {w1 for w1, v in model.p[i][w].items() if v > eps}
-        if union <= ev:
-            out.add(w)
-    return frozenset(out)
+    return box(model, (_upper_view(model, 0, eps), _upper_view(model, 1, eps)), event)

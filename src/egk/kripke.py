@@ -73,24 +73,14 @@ class StandardKripkeModel:
 
 
 @dataclass(frozen=True)
-class ProbKripkeModel:
-    base: StandardKripkeModel
-    p: tuple[Mapping[str, Mapping[str, Fraction]], Mapping[str, Mapping[str, Fraction]]]
+class FramedModel:
+    """A model that carries beliefs over the standard frame ``base``.
 
-    def __post_init__(self) -> None:
-        wset = set(self.base.worlds)
-        cleaned = []
-        for i in (0, 1):
-            if set(self.p[i]) != wset:
-                raise InputError(f"belief map of player {self.game.players[i]!r} does not cover the worlds")
-            per = {}
-            for w, dist in self.p[i].items():
-                bad = set(dist) - wset
-                if bad:
-                    raise InputError(f"belief at {w!r} weights unknown worlds {sorted(bad)}")
-                per[w] = exact_weights(dist)
-            cleaned.append(per)
-        object.__setattr__(self, "p", tuple(cleaned))
+    Forwards the frame's game, worlds, accessibility, strategy assignment
+    and event helpers, so every operator reads any model flavor alike.
+    """
+
+    base: StandardKripkeModel
 
     @property
     def game(self) -> Game:
@@ -113,6 +103,29 @@ class ProbKripkeModel:
 
     def order(self, event: Iterable[str]) -> tuple[str, ...]:
         return self.base.order(event)
+
+    def profile(self, w: str) -> tuple[str, str]:
+        return self.base.profile(w)
+
+
+@dataclass(frozen=True)
+class ProbKripkeModel(FramedModel):
+    p: tuple[Mapping[str, Mapping[str, Fraction]], Mapping[str, Mapping[str, Fraction]]]
+
+    def __post_init__(self) -> None:
+        wset = set(self.base.worlds)
+        cleaned = []
+        for i in (0, 1):
+            if set(self.p[i]) != wset:
+                raise InputError(f"belief map of player {self.game.players[i]!r} does not cover the worlds")
+            per = {}
+            for w, dist in self.p[i].items():
+                bad = set(dist) - wset
+                if bad:
+                    raise InputError(f"belief at {w!r} weights unknown worlds {sorted(bad)}")
+                per[w] = exact_weights(dist)
+            cleaned.append(per)
+        object.__setattr__(self, "p", tuple(cleaned))
 
 
 def exact_weights(dist: Mapping[str, Fraction]) -> dict[str, Fraction]:
@@ -167,7 +180,12 @@ def validate_standard(model: StandardKripkeModel) -> list[Violation]:
 
 def validate_prob(model: ProbKripkeModel) -> list[Violation]:
     """Standard axioms plus measure constraints and constancy of p_i."""
-    out = validate_standard(model.base)
+    return validate_standard(model.base) + validate_beliefs(model)
+
+
+def validate_beliefs(model: ProbKripkeModel) -> list[Violation]:
+    """Measure constraints and constancy of p_i, without the frame's axioms."""
+    out = []
     for i in (0, 1):
         name = model.game.players[i]
         for w in model.worlds:
@@ -214,18 +232,35 @@ def belief_ids(
     }
 
 
-def belief(model: StandardKripkeModel | ProbKripkeModel, i: int, event: Iterable[str]) -> EventSet:
+def box(
+    model: StandardKripkeModel | FramedModel,
+    views: Iterable[Callable[[str], frozenset[str]]],
+    event: Iterable[str],
+) -> EventSet:
+    """Worlds ``w`` with ``view(w)`` inside the event for every view.
+
+    A view maps a world to the worlds a player considers at it: R_i(w) for
+    plain belief, the level-1 support for primary belief
+    (``ordered.level1_access``), the worlds weighted strictly above eps for
+    the upper operators (``epsilon.upper_access``).  A single-player
+    operator passes one view; a common operator passes both players' views,
+    so it is one-step (mutual) belief, not the reachability closure.
+    """
+    ev = model.event(event)
+    worlds = model.worlds
+    for view in views:
+        worlds = [w for w in worlds if view(w) <= ev]
+    return frozenset(worlds)
+
+
+def belief(model: StandardKripkeModel | FramedModel, i: int, event: Iterable[str]) -> EventSet:
     """Worlds whose accessible set for player ``i`` lies inside the event."""
-    base = model.base if isinstance(model, ProbKripkeModel) else model
-    ev = base.event(event)
-    return frozenset(w for w in base.worlds if base.access[i][w] <= ev)
+    return box(model, (model.access[i].__getitem__,), event)
 
 
-def common_belief(model: StandardKripkeModel | ProbKripkeModel, event: Iterable[str]) -> EventSet:
+def common_belief(model: StandardKripkeModel | FramedModel, event: Iterable[str]) -> EventSet:
     """Worlds whose union of accessible sets lies inside the event."""
-    base = model.base if isinstance(model, ProbKripkeModel) else model
-    ev = base.event(event)
-    return frozenset(w for w in base.worlds if (base.access[0][w] | base.access[1][w]) <= ev)
+    return box(model, (model.access[0].__getitem__, model.access[1].__getitem__), event)
 
 
 def rat(model: ProbKripkeModel) -> tuple[tuple[EventSet, EventSet], EventSet]:
@@ -271,7 +306,7 @@ def check_iesds_inclusion(model: ProbKripkeModel) -> IesdsInclusionReport:
     cb = common_belief(model, rat_event)
     survivors, _ = iesds(model.game)
     surviving = {(s1, s2) for s1 in survivors.sets[0] for s2 in survivors.sets[1]}
-    failures = tuple(w for w in model.order(cb) if model.base.profile(w) not in surviving)
+    failures = tuple(w for w in model.order(cb) if model.profile(w) not in surviving)
     return IesdsInclusionReport(model.order(cb), survivors, failures, not failures)
 
 

@@ -63,11 +63,18 @@ def _list(value: Any, where: str, what: str) -> list:
     return value
 
 
+def _map(value: Any, where: str, keys: str) -> Mapping:
+    """``value`` itself, which must be a JSON object (keyed by ``keys``)."""
+    if not isinstance(value, dict):
+        raise FormatError(f"{where}: expected an object keyed by {keys}, got {value!r}")
+    return value
+
+
 def game_from_json(data: Mapping, where: str = "game") -> Game:
     players = _list(_expect(data, "players", where), f"{where}.players", "player names")
     strategies = _list(_expect(data, "strategies", where), f"{where}.strategies",
                        "strategy lists")
-    payoffs_raw = _expect(data, "payoffs", where)
+    payoffs_raw = _map(_expect(data, "payoffs", where), f"{where}.payoffs", "cell")
     if len(players) != 2 or len(strategies) != 2:
         raise FormatError(f"{where}: exactly two players are supported")
     strategies = tuple(
@@ -104,14 +111,14 @@ def game_to_json(game: Game) -> dict:
     }
 
 
-def _player_maps(data: Mapping, key: str, game: Game, where: str):
-    raw = _expect(data, key, where)
+def _player_maps(data: Mapping, key: str, game: Game, where: str, keys: str = "world"):
+    raw = _map(_expect(data, key, where), f"{where}.{key}", "player")
     out = []
     for i in (0, 1):
         name = game.players[i]
         if name not in raw:
             raise FormatError(f"{where}.{key}: missing player {name!r}")
-        out.append(raw[name])
+        out.append(_map(raw[name], f"{where}.{key}.{name}", keys))
     return out
 
 
@@ -139,7 +146,8 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
         p_raw = _player_maps(data, "p", game, where)
         p = tuple(
             {w: {t: parse_rational(v, f"{where}.p.{game.players[i]}.{w}.{t}")
-                 for t, v in p_raw[i].get(w, {}).items()}
+                 for t, v in _map(p_raw[i].get(w, {}), f"{where}.p.{game.players[i]}.{w}",
+                                  "world").items()}
              for w in worlds}
             for i in (0, 1))
         return ProbKripkeModel(base, p)
@@ -151,11 +159,11 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
             for w in worlds:
                 if w not in lam_raw[i]:
                     raise FormatError(f"{where}.lambda: missing world {w!r} for player {game.players[i]!r}")
-                levels = _list(lam_raw[i][w], f"{where}.lambda.{game.players[i]}.{w}",
-                               "belief levels")
+                spot = f"{where}.lambda.{game.players[i]}.{w}"
+                levels = _list(lam_raw[i][w], spot, "belief levels")
                 per[w] = tuple(
-                    {t: parse_rational(v, f"{where}.lambda.{game.players[i]}.{w}[{k}].{t}")
-                     for t, v in level.items()}
+                    {t: parse_rational(v, f"{spot}[{k}].{t}")
+                     for t, v in _map(level, f"{spot}[{k}]", "world").items()}
                     for k, level in enumerate(levels))
             lam.append(per)
         return OrderedKripkeModel(base, tuple(lam))
@@ -163,25 +171,24 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
 
 
 def model_to_json(model: KripkeModel) -> dict:
-    base = model.base if isinstance(model, (ProbKripkeModel, OrderedKripkeModel)) else model
-    game = base.game
+    game, worlds, access = model.game, model.worlds, model.access
     out: dict = {
         "game": game_to_json(game),
-        "worlds": list(base.worlds),
+        "worlds": list(worlds),
         "access": {
-            game.players[i]: {w: [t for t in base.worlds if t in base.access[i][w]]
-                              for w in base.worlds}
+            game.players[i]: {w: [t for t in worlds if t in access[i][w]]
+                              for w in worlds}
             for i in (0, 1)
         },
         "sigma": {
-            game.players[i]: {w: base.sigma[i][w] for w in base.worlds} for i in (0, 1)
+            game.players[i]: {w: model.sigma[i][w] for w in worlds} for i in (0, 1)
         },
     }
     if isinstance(model, ProbKripkeModel):
         out["p"] = {
             game.players[i]: {
                 w: {t: format_rational(v) for t, v in model.p[i][w].items()}
-                for w in base.worlds}
+                for w in worlds}
             for i in (0, 1)
         }
     if isinstance(model, OrderedKripkeModel):
@@ -189,7 +196,7 @@ def model_to_json(model: KripkeModel) -> dict:
             game.players[i]: {
                 w: [{t: format_rational(v) for t, v in level.items()}
                     for level in model.lam[i][w]]
-                for w in base.worlds}
+                for w in worlds}
             for i in (0, 1)
         }
     return out
@@ -211,7 +218,7 @@ def types_from_json(data: Mapping, game: Game | None = None, where: str = "types
         raise FormatError(f"{where}.types: expected two type lists")
     types = tuple(
         tuple(_list(types_raw[i], f"{where}.types[{i}]", "type labels")) for i in (0, 1))
-    beliefs_raw = _player_maps(data, "beliefs", game, where)
+    beliefs_raw = _player_maps(data, "beliefs", game, where, "type")
     lex = None
     parsed = []
     for i in (0, 1):
@@ -231,7 +238,7 @@ def types_from_json(data: Mapping, game: Game | None = None, where: str = "types
                 spot = f"{where}.beliefs.{game.players[i]}.{t}[{k}]"
                 fixed.append({
                     _parse_pair(pair, spot): parse_rational(v, f"{spot}.{pair}")
-                    for pair, v in level.items()})
+                    for pair, v in _map(level, spot, "'strategy,type' pair").items()})
             per[t] = tuple(fixed) if entry_is_lex else fixed[0]
         parsed.append(per)
     if lex:

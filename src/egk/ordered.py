@@ -8,16 +8,18 @@ Levels are 0-based internally and rendered 1-based in reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping
 
 from .errors import InputError
-from .games import Game, lex_compare, lex_values, other, push_forward
+from .games import lex_compare, lex_values, other, push_forward
 from .kripke import (
     EventSet,
-    StandardKripkeModel,
+    FramedModel,
     Violation,
     belief_ids,
     best_reply_worlds,
+    box,
     exact_weights,
     validate_standard,
     weight_sum,
@@ -27,8 +29,7 @@ LevelSeq = tuple  # tuple of per-level weight mappings
 
 
 @dataclass(frozen=True)
-class OrderedKripkeModel:
-    base: StandardKripkeModel
+class OrderedKripkeModel(FramedModel):
     lam: tuple[Mapping[str, LevelSeq], Mapping[str, LevelSeq]]
 
     def __post_init__(self) -> None:
@@ -51,30 +52,8 @@ class OrderedKripkeModel:
             cleaned.append(per)
         object.__setattr__(self, "lam", tuple(cleaned))
 
-    @property
-    def game(self) -> Game:
-        return self.base.game
-
-    @property
-    def worlds(self) -> tuple[str, ...]:
-        return self.base.worlds
-
-    @property
-    def access(self):
-        return self.base.access
-
-    @property
-    def sigma(self):
-        return self.base.sigma
-
     def levels(self, i: int, w: str) -> LevelSeq:
         return self.lam[i][w]
-
-    def event(self, labels: Iterable[str]) -> EventSet:
-        return self.base.event(labels)
-
-    def order(self, event: Iterable[str]) -> tuple[str, ...]:
-        return self.base.order(event)
 
 
 def validate_ordered(model: OrderedKripkeModel) -> list[Violation]:
@@ -174,17 +153,12 @@ def level1_access(model: OrderedKripkeModel, i: int, w: str) -> frozenset[str]:
 
 def level1_belief(model: OrderedKripkeModel, i: int, event: Iterable[str]) -> EventSet:
     """Worlds whose primary-belief support for player ``i`` lies inside the event."""
-    ev = model.event(event)
-    return frozenset(w for w in model.worlds if level1_access(model, i, w) <= ev)
+    return box(model, (partial(level1_access, model, i),), event)
 
 
 def common_level1_belief(model: OrderedKripkeModel, event: Iterable[str]) -> EventSet:
     """Worlds whose union of primary-belief supports lies inside the event."""
-    ev = model.event(event)
-    return frozenset(
-        w for w in model.worlds
-        if (level1_access(model, 0, w) | level1_access(model, 1, w)) <= ev
-    )
+    return box(model, (partial(level1_access, model, 0), partial(level1_access, model, 1)), event)
 
 
 @dataclass(frozen=True)

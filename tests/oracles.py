@@ -15,6 +15,12 @@ the per-candidate ``Fraction`` best-reply routines that rebuild a
 ``reference_strategy_marginal`` the ``Fraction`` push-forward of a type's
 level; the integer best-reply kernel in :mod:`egk.games` must give exactly
 their results and errors.
+
+``reference_belief``, ``reference_common_belief``, ``reference_level1_belief``,
+``reference_common_level1_belief``, ``reference_upper_belief``,
+``reference_upper_common_belief`` and ``reference_upper_access`` are the
+belief operators as separate per-world loops; the operators built on
+:func:`egk.kripke.box` must give exactly their results and errors.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from egk.epistemic import LexEpistemicModel
+from egk.errors import InputError
 from egk.games import (
     GREATER,
     Game,
@@ -33,6 +40,7 @@ from egk.games import (
     lex_utility_vector,
     other,
 )
+from egk.kripke import ProbKripkeModel
 from egk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
 GRID_DENOMINATOR = 24
@@ -406,4 +414,72 @@ def reference_optimal_strategies(model, i: int, t: str) -> frozenset[str]:
     for s, vec in vectors.items():
         if not any(lex_compare(v2, vec) == GREATER for v2 in vectors.values()):
             out.add(s)
+    return frozenset(out)
+
+
+def reference_belief(model, i: int, event):
+    """Worlds whose accessible set for player ``i`` lies inside the event."""
+    base = model.base if isinstance(model, ProbKripkeModel) else model
+    ev = base.event(event)
+    return frozenset(w for w in base.worlds if base.access[i][w] <= ev)
+
+
+def reference_common_belief(model, event):
+    """Worlds whose union of accessible sets lies inside the event."""
+    base = model.base if isinstance(model, ProbKripkeModel) else model
+    ev = base.event(event)
+    return frozenset(w for w in base.worlds if (base.access[0][w] | base.access[1][w]) <= ev)
+
+
+def _level1_access(model, i: int, w: str) -> frozenset[str]:
+    return frozenset(model.lam[i][w][0])
+
+
+def reference_level1_belief(model, i: int, event):
+    """Worlds whose primary-belief support for player ``i`` lies inside the event."""
+    ev = model.event(event)
+    return frozenset(w for w in model.worlds if _level1_access(model, i, w) <= ev)
+
+
+def reference_common_level1_belief(model, event):
+    """Worlds whose union of primary-belief supports lies inside the event."""
+    ev = model.event(event)
+    return frozenset(
+        w for w in model.worlds
+        if (_level1_access(model, 0, w) | _level1_access(model, 1, w)) <= ev
+    )
+
+
+def _check_eps(eps: Fraction) -> Fraction:
+    eps = Fraction(eps)
+    if not 0 < eps < Fraction(1, 2):
+        raise InputError(f"threshold must lie in (0, 1/2), got {eps}")
+    return eps
+
+
+def reference_upper_access(model, i: int, w: str, eps: Fraction) -> frozenset[str]:
+    """Accessible worlds with belief weight strictly above ``eps``."""
+    eps = _check_eps(eps)
+    return frozenset(w1 for w1, v in model.p[i][w].items() if v > eps)
+
+
+def reference_upper_belief(model, i: int, eps: Fraction, event):
+    eps = _check_eps(eps)
+    ev = model.event(event)
+    return frozenset(
+        w for w in model.worlds
+        if frozenset(w1 for w1, v in model.p[i][w].items() if v > eps) <= ev
+    )
+
+
+def reference_upper_common_belief(model, eps: Fraction, event):
+    eps = _check_eps(eps)
+    ev = model.event(event)
+    out = set()
+    for w in model.worlds:
+        union = set()
+        for i in (0, 1):
+            union |= {w1 for w1, v in model.p[i][w].items() if v > eps}
+        if union <= ev:
+            out.add(w)
     return frozenset(out)

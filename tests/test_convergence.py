@@ -247,3 +247,30 @@ def test_proper_scheme_on_random_models():
         assert check_proper_ratio(model, built, eps) == []
         report = verify_convergence(model, EpsilonSchedule(F(1, 2), 9), "proper")
         assert report.matches
+
+
+def test_non_transitive_source_frame_is_rejected_before_any_member():
+    # Cautious, disjoint and surjective levels; player 1's frame is not transitive.
+    game = Game(("1", "2"), (("A",), ("C", "D")),
+                {("A", "C"): (ONE, ONE), ("A", "D"): (F(0), F(0))})
+    worlds = ("w1", "w2", "w3")
+    sigma = ({w: "A" for w in worlds}, {"w1": "C", "w2": "D", "w3": "C"})
+    access = ({"w1": {"w1", "w2"}, "w2": {"w2", "w3"}, "w3": {"w2", "w3"}},
+              {"w1": {"w1", "w3"}, "w2": {"w2"}, "w3": {"w1", "w3"}})
+    half = {"w1": F(1, 2), "w3": F(1, 2)}
+    lam = ({"w1": ({"w1": ONE}, {"w2": ONE}), "w2": ({"w2": ONE}, {"w3": ONE}),
+            "w3": ({"w3": ONE}, {"w2": ONE})},
+           {"w1": (half,), "w2": ({"w2": ONE},), "w3": (half,)})
+    model = OrderedKripkeModel(StandardKripkeModel(game, worlds, access, sigma), lam)
+    message = "built model is invalid: player 1: w1Rw2 and w2Rw3 but not w1Rw3"
+    for scheme in ("perfect", "proper"):
+        with pytest.raises(InputError) as exc:
+            build_epsilon_model(model, F(1, 4), scheme)
+        assert str(exc.value) == message
+
+        def on_member(n, member):
+            raise AssertionError("no member may be built")
+
+        with pytest.raises(InputError) as exc:
+            verify_convergence(model, EpsilonSchedule(F(1, 2), 3), scheme, on_member)
+        assert str(exc.value) == message

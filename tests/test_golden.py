@@ -1,7 +1,8 @@
 """Byte-for-byte CLI output on the fixtures, against stored golden files.
 
 Each case runs one ``egk`` command on ``fixtures/`` and compares its exit
-code and standard output with ``tests/golden/<name>.out``; ``converge
+code and standard output with ``tests/golden/<name>.out``, in ``--json``
+mode and, for the ``*_text`` cases, in text mode with ``EGK_COLOR`` unset; ``converge
 --emit-family`` also compares the written member files with
 ``tests/golden/family/``.  Regenerate the files, after a deliberate change
 of output, with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -70,7 +71,27 @@ CASES = {
          "--json"], 0),
     "export_dot_ordered": (["export", "dot", ORDERED], 0),
     "export_dot_prob": (["export", "dot", PROB], 0),
+    "model_operators_b_ordered": (
+        ["model", "operators", ORDERED, "--op", "b", "--player", "1", "--event", EVENT,
+         "--json"], 0),
+    "model_operators_cb_ordered": (["model", "operators", ORDERED, "--op", "cb", "--event",
+                                    EVENT, "--json"], 0),
 }
+
+# Text-mode cases: the same commands without --json, where the text report differs.
+_TEXT = (
+    "game_analyze_df", "game_analyze_iesds", "model_check_prob_eps",
+    "model_check_prob_pointwise", "model_check_ordered", "model_operators_b",
+    "model_operators_cb", "model_operators_b1", "model_operators_cb1", "model_operators_beps",
+    "model_operators_cbeps", "model_operators_b_ordered", "model_operators_cb_ordered",
+    "model_rat", "model_lrat", "types_analyze_lex", "types_analyze_prob",
+    "types_analyze_prob_eps", "converge_proper",
+)
+CASES.update({
+    f"{name}_text": ([arg for arg in CASES[name][0] if arg != "--json"], CASES[name][1])
+    for name in _TEXT
+})
+CASES["converge_perfect_text"] = (["converge", ORDERED, "--schedule", "geometric:1/2,5"], 0)
 
 
 def _argv(argv: list[str], workdir: Path) -> list[str]:
@@ -86,7 +107,8 @@ def _argv(argv: list[str], workdir: Path) -> list[str]:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, tmp_path, capsys):
+def test_cli_output_matches_golden(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("EGK_COLOR", raising=False)
     argv, code = CASES[name]
     assert cli.main(_argv(argv, tmp_path)) == code
     captured = capsys.readouterr()
@@ -104,6 +126,7 @@ def _regenerate() -> None:
     import contextlib
     import io
 
+    os.environ.pop("EGK_COLOR", None)
     for name, (argv, code) in sorted(CASES.items()):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
@@ -283,6 +284,57 @@ def test_strings_where_lists_belong_are_located_format_errors(
     assert capsys.readouterr().err.startswith(f"error: {located}: expected a list")
 
 
+
+def _object_cases():
+    """(kind, document, location, keys) with a list or string where an object belongs."""
+    prob = modelio.model_to_json(myerson_prob_model(F(1, 4)))
+    ordered = modelio.model_to_json(myerson_ordered_model())
+    lex = modelio.types_to_json(myerson_lex_types())
+    prob_types = modelio.types_to_json(myerson_prob_types(F(1, 4)))
+    lex_type = lex["types"][0][0]
+    prob_type = prob_types["types"][0][0]
+    edits = [
+        ("model", prob, ("game", "payoffs"), ["x"], "model.game.payoffs", "cell"),
+        ("model", prob, ("game", "payoffs"), "A,C", "model.game.payoffs", "cell"),
+        ("model", prob, ("access",), ["1"], "model.access", "player"),
+        ("model", prob, ("p",), ["1"], "model.p", "player"),
+        ("model", prob, ("access", "1"), ["w1"], "model.access.1", "world"),
+        ("model", prob, ("sigma", "1"), ["A"], "model.sigma.1", "world"),
+        ("model", prob, ("p", "1"), ["w1"], "model.p.1", "world"),
+        ("model", prob, ("p", "1", "w1"), ["w1"], "model.p.1.w1", "world"),
+        ("model", ordered, ("lambda", "1"), ["w1"], "model.lambda.1", "world"),
+        ("model", ordered, ("lambda", "1", "w1", 0), ["w1"], "model.lambda.1.w1[0]", "world"),
+        ("types", lex, ("beliefs",), ["1"], "types.beliefs", "player"),
+        ("types", lex, ("beliefs", "1"), ["x"], "types.beliefs.1", "type"),
+        ("types", lex, ("beliefs", "1", lex_type, 0), ["x"],
+         f"types.beliefs.1.{lex_type}[0]", "'strategy,type' pair"),
+        ("types", prob_types, ("beliefs", "1", prob_type), "x",
+         f"types.beliefs.1.{prob_type}[0]", "'strategy,type' pair"),
+    ]
+    cases = []
+    for kind, doc, path, value, where, keys in edits:
+        data = json.loads(json.dumps(doc))
+        target = data
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        cases.append(pytest.param(kind, data, where, keys, id=where))
+    return cases
+
+
+@pytest.mark.parametrize("kind,data,where,keys", _object_cases())
+def test_lists_where_objects_belong_are_located_format_errors(
+        kind, data, where, keys, tmp_path, capsys):
+    load = {"model": modelio.model_from_json, "types": modelio.types_from_json}[kind]
+    expected = f"expected an object keyed by {keys}"
+    with pytest.raises(FormatError, match=re.escape(f"{where}: {expected}")):
+        load(data)
+    path = write(tmp_path, "input.json", data)
+    argv = ["model", "check", path] if kind == "model" else ["types", "analyze", path]
+    assert cli.main(argv) == 2
+    located = f"{path}.{where.split('.', 1)[1]}"
+    assert capsys.readouterr().err.startswith(f"error: {located}: {expected}")
+
 def test_cli_unwritable_outputs_exit_2(tmp_path, capsys):
     ordered = write(tmp_path, "om.json", modelio.model_to_json(myerson_ordered_model()))
     lex = write(tmp_path, "lex.json", modelio.types_to_json(myerson_lex_types()))
@@ -305,3 +357,27 @@ def test_cli_unwritable_outputs_exit_2(tmp_path, capsys):
         assert captured.err.startswith(f"error: {path}: "), captured.err
         assert captured.out == ""
     assert not missing.parent.exists()
+
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+_PROB = str(_ROOT / "fixtures" / "myerson_prob.json")
+_ORDERED = str(_ROOT / "fixtures" / "myerson_ordered.json")
+
+
+@pytest.mark.parametrize("model,args,worlds,message", [
+    (_PROB, ["--op", "b"], ["w1"], "operator 'b' needs --player"),
+    (_PROB, ["--op", "b1", "--player", "1"], ["w1"], "operator 'b1' needs an ordered model"),
+    (_ORDERED, ["--op", "beps", "--player", "1", "--eps", "1/4"], ["w1"],
+     "operator 'beps' needs a probabilistic model"),
+    (_PROB, ["--op", "cbeps"], ["w1"], "operator 'cbeps' needs --eps"),
+    (_PROB, ["--op", "cbeps", "--eps", "1/2"], ["w1", "w9"],
+     "threshold must lie in (0, 1/2), got 1/2"),
+    (_PROB, ["--op", "cb"], ["w1", "w9"], "event contains unknown worlds ['w9']"),
+])
+def test_cli_operator_preconditions_exit_2(model, args, worlds, message, tmp_path, capsys):
+    event = write(tmp_path, "event.json", {"worlds": worlds})
+    assert cli.main(["model", "operators", model, *args, "--event", event]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
