@@ -2,10 +2,14 @@
 
 Each case runs one ``egk`` command on ``fixtures/`` and compares its exit
 code and standard output with ``tests/golden/<name>.out``, in ``--json``
-mode and, for the ``*_text`` cases, in text mode with ``EGK_COLOR`` unset; ``converge
---emit-family`` also compares the written member files with
-``tests/golden/family/``.  Regenerate the files, after a deliberate change
-of output, with ``PYTHONPATH=src python tests/test_golden.py``.
+mode and, for the ``*_text`` cases, in text mode with ``EGK_COLOR`` unset
+(set to ``1`` for the ``*_color`` cases); ``converge --emit-family`` also
+compares the written member files with ``tests/golden/family/``, and a
+command given ``--out``/``--event-out`` compares the file it wrote with
+``tests/golden/written/<name>.out``.  The ``help_*`` cases pin ``--help``
+of every parser at ``COLUMNS=80`` (argparse wraps to the terminal width;
+the layout is that of Python 3.11's argparse).  Regenerate the files, after
+a deliberate change of output, with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ LEX_TYPES = "fixtures/myerson_lex_types.json"
 PROB_TYPES = "fixtures/myerson_prob_types.json"
 EVENT = "tests/golden/event_w1_w2.json"
 FAMILY = "family"
+OUT = "out"
+WRITTEN = "written"
 
 # name -> (argv, exit code); paths are relative to the repository root.
 CASES = {
@@ -76,29 +82,55 @@ CASES = {
          "--json"], 0),
     "model_operators_cb_ordered": (["model", "operators", ORDERED, "--op", "cb", "--event",
                                     EVENT, "--json"], 0),
+    # Commands that write a file: the file, and what they print besides.
+    "model_operators_cbeps_event_out": (
+        ["model", "operators", PROB, "--op", "cbeps", "--eps", "1/4", "--event", EVENT,
+         "--event-out", OUT, "--json"], 0),
+    "model_rat_event_out": (["model", "rat", PROB, "--event-out", OUT, "--json"], 0),
+    "model_lrat_event_out": (["model", "lrat", ORDERED, "--event-out", OUT, "--json"], 0),
+    "model_to_types_out": (["model", "to-types", PROB, "--out", OUT, "--json"], 0),
+    "types_to_kripke_out": (["types", "to-kripke", LEX_TYPES, "--out", OUT, "--json"], 0),
+    "export_dot_out": (["export", "dot", ORDERED, "--out", OUT], 0),
 }
 
-# Text-mode cases: the same commands without --json, where the text report differs.
+# Text-mode cases: the same commands without --json.
 _TEXT = (
-    "game_analyze_df", "game_analyze_iesds", "model_check_prob_eps",
+    "game_analyze_df", "game_analyze_iesds", "model_check_prob", "model_check_prob_eps",
     "model_check_prob_pointwise", "model_check_ordered", "model_operators_b",
     "model_operators_cb", "model_operators_b1", "model_operators_cb1", "model_operators_beps",
     "model_operators_cbeps", "model_operators_b_ordered", "model_operators_cb_ordered",
-    "model_rat", "model_lrat", "types_analyze_lex", "types_analyze_prob",
-    "types_analyze_prob_eps", "converge_proper",
+    "model_rat", "model_lrat", "model_to_types", "types_analyze_lex", "types_analyze_prob",
+    "types_analyze_prob_eps", "types_to_kripke", "converge_proper",
+    "model_operators_cbeps_event_out", "model_rat_event_out", "model_lrat_event_out",
+    "model_to_types_out", "types_to_kripke_out",
 )
 CASES.update({
     f"{name}_text": ([arg for arg in CASES[name][0] if arg != "--json"], CASES[name][1])
     for name in _TEXT
 })
 CASES["converge_perfect_text"] = (["converge", ORDERED, "--schedule", "geometric:1/2,5"], 0)
+# Colored text: bold, red and green.
+CASES.update({
+    f"{name}_color": CASES[f"{name}_text"]
+    for name in ("game_analyze_df", "model_check_prob_pointwise", "converge_proper")
+})
+# --help of every parser: the program, its four groups and its ten commands.
+CASES.update({
+    "_".join(["help", *(words or ["egk"])]).replace("-", "_"): ([*words, "--help"], 0)
+    for words in ([], ["game"], ["game", "analyze"], ["model"], ["model", "check"],
+                  ["model", "operators"], ["model", "rat"], ["model", "lrat"],
+                  ["model", "to-types"], ["types"], ["types", "analyze"],
+                  ["types", "to-kripke"], ["converge"], ["export"], ["export", "dot"])
+})
 
 
-def _argv(argv: list[str], workdir: Path) -> list[str]:
+def _argv(argv: list[str], family: Path, written: Path) -> list[str]:
     out = []
     for arg in argv:
         if arg == FAMILY:
-            out.append(str(workdir / FAMILY))
+            out.append(str(family))
+        elif arg == OUT:
+            out.append(str(written))
         elif arg.startswith(("fixtures/", "tests/")):
             out.append(str(ROOT / arg))
         else:
@@ -106,14 +138,28 @@ def _argv(argv: list[str], workdir: Path) -> list[str]:
     return out
 
 
+def _run(argv: list[str]) -> int:
+    """``cli.main``'s exit code; ``--help`` exits through ``SystemExit(0)``."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("EGK_COLOR", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    if name.endswith("_color"):
+        monkeypatch.setenv("EGK_COLOR", "1")
+    else:
+        monkeypatch.delenv("EGK_COLOR", raising=False)
     argv, code = CASES[name]
-    assert cli.main(_argv(argv, tmp_path)) == code
+    assert _run(_argv(argv, tmp_path / FAMILY, tmp_path / OUT)) == code
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (GOLDEN / f"{name}.out").read_text()
+    if OUT in argv:
+        assert (tmp_path / OUT).read_text() == (GOLDEN / WRITTEN / f"{name}.out").read_text()
     if FAMILY in argv:
         expected = sorted(p.name for p in (GOLDEN / FAMILY).iterdir())
         assert sorted(os.listdir(tmp_path / FAMILY)) == expected
@@ -126,11 +172,16 @@ def _regenerate() -> None:
     import contextlib
     import io
 
-    os.environ.pop("EGK_COLOR", None)
+    (GOLDEN / WRITTEN).mkdir(exist_ok=True)
+    os.environ["COLUMNS"] = "80"
     for name, (argv, code) in sorted(CASES.items()):
+        if name.endswith("_color"):
+            os.environ["EGK_COLOR"] = "1"
+        else:
+            os.environ.pop("EGK_COLOR", None)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            got = cli.main(_argv(argv, GOLDEN))
+            got = _run(_argv(argv, GOLDEN / FAMILY, GOLDEN / WRITTEN / f"{name}.out"))
         if got != code:
             raise SystemExit(f"{name}: exit {got}, expected {code}")
         (GOLDEN / f"{name}.out").write_text(out.getvalue())
