@@ -67,7 +67,7 @@ def _save(path: str | None, payload: dict) -> None:
 # game analyze
 
 
-def _cmd_game_analyze(args):
+def _cmd_game_analyze(args) -> tuple[int, dict]:
     game = modelio.game_from_json(modelio.load_file(args.file), args.file)
     run = dekel_fudenberg if args.procedure == "df" else iesds
     survivors, rounds = run(game)
@@ -104,7 +104,7 @@ def _text_game_analyze(args, report) -> None:
 # model check
 
 
-def _cmd_model_check(args):
+def _cmd_model_check(args) -> tuple[int, dict]:
     model = _load_model(args.file, args.game)
     players = model.game.players
     violations = []
@@ -159,7 +159,7 @@ def _text_model_check(args, report) -> None:
 # model operators / rat / lrat
 
 
-def _cmd_model_operators(args):
+def _cmd_model_operators(args) -> tuple[int, dict]:
     model = _load_model(args.file, args.game)
     event = modelio.event_from_json(modelio.load_file(args.event), args.event)
     op = args.op
@@ -204,7 +204,7 @@ _RATIONALITY = {
 }
 
 
-def _cmd_model_rationality(args):
+def _cmd_model_rationality(args) -> tuple[int, dict]:
     _, flavor, complaint, events = _RATIONALITY[args.subcommand]
     model = _load_model(args.file, args.game)
     if not isinstance(model, flavor):
@@ -229,7 +229,7 @@ def _text_rationality(args, report) -> None:
 # types
 
 
-def _cmd_types_analyze(args):
+def _cmd_types_analyze(args) -> tuple[int, dict]:
     model = modelio.types_from_json(modelio.load_file(args.file), None, args.file)
     players = model.game.players
     lex = isinstance(model, LexEpistemicModel)
@@ -274,7 +274,7 @@ def _text_types_analyze(args, report) -> None:
         print(f"{report['notion']} {player}: {' '.join(chosen) or '(none)'}")
 
 
-def _cmd_types_to_kripke(args):
+def _cmd_types_to_kripke(args) -> tuple[int, dict]:
     model = modelio.types_from_json(modelio.load_file(args.file), None, args.file)
     if not isinstance(model, LexEpistemicModel):
         raise InputError("to-kripke expects a lexicographic type model")
@@ -283,7 +283,7 @@ def _cmd_types_to_kripke(args):
     return 0, report
 
 
-def _cmd_model_to_types(args):
+def _cmd_model_to_types(args) -> tuple[int, dict]:
     model = _load_model(args.file, args.game)
     if not isinstance(model, ProbKripkeModel):
         raise InputError("to-types expects a probabilistic model")
@@ -319,7 +319,7 @@ def _parse_schedule(text: str) -> convergence.EpsilonSchedule:
     return convergence.EpsilonSchedule(ratio, count)
 
 
-def _cmd_converge(args):
+def _cmd_converge(args) -> tuple[int, dict]:
     model = _load_model(args.file, args.game)
     if not isinstance(model, OrderedKripkeModel):
         raise InputError("converge expects an ordered model")
@@ -367,7 +367,7 @@ def _text_converge(args, report) -> None:
 # export dot
 
 
-def _cmd_export_dot(args):
+def _cmd_export_dot(args) -> tuple[int, str]:
     text = dot.export_dot(_load_model(args.file, args.game))
     if args.out:
         modelio.write_file(args.out, text)

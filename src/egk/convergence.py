@@ -60,6 +60,15 @@ def _check_scheme(scheme: str) -> None:
 
 
 def _require_hypotheses(model: OrderedKripkeModel) -> None:
+    # A level without positive weight (zero weights are dropped when the
+    # model is built) has nothing to scale, so no member can be built.
+    for i in (0, 1):
+        for w in model.worlds:
+            for k, level in enumerate(model.lam[i][w]):
+                if not level:
+                    raise InputError(
+                        f"empty belief level: player {model.game.players[i]}: "
+                        f"level {k + 1} at {w} gives no world positive weight")
     caution = check_caution(model)
     if caution:
         raise InputError(f"ordered model is not cautious: {caution[0]}")

@@ -63,6 +63,14 @@ def _list(value: Any, where: str, what: str) -> list:
     return value
 
 
+def _labels(value: Any, where: str, what: str) -> list:
+    """``value`` itself, which must be a JSON list of string labels."""
+    for k, label in enumerate(_list(value, where, what)):
+        if not isinstance(label, str):
+            raise FormatError(f"{where}[{k}]: expected a string label, got {label!r}")
+    return value
+
+
 def _map(value: Any, where: str, keys: str) -> Mapping:
     """``value`` itself, which must be a JSON object (keyed by ``keys``)."""
     if not isinstance(value, dict):
@@ -70,15 +78,26 @@ def _map(value: Any, where: str, keys: str) -> Mapping:
     return value
 
 
+def _construct(where: str, cls, *args):
+    """``cls(*args)``, with the constructor's complaint located at ``where``."""
+    try:
+        return cls(*args)
+    except InputError as exc:
+        raise FormatError(f"{where}: {exc}") from None
+
+
 def game_from_json(data: Mapping, where: str = "game") -> Game:
-    players = _list(_expect(data, "players", where), f"{where}.players", "player names")
+    _map(data, where, "'players', 'strategies' and 'payoffs'")
+    players = _labels(_expect(data, "players", where), f"{where}.players", "player names")
     strategies = _list(_expect(data, "strategies", where), f"{where}.strategies",
                        "strategy lists")
     payoffs_raw = _map(_expect(data, "payoffs", where), f"{where}.payoffs", "cell")
     if len(players) != 2 or len(strategies) != 2:
         raise FormatError(f"{where}: exactly two players are supported")
+    if players[0] == players[1]:
+        raise FormatError(f"{where}.players: duplicate player name {players[0]!r}")
     strategies = tuple(
-        tuple(_list(strategies[i], f"{where}.strategies[{i}]", "strategy labels"))
+        tuple(_labels(strategies[i], f"{where}.strategies[{i}]", "strategy labels"))
         for i in (0, 1))
     payoffs = {}
     for s1 in strategies[0]:
@@ -96,7 +115,7 @@ def game_from_json(data: Mapping, where: str = "game") -> Game:
     extra = set(payoffs_raw) - {f"{a},{b}" for a in strategies[0] for b in strategies[1]}
     if extra:
         raise FormatError(f"{where}.payoffs: unknown cell {sorted(extra)[0]!r}")
-    return Game((players[0], players[1]), strategies, payoffs)
+    return _construct(where, Game, (players[0], players[1]), strategies, payoffs)
 
 
 def game_to_json(game: Game) -> dict:
@@ -126,12 +145,12 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
     """Load a standard, probabilistic, or ordered model, by the keys present."""
     if game is None:
         game = game_from_json(_expect(data, "game", where), f"{where}.game")
-    worlds = tuple(_list(_expect(data, "worlds", where), f"{where}.worlds", "world labels"))
+    worlds = tuple(_labels(_expect(data, "worlds", where), f"{where}.worlds", "world labels"))
     access_raw = _player_maps(data, "access", game, where)
     sigma_raw = _player_maps(data, "sigma", game, where)
     access = tuple(
-        {w: frozenset(_list(access_raw[i].get(w, []),
-                            f"{where}.access.{game.players[i]}.{w}", "world labels"))
+        {w: frozenset(_labels(access_raw[i].get(w, []),
+                              f"{where}.access.{game.players[i]}.{w}", "world labels"))
          for w in worlds}
         for i in (0, 1))
     sigma = tuple({w: sigma_raw[i].get(w) for w in worlds} for i in (0, 1))
@@ -139,7 +158,7 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
         for w in worlds:
             if sigma[i][w] is None:
                 raise FormatError(f"{where}.sigma: missing world {w!r} for player {game.players[i]!r}")
-    base = StandardKripkeModel(game, worlds, access, sigma)
+    base = _construct(where, StandardKripkeModel, game, worlds, access, sigma)
     if "p" in data and "lambda" in data:
         raise FormatError(f"{where}: both 'p' and 'lambda' present; split the file")
     if "p" in data:
@@ -150,7 +169,7 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
                                   "world").items()}
              for w in worlds}
             for i in (0, 1))
-        return ProbKripkeModel(base, p)
+        return _construct(where, ProbKripkeModel, base, p)
     if "lambda" in data:
         lam_raw = _player_maps(data, "lambda", game, where)
         lam = []
@@ -166,7 +185,7 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
                      for t, v in _map(level, f"{spot}[{k}]", "world").items()}
                     for k, level in enumerate(levels))
             lam.append(per)
-        return OrderedKripkeModel(base, tuple(lam))
+        return _construct(where, OrderedKripkeModel, base, tuple(lam))
     return base
 
 
@@ -217,7 +236,7 @@ def types_from_json(data: Mapping, game: Game | None = None, where: str = "types
     if len(types_raw) != 2:
         raise FormatError(f"{where}.types: expected two type lists")
     types = tuple(
-        tuple(_list(types_raw[i], f"{where}.types[{i}]", "type labels")) for i in (0, 1))
+        tuple(_labels(types_raw[i], f"{where}.types[{i}]", "type labels")) for i in (0, 1))
     beliefs_raw = _player_maps(data, "beliefs", game, where, "type")
     lex = None
     parsed = []
@@ -241,9 +260,8 @@ def types_from_json(data: Mapping, game: Game | None = None, where: str = "types
                     for pair, v in _map(level, spot, "'strategy,type' pair").items()})
             per[t] = tuple(fixed) if entry_is_lex else fixed[0]
         parsed.append(per)
-    if lex:
-        return LexEpistemicModel(game, types, (parsed[0], parsed[1]))
-    return ProbEpistemicModel(game, types, (parsed[0], parsed[1]))
+    flavor = LexEpistemicModel if lex else ProbEpistemicModel
+    return _construct(where, flavor, game, types, (parsed[0], parsed[1]))
 
 
 def types_to_json(model: TypeModel) -> dict:
@@ -269,7 +287,7 @@ def types_to_json(model: TypeModel) -> dict:
 
 
 def event_from_json(data: Mapping, where: str = "event") -> tuple[str, ...]:
-    return tuple(_list(_expect(data, "worlds", where), f"{where}.worlds", "world labels"))
+    return tuple(_labels(_expect(data, "worlds", where), f"{where}.worlds", "world labels"))
 
 
 def event_to_json(worlds) -> dict:
@@ -280,16 +298,24 @@ def dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+_JSON_KINDS = {list: "an array", str: "a string", bool: "a boolean", int: "a number",
+               float: "a number", type(None): "null"}
+
+
 def load_file(path: str) -> dict:
+    """The JSON object in ``path``; every file egk reads is one."""
     try:
         with open(path) as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file")
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})")
+    if not isinstance(data, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {_JSON_KINDS[type(data)]}")
+    return data
 
 
 def write_file(path: str, text: str) -> None:

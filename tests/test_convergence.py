@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from egk import cli, modelio
 from egk.convergence import (
     EpsilonSchedule,
     build_epsilon_model,
@@ -274,3 +275,30 @@ def test_non_transitive_source_frame_is_rejected_before_any_member():
         with pytest.raises(InputError) as exc:
             verify_convergence(model, EpsilonSchedule(F(1, 2), 3), scheme, on_member)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("empty", [{}, {"w1": "0"}], ids=["no-weights", "zero-weight"])
+def test_empty_belief_level_is_rejected_before_any_member(empty, tmp_path, capsys):
+    # Player 1 gets a third level at w1 and w2 that weights no world.
+    data = modelio.model_to_json(myerson_ordered_model())
+    for w in ("w1", "w2"):
+        data["lambda"]["1"][w].append(empty)
+    model = modelio.model_from_json(data)
+    path = tmp_path / "empty_level.json"
+    path.write_text(modelio.dumps(data))
+    message = "empty belief level: player 1: level 3 at w1 gives no world positive weight"
+
+    def on_member(n, member):
+        raise AssertionError("no member may be built")
+
+    for scheme in ("perfect", "proper"):
+        with pytest.raises(InputError) as exc:
+            build_epsilon_model(model, F(1, 4), scheme)
+        assert str(exc.value) == message
+        with pytest.raises(InputError) as exc:
+            verify_convergence(model, EpsilonSchedule(F(1, 2), 3), scheme, on_member)
+        assert str(exc.value) == message
+        argv = ["converge", str(path), "--schedule", "geometric:1/2,3", "--scheme", scheme]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")

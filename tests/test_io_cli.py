@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import re
+import tempfile
 from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from egk import cli, modelio
 from egk.errors import FormatError
@@ -381,3 +386,163 @@ def test_cli_operator_preconditions_exit_2(model, args, worlds, message, tmp_pat
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def _json_kind(value) -> str:
+    return {list: "an array", str: "a string", int: "a number", type(None): "null"}[type(value)]
+
+
+@pytest.mark.parametrize("value", [5, None, [], "x"], ids=["number", "null", "array", "string"])
+@pytest.mark.parametrize("command", [
+    pytest.param(["game", "analyze", "@"], id="game-analyze"),
+    pytest.param(["model", "check", "@"], id="model-check"),
+    pytest.param(["model", "check", _PROB, "--game", "@"], id="model-check-game"),
+    pytest.param(["model", "operators", "@", "--op", "cb", "--event", "@event"],
+                 id="model-operators-model"),
+    pytest.param(["model", "operators", _PROB, "--op", "cb", "--event", "@"],
+                 id="model-operators-event"),
+    pytest.param(["model", "rat", "@"], id="model-rat"),
+    pytest.param(["model", "lrat", "@"], id="model-lrat"),
+    pytest.param(["model", "to-types", "@"], id="model-to-types"),
+    pytest.param(["types", "analyze", "@"], id="types-analyze"),
+    pytest.param(["types", "to-kripke", "@"], id="types-to-kripke"),
+    pytest.param(["converge", "@", "--schedule", "geometric:1/2,2"], id="converge"),
+    pytest.param(["export", "dot", "@"], id="export-dot"),
+])
+def test_documents_that_are_not_objects_exit_2(command, value, tmp_path, capsys):
+    path = write(tmp_path, "doc.json", value)
+    event = write(tmp_path, "event.json", {"worlds": ["w1"]})
+    argv = [path if a == "@" else event if a == "@event" else a for a in command]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: expected a JSON object, got {_json_kind(value)}\n"
+
+
+def _label_cases():
+    """(kind, document, node path, location) with a non-string where a label belongs."""
+    game = modelio.game_to_json(myerson_game())
+    prob = modelio.model_to_json(myerson_prob_model(F(1, 4)))
+    lex = modelio.types_to_json(myerson_lex_types())
+    cases = [
+        ("game", game, ("players", 0), "players[0]"),
+        ("game", game, ("strategies", 1, 0), "strategies[1][0]"),
+        ("model", prob, ("game", "players", 1), "game.players[1]"),
+        ("model", prob, ("worlds", 0), "worlds[0]"),
+        ("model", prob, ("access", "2", "w3", 1), "access.2.w3[1]"),
+        ("types", lex, ("types", 0, 0), "types[0][0]"),
+        ("event", {"worlds": ["w1", "w2"]}, ("worlds", 1), "worlds[1]"),
+    ]
+    return [pytest.param(*case, id=f"{case[0]}.{case[3]}") for case in cases]
+
+
+@pytest.mark.parametrize("bad", [[], {}, 5, None], ids=["array", "object", "number", "null"])
+@pytest.mark.parametrize("kind,doc,node,where", _label_cases())
+def test_labels_must_be_strings(kind, doc, node, where, bad, tmp_path, capsys):
+    data = _replace(doc, node, bad)
+    path = write(tmp_path, "input.json", data)
+    argv = {
+        "game": ["game", "analyze", path],
+        "model": ["model", "check", path],
+        "types": ["types", "analyze", path],
+        "event": ["model", "operators", _PROB, "--op", "cb", "--event", path],
+    }[kind]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}.{where}: expected a string label, got {bad!r}\n"
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+def test_player_names_must_be_distinct(flag, tmp_path, capsys):
+    game = modelio.game_to_json(myerson_game())
+    game["players"] = ["X", "X"]
+    path = write(tmp_path, "game.json", game)
+    assert cli.main(["game", "analyze", path, *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}.players: duplicate player name 'X'\n"
+    with pytest.raises(FormatError, match=re.escape("game.players: duplicate player name 'X'")):
+        modelio.game_from_json(game)
+
+
+# ---------------------------------------------------------------------------
+# Loader fuzzing: one node of a fixture document replaced by a pool value.
+
+_FIXTURES = _ROOT / "fixtures"
+# Document name -> (document, the command that reads it; "@" is its path).
+_FUZZ_TARGETS = {
+    "game": (json.loads((_FIXTURES / "myerson_game.json").read_text()),
+             ["game", "analyze", "@"]),
+    "prob": (json.loads((_FIXTURES / "myerson_prob.json").read_text()),
+             ["model", "check", "@"]),
+    "ordered": (json.loads((_FIXTURES / "myerson_ordered.json").read_text()),
+                ["model", "check", "@"]),
+    "lex_types": (json.loads((_FIXTURES / "myerson_lex_types.json").read_text()),
+                  ["types", "analyze", "@"]),
+    "prob_types": (json.loads((_FIXTURES / "myerson_prob_types.json").read_text()),
+                   ["types", "analyze", "@"]),
+    "event": ({"worlds": ["w1", "w2"]},
+              ["model", "operators", _PROB, "--op", "cb", "--event", "@"]),
+}
+_POOL = [None, True, 0, 5, -1, 1.5, "", "x", "1", "1/0", [], {}, ["x"], {"x": "1"}]
+
+
+def _node_paths(node, here=()):
+    """Every node of a JSON document, the root included, as a key path."""
+    yield here
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _node_paths(child, here + (key,))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return doc
+
+
+@st.composite
+def _one_node_edits(draw):
+    name = draw(st.sampled_from(sorted(_FUZZ_TARGETS)))
+    doc = _FUZZ_TARGETS[name][0]
+    path = draw(st.sampled_from(list(_node_paths(doc))))
+    return name, path, draw(st.sampled_from(_POOL)), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_one_node_edits())
+@example(("game", (), 5, False))                              # a number as the document
+@example(("prob", (), None, True))                            # null as the document
+@example(("event", (), 5, False))                             # a number as the --event file
+@example(("prob", ("game",), 5, True))                        # a number as the embedded game
+@example(("prob", ("worlds", 0), [], False))                  # a list as a world label
+@example(("lex_types", ("game", "players", 0), {}, True))     # an object as a player name
+@example(("game", ("players", 1), ["x"], False))              # text report on a list player
+@example(("ordered", ("sigma", "1", "w1"), "x", False))       # the constructor's complaint
+@example(("prob_types", ("beliefs", "1", "t1", "C,t2"), 5, True))  # ... of a type model
+def test_one_node_edits_exit_cleanly(edit):
+    name, path, value, as_json = edit
+    doc, command = _FUZZ_TARGETS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        file = str(Path(tmp) / "input.json")
+        Path(file).write_text(json.dumps(_replace(doc, path, value)))
+        argv = [file if a == "@" else a for a in command] + (["--json"] if as_json else [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        message = err.getvalue()
+        assert message.startswith("error: ") and message.count("\n") == 1, message
+        # An event that parses but names worlds the model lacks is the
+        # operator's complaint about the pair, not about the file.
+        assert file in message or (
+            name == "event" and message.startswith("error: event contains unknown worlds")), \
+            message
