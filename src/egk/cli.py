@@ -54,6 +54,22 @@ def _load_model(path: str, game_path: str | None = None):
     return modelio.model_from_json(data, game, path)
 
 
+_MEASURE_KINDS = ("p-negative", "p-sum", "lambda-negative", "lambda-sum")
+
+
+def _on_measures(path: str, model, run):
+    """``run(model)``; if it fails, the first belief that is not a probability, located."""
+    try:
+        return run(model)
+    except InputError:
+        validate = (ordered.validate_levels if isinstance(model, OrderedKripkeModel)
+                    else kripke.validate_beliefs)
+        for v in validate(model):
+            if v.kind in _MEASURE_KINDS:
+                raise InputError(f"{path}: {v.detail}") from None
+        raise
+
+
 def _members(labels) -> str:
     return " ".join(labels) if labels else "(empty)"
 
@@ -117,7 +133,13 @@ def _cmd_model_check(args) -> tuple[int, dict]:
         violations += epsilon.check_prob_caution(model)
         if args.eps is not None:
             eps = parse_rational(args.eps, "--eps")
-            violations += epsilon.check_trembling(model, eps, args.trembling_reading)
+            try:
+                violations += epsilon.check_trembling(model, eps, args.trembling_reading)
+            except InputError:
+                # The belief reading needs rationality, which beliefs that are
+                # not probabilities leave undefined; those are listed already.
+                if not (0 < eps < 1 and any(v.kind in _MEASURE_KINDS for v in violations)):
+                    raise
             if args.show_upper:
                 upper = {
                     players[i]: {w: model.order(epsilon.upper_access(model, i, w, eps))
@@ -209,7 +231,7 @@ def _cmd_model_rationality(args) -> tuple[int, dict]:
     model = _load_model(args.file, args.game)
     if not isinstance(model, flavor):
         raise InputError(complaint)
-    per_player, event = events(model)
+    per_player, event = _on_measures(args.file, model, events)
     members = model.order(event)
     _save(args.event_out, modelio.event_to_json(members))
     return 0, {
@@ -287,7 +309,7 @@ def _cmd_model_to_types(args) -> tuple[int, dict]:
     model = _load_model(args.file, args.game)
     if not isinstance(model, ProbKripkeModel):
         raise InputError("to-types expects a probabilistic model")
-    tmodel, world_types = epistemic.types_from_kripke(model)
+    tmodel, world_types = _on_measures(args.file, model, epistemic.types_from_kripke)
     report = modelio.types_to_json(tmodel)
     report["world_types"] = {w: list(world_types[w]) for w in model.worlds}
     _save(args.out, report)

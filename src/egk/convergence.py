@@ -23,6 +23,7 @@ from .ordered import (
     check_structural_conditions,
     common_level1_belief,
     lrat,
+    validate_levels,
 )
 from .epsilon import check_prob_caution, upper_common_belief
 from .kripke import rat
@@ -36,13 +37,10 @@ class EpsilonSchedule:
 
     ratio: Fraction
     count: int
-    kind: str = "geometric"
 
     def __post_init__(self) -> None:
         ratio = Fraction(self.ratio)
         object.__setattr__(self, "ratio", ratio)
-        if self.kind != "geometric":
-            raise InputError(f"unknown schedule kind {self.kind!r}")
         if not 0 < ratio < 1:
             raise InputError(f"schedule ratio must lie in (0, 1), got {ratio}")
         if ratio * ratio >= Fraction(1, 2):
@@ -82,6 +80,9 @@ def _require_hypotheses(model: OrderedKripkeModel) -> None:
     frame = validate_standard(model.base)
     if frame:
         raise InputError(f"built model is invalid: {frame[0]}")
+    for v in validate_levels(model):
+        if v.kind in ("lambda-negative", "lambda-sum"):
+            raise InputError(f"ordered model is invalid: {v}")
 
 
 def _level_masses(levels, eps: Fraction, scheme: str) -> list[Fraction]:

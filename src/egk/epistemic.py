@@ -1,16 +1,18 @@
 """Finite epistemic type models and the bridges to Kripke models.
 
-Two flavors: lexicographic types carry an injective-by-use sequence of
-belief levels over opponent (strategy, type) pairs; probabilistic types
-carry a single distribution.  Common full belief in a property is the
-greatest fixed point reached by eliminating types that deem an eliminated
-opponent type possible.
+Two flavors of one core: lexicographic types carry an injective-by-use
+sequence of belief levels over opponent (strategy, type) pairs, and a
+probabilistic type's single distribution is the one-level case; every
+belief reader goes through ``levels(i, t)``.  Common full belief in a
+property is the greatest fixed point reached by eliminating types that
+deem an eliminated opponent type possible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import InputError
@@ -38,10 +40,16 @@ def _clean_dist(dist: Mapping[Pair, Fraction], where: str) -> dict[Pair, Fractio
 
 
 @dataclass(frozen=True)
-class LexEpistemicModel:
+class _TypeModel:
+    """Types whose beliefs are levels over opponent (strategy, type) pairs.
+
+    A flavor reads a belief entry as levels and stores them back
+    (``_as_levels``, ``_from_levels``); ``_WHERE`` locates a level.
+    """
+
     game: Game
     types: tuple[tuple[str, ...], tuple[str, ...]]
-    beliefs: tuple[Mapping[str, tuple], Mapping[str, tuple]]
+    beliefs: tuple[Mapping, Mapping]
 
     def __post_init__(self) -> None:
         cleaned = []
@@ -52,19 +60,20 @@ class LexEpistemicModel:
             if set(self.beliefs[i]) != set(self.types[i]):
                 raise InputError(f"beliefs of player {self.game.players[i]!r} do not cover the types")
             per = {}
-            for t, levels in self.beliefs[i].items():
+            for t, entry in self.beliefs[i].items():
+                levels = self._as_levels(entry)
                 if not levels:
                     raise InputError(f"type {t!r} has no belief levels")
                 fixed = []
                 for k, dist in enumerate(levels):
-                    where = f"type {t!r} level {k + 1}"
+                    where = self._WHERE.format(t=t, n=k + 1)
                     d = _clean_dist(dist, where)
                     for (s_j, t_j) in d:
                         self.game.check_strategy(j, s_j)
                         if t_j not in self.types[j]:
                             raise InputError(f"{where}: unknown opponent type {t_j!r}")
                     fixed.append(d)
-                per[t] = tuple(fixed)
+                per[t] = self._from_levels(fixed)
             cleaned.append(per)
         object.__setattr__(self, "beliefs", tuple(cleaned))
 
@@ -73,38 +82,27 @@ class LexEpistemicModel:
             raise InputError(f"unknown type {t!r} for player {self.game.players[i]!r}")
 
     def levels(self, i: int, t: str) -> tuple:
+        """Type ``t``'s belief levels, primary first."""
         self.check_type(i, t)
-        return self.beliefs[i][t]
+        return self._as_levels(self.beliefs[i][t])
 
 
-@dataclass(frozen=True)
-class ProbEpistemicModel:
-    game: Game
-    types: tuple[tuple[str, ...], tuple[str, ...]]
-    beliefs: tuple[Mapping[str, Mapping[Pair, Fraction]], Mapping[str, Mapping[Pair, Fraction]]]
+class LexEpistemicModel(_TypeModel):
+    """``beliefs[i][t]`` is a nonempty tuple of levels."""
 
-    def __post_init__(self) -> None:
-        cleaned = []
-        for i in (0, 1):
-            j = other(i)
-            if len(set(self.types[i])) != len(self.types[i]):
-                raise InputError(f"duplicate type label for player {self.game.players[i]!r}")
-            if set(self.beliefs[i]) != set(self.types[i]):
-                raise InputError(f"beliefs of player {self.game.players[i]!r} do not cover the types")
-            per = {}
-            for t, dist in self.beliefs[i].items():
-                d = _clean_dist(dist, f"type {t!r}")
-                for (s_j, t_j) in d:
-                    self.game.check_strategy(j, s_j)
-                    if t_j not in self.types[j]:
-                        raise InputError(f"type {t!r}: unknown opponent type {t_j!r}")
-                per[t] = d
-            cleaned.append(per)
-        object.__setattr__(self, "beliefs", tuple(cleaned))
+    _WHERE = "type {t!r} level {n}"
+    _as_levels = _from_levels = tuple
 
-    def check_type(self, i: int, t: str) -> None:
-        if t not in self.types[i]:
-            raise InputError(f"unknown type {t!r} for player {self.game.players[i]!r}")
+
+class ProbEpistemicModel(_TypeModel):
+    """``beliefs[i][t]`` is one distribution, read as a single level."""
+
+    _WHERE = "type {t!r}"
+    _from_levels = itemgetter(0)
+
+    @staticmethod
+    def _as_levels(belief: Mapping[Pair, Fraction]) -> tuple:
+        return (belief,)
 
     def belief(self, i: int, t: str) -> Mapping[Pair, Fraction]:
         self.check_type(i, t)
@@ -114,34 +112,16 @@ class ProbEpistemicModel:
 EpistemicModel = LexEpistemicModel | ProbEpistemicModel
 
 
-def _level_dists(model: EpistemicModel, i: int, t: str) -> tuple:
-    if isinstance(model, LexEpistemicModel):
-        return model.levels(i, t)
-    return (model.belief(i, t),)
-
-
 def deems_possible(model: EpistemicModel, i: int, t: str) -> frozenset[str]:
     """Opponent types receiving positive weight at any level of ``t``."""
-    model.check_type(i, t)
-    out = set()
-    for dist in _level_dists(model, i, t):
-        for (_, t_j) in dist:
-            out.add(t_j)
-    return frozenset(out)
-
-
-def deems_pair_possible(model: EpistemicModel, i: int, t: str, pair: Pair) -> bool:
-    return any(pair in dist for dist in _level_dists(model, i, t))
+    return frozenset(t_j for dist in model.levels(i, t) for (_, t_j) in dist)
 
 
 def type_caution(model: EpistemicModel, i: int, t: str) -> bool:
     """Each deemed opponent type must be paired with every opponent strategy."""
-    j = other(i)
-    for t_j in deems_possible(model, i, t):
-        for s_j in model.game.strategies[j]:
-            if not deems_pair_possible(model, i, t, (s_j, t_j)):
-                return False
-    return True
+    support = set().union(*model.levels(i, t))
+    return all((s_j, t_j) in support
+               for (_, t_j) in support for s_j in model.game.strategies[other(i)])
 
 
 def _pair_strategy(pair: Pair) -> str:
@@ -151,7 +131,7 @@ def _pair_strategy(pair: Pair) -> str:
 def strategy_marginal(model: EpistemicModel, i: int, t: str, k: int = 0) -> MixedStrategy:
     """Marginal of level ``k`` (0-based) on opponent strategies."""
     j = other(i)
-    weights = push_forward(model.game, j, _level_dists(model, i, t)[k], _pair_strategy)
+    weights = push_forward(model.game, j, model.levels(i, t)[k], _pair_strategy)
     den = sum(weights)
     return MixedStrategy(j, {s: Fraction(n, den)
                              for s, n in zip(model.game.strategies[j], weights)})
@@ -159,33 +139,27 @@ def strategy_marginal(model: EpistemicModel, i: int, t: str, k: int = 0) -> Mixe
 
 def optimal_strategies(model: EpistemicModel, i: int, t: str) -> frozenset[str]:
     """Strategies not lexicographically beaten under ``t``'s belief levels."""
-    model.check_type(i, t)
     j = other(i)
     levels = tuple(push_forward(model.game, j, dist, _pair_strategy)
-                   for dist in _level_dists(model, i, t))
+                   for dist in model.levels(i, t))
     return lex_best_replies(model.game, i, levels)
+
+
+def _mistakes_at_most(model: EpistemicModel, i: int, t: str, bound: Fraction) -> bool:
+    """Level-1 pairs whose strategy is not optimal for their type weigh at most ``bound``."""
+    j = other(i)
+    return all(v <= bound for (s_j, t_j), v in model.levels(i, t)[0].items()
+               if s_j not in optimal_strategies(model, j, t_j))
 
 
 def primary_belief_in_rationality(model: LexEpistemicModel, i: int, t: str) -> bool:
     """The primary belief weights only pairs whose strategy is optimal for its type."""
-    model.check_type(i, t)
-    j = other(i)
-    primary = model.levels(i, t)[0]
-    for (s_j, t_j) in primary:
-        if s_j not in optimal_strategies(model, j, t_j):
-            return False
-    return True
+    return _mistakes_at_most(model, i, t, Fraction(0))
 
 
 def eps_trembling(model: ProbEpistemicModel, i: int, t: str, eps: Fraction) -> bool:
     """Pairs whose strategy is not optimal for its type weigh at most ``eps``."""
-    model.check_type(i, t)
-    eps = Fraction(eps)
-    j = other(i)
-    for (s_j, t_j), v in model.belief(i, t).items():
-        if s_j not in optimal_strategies(model, j, t_j) and v > eps:
-            return False
-    return True
+    return _mistakes_at_most(model, i, t, Fraction(eps))
 
 
 @dataclass(frozen=True)
@@ -346,7 +320,7 @@ def kripke_from_lex_types(model: LexEpistemicModel) -> OrderedKripkeModel:
 def kripke_from_prob_types(model: ProbEpistemicModel) -> ProbKripkeModel:
     """Probabilistic Kripke model over (type pair, profile) worlds."""
     base, lam = _product_model(model.game, model.types, [
-        {t: (model.belief(i, t),) for t in model.types[i]} for i in (0, 1)])
+        {t: model.levels(i, t) for t in model.types[i]} for i in (0, 1)])
     return ProbKripkeModel(base, tuple({w: levels[0] for w, levels in per.items()}
                                        for per in lam))
 

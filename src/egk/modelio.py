@@ -266,18 +266,14 @@ def types_from_json(data: Mapping, game: Game | None = None, where: str = "types
 
 def types_to_json(model: TypeModel) -> dict:
     game = model.game
+    lex = isinstance(model, LexEpistemicModel)
     beliefs: dict = {}
     for i in (0, 1):
         per = {}
         for t in model.types[i]:
-            if isinstance(model, LexEpistemicModel):
-                per[t] = [
-                    {f"{s},{tj}": format_rational(v) for (s, tj), v in level.items()}
-                    for level in model.beliefs[i][t]]
-            else:
-                per[t] = {
-                    f"{s},{tj}": format_rational(v)
-                    for (s, tj), v in model.beliefs[i][t].items()}
+            levels = [{f"{s},{tj}": format_rational(v) for (s, tj), v in level.items()}
+                      for level in model.levels(i, t)]
+            per[t] = levels if lex else levels[0]
         beliefs[game.players[i]] = per
     return {
         "game": game_to_json(game),

@@ -58,7 +58,12 @@ class OrderedKripkeModel(FramedModel):
 
 def validate_ordered(model: OrderedKripkeModel) -> list[Violation]:
     """Standard axioms plus measure, support, and injectivity of the levels."""
-    out = validate_standard(model.base)
+    return validate_standard(model.base) + validate_levels(model)
+
+
+def validate_levels(model: OrderedKripkeModel) -> list[Violation]:
+    """Measure, support, and injectivity of the levels, without the frame's axioms."""
+    out = []
     for i in (0, 1):
         name = model.game.players[i]
         for w in model.worlds:

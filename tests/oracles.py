@@ -16,6 +16,13 @@ the per-candidate ``Fraction`` best-reply routines that rebuild a
 level; the integer best-reply kernel in :mod:`egk.games` must give exactly
 their results and errors.
 
+``ReferenceLexEpistemicModel`` and ``ReferenceProbEpistemicModel`` are the
+two type-model constructors written out once per flavor, with
+``reference_type_caution``, ``reference_primary_belief_in_rationality`` and
+``reference_eps_trembling`` as separate loops over them; the type models
+built on one core in :mod:`egk.epistemic` must give exactly their cleaned
+beliefs, predicate values and errors.
+
 ``reference_belief``, ``reference_common_belief``, ``reference_level1_belief``,
 ``reference_common_level1_belief``, ``reference_upper_belief``,
 ``reference_upper_common_belief`` and ``reference_upper_access`` are the
@@ -26,10 +33,11 @@ belief operators as separate per-world loops; the operators built on
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from egk.epistemic import LexEpistemicModel
+from egk.epistemic import LexEpistemicModel, Pair
 from egk.errors import InputError
 from egk.games import (
     GREATER,
@@ -383,10 +391,144 @@ def reference_lrat(model):
     return (per[0], per[1]), per[0] & per[1]
 
 
+def _clean_dist(dist: Mapping[Pair, Fraction], where: str) -> dict[Pair, Fraction]:
+    out = {}
+    total = Fraction(0)
+    for pair, v in dist.items():
+        v = Fraction(v)
+        if v < 0:
+            raise InputError(f"{where}: negative weight {v} on {pair}")
+        if v > 0:
+            out[pair] = v
+        total += v
+    if total != 1:
+        raise InputError(f"{where}: weights sum to {total}, expected 1")
+    return out
+
+
+@dataclass(frozen=True)
+class ReferenceLexEpistemicModel:
+    game: Game
+    types: tuple[tuple[str, ...], tuple[str, ...]]
+    beliefs: tuple[Mapping[str, tuple], Mapping[str, tuple]]
+
+    def __post_init__(self) -> None:
+        cleaned = []
+        for i in (0, 1):
+            j = other(i)
+            if len(set(self.types[i])) != len(self.types[i]):
+                raise InputError(f"duplicate type label for player {self.game.players[i]!r}")
+            if set(self.beliefs[i]) != set(self.types[i]):
+                raise InputError(f"beliefs of player {self.game.players[i]!r} do not cover the types")
+            per = {}
+            for t, levels in self.beliefs[i].items():
+                if not levels:
+                    raise InputError(f"type {t!r} has no belief levels")
+                fixed = []
+                for k, dist in enumerate(levels):
+                    where = f"type {t!r} level {k + 1}"
+                    d = _clean_dist(dist, where)
+                    for (s_j, t_j) in d:
+                        self.game.check_strategy(j, s_j)
+                        if t_j not in self.types[j]:
+                            raise InputError(f"{where}: unknown opponent type {t_j!r}")
+                    fixed.append(d)
+                per[t] = tuple(fixed)
+            cleaned.append(per)
+        object.__setattr__(self, "beliefs", tuple(cleaned))
+
+    def check_type(self, i: int, t: str) -> None:
+        if t not in self.types[i]:
+            raise InputError(f"unknown type {t!r} for player {self.game.players[i]!r}")
+
+    def levels(self, i: int, t: str) -> tuple:
+        self.check_type(i, t)
+        return self.beliefs[i][t]
+
+
+@dataclass(frozen=True)
+class ReferenceProbEpistemicModel:
+    game: Game
+    types: tuple[tuple[str, ...], tuple[str, ...]]
+    beliefs: tuple[Mapping[str, Mapping[Pair, Fraction]], Mapping[str, Mapping[Pair, Fraction]]]
+
+    def __post_init__(self) -> None:
+        cleaned = []
+        for i in (0, 1):
+            j = other(i)
+            if len(set(self.types[i])) != len(self.types[i]):
+                raise InputError(f"duplicate type label for player {self.game.players[i]!r}")
+            if set(self.beliefs[i]) != set(self.types[i]):
+                raise InputError(f"beliefs of player {self.game.players[i]!r} do not cover the types")
+            per = {}
+            for t, dist in self.beliefs[i].items():
+                d = _clean_dist(dist, f"type {t!r}")
+                for (s_j, t_j) in d:
+                    self.game.check_strategy(j, s_j)
+                    if t_j not in self.types[j]:
+                        raise InputError(f"type {t!r}: unknown opponent type {t_j!r}")
+                per[t] = d
+            cleaned.append(per)
+        object.__setattr__(self, "beliefs", tuple(cleaned))
+
+    def check_type(self, i: int, t: str) -> None:
+        if t not in self.types[i]:
+            raise InputError(f"unknown type {t!r} for player {self.game.players[i]!r}")
+
+    def belief(self, i: int, t: str) -> Mapping[Pair, Fraction]:
+        self.check_type(i, t)
+        return self.beliefs[i][t]
+
+
 def _level_dists(model, i: int, t: str) -> tuple:
-    if isinstance(model, LexEpistemicModel):
+    if isinstance(model, (LexEpistemicModel, ReferenceLexEpistemicModel)):
         return model.levels(i, t)
     return (model.belief(i, t),)
+
+
+def _deems_possible(model, i: int, t: str) -> frozenset[str]:
+    model.check_type(i, t)
+    out = set()
+    for dist in _level_dists(model, i, t):
+        for (_, t_j) in dist:
+            out.add(t_j)
+    return frozenset(out)
+
+
+def _deems_pair_possible(model, i: int, t: str, pair: Pair) -> bool:
+    return any(pair in dist for dist in _level_dists(model, i, t))
+
+
+def reference_type_caution(model, i: int, t: str) -> bool:
+    """Each deemed opponent type must be paired with every opponent strategy."""
+    j = other(i)
+    for t_j in _deems_possible(model, i, t):
+        for s_j in model.game.strategies[j]:
+            if not _deems_pair_possible(model, i, t, (s_j, t_j)):
+                return False
+    return True
+
+
+def reference_primary_belief_in_rationality(model, i: int, t: str) -> bool:
+    """The primary belief weights only pairs whose strategy is optimal for its type."""
+    model.check_type(i, t)
+    j = other(i)
+    primary = model.levels(i, t)[0]
+    for (s_j, t_j) in primary:
+        if s_j not in reference_optimal_strategies(model, j, t_j):
+            return False
+    return True
+
+
+def reference_eps_trembling(model, i: int, t: str, eps: Fraction) -> bool:
+    """Pairs whose strategy is not optimal for its type weigh at most ``eps``."""
+    model.check_type(i, t)
+    eps = Fraction(eps)
+    j = other(i)
+    for (s_j, t_j), v in model.belief(i, t).items():
+        if s_j not in reference_optimal_strategies(model, j, t_j) and v > eps:
+            return False
+    return True
 
 
 def reference_strategy_marginal(model, i: int, t: str, k: int = 0) -> MixedStrategy:

@@ -277,16 +277,11 @@ def test_non_transitive_source_frame_is_rejected_before_any_member():
         assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("empty", [{}, {"w1": "0"}], ids=["no-weights", "zero-weight"])
-def test_empty_belief_level_is_rejected_before_any_member(empty, tmp_path, capsys):
-    # Player 1 gets a third level at w1 and w2 that weights no world.
-    data = modelio.model_to_json(myerson_ordered_model())
-    for w in ("w1", "w2"):
-        data["lambda"]["1"][w].append(empty)
+def _assert_source_rejected_before_any_member(data, message, tmp_path, capsys):
+    """Both schemes reject the source through the library and ``egk converge``."""
     model = modelio.model_from_json(data)
-    path = tmp_path / "empty_level.json"
+    path = tmp_path / "source.json"
     path.write_text(modelio.dumps(data))
-    message = "empty belief level: player 1: level 3 at w1 gives no world positive weight"
 
     def on_member(n, member):
         raise AssertionError("no member may be built")
@@ -302,3 +297,27 @@ def test_empty_belief_level_is_rejected_before_any_member(empty, tmp_path, capsy
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("empty", [{}, {"w1": "0"}], ids=["no-weights", "zero-weight"])
+def test_empty_belief_level_is_rejected_before_any_member(empty, tmp_path, capsys):
+    # Player 1 gets a third level at w1 and w2 that weights no world.
+    data = modelio.model_to_json(myerson_ordered_model())
+    for w in ("w1", "w2"):
+        data["lambda"]["1"][w].append(empty)
+    _assert_source_rejected_before_any_member(
+        data, "empty belief level: player 1: level 3 at w1 gives no world positive weight",
+        tmp_path, capsys)
+
+
+@pytest.mark.parametrize("level,detail", [
+    ({"w1": "5"}, "player 1: level 1 at w1 sums to 5"),
+    ({"w1": "3/2", "w3": "-1/2"}, "player 1: level 1 at w1 gives w3 the negative weight -1/2"),
+], ids=["sum", "negative"])
+def test_source_level_that_is_not_a_probability_is_rejected_before_any_member(
+        level, detail, tmp_path, capsys):
+    # A member's weights would not sum to 1 either, but the source is at fault.
+    data = modelio.model_to_json(myerson_ordered_model())
+    data["lambda"]["1"]["w1"][0] = level
+    _assert_source_rejected_before_any_member(
+        data, f"ordered model is invalid: {detail}", tmp_path, capsys)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from egk.dominance import dekel_fudenberg
 from egk.epistemic import (
@@ -42,6 +43,14 @@ from egk.ordered import (
 )
 
 from generators import random_game
+from oracles import (
+    ReferenceLexEpistemicModel,
+    ReferenceProbEpistemicModel,
+    reference_eps_trembling,
+    reference_optimal_strategies,
+    reference_primary_belief_in_rationality,
+    reference_type_caution,
+)
 
 
 def random_lex_model(rng, game, cautious=False):
@@ -324,3 +333,115 @@ def test_df_witness_types_rationalize_the_df_set():
                 assert primary_belief_in_rationality(model, i, t)
         assert permissible(model) == (
             frozenset(survivors.sets[0]), frozenset(survivors.sets[1]))
+
+
+# ---------------------------------------------------------------------------
+# One type-model core against the constructors written out once per flavor.
+
+_GAME = Game(("1", "2"), (("A", "B"), ("X", "Y")),
+             {("A", "X"): (F(1), F(1)), ("A", "Y"): (F(0), F(0)),
+              ("B", "X"): (F(0), F(1)), ("B", "Y"): (F(1), F(0))})
+
+
+# True once in 16 draws; not at a bound of the range, where Hypothesis piles up.
+_RARELY = st.integers(0, 15).map(lambda n: n == 9)
+
+
+@st.composite
+def _raw_level(draw, pairs, bad_pairs):
+    """Weights over opponent pairs: mostly a distribution, possibly with zeros,
+    sometimes an unknown pair, negative or non-summing weights."""
+    support = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4, unique=True))
+    if draw(_RARELY):
+        support.append(draw(st.sampled_from(bad_pairs)))
+    if draw(_RARELY):
+        return {p: F(draw(st.integers(-1, 3)), draw(st.integers(1, 3))) for p in support}
+    weights = [draw(st.integers(1 if k == 0 else 0, 3)) for k in range(len(support))]
+    return {p: F(v, sum(weights)) for p, v in zip(support, weights)}
+
+
+@st.composite
+def _raw_type_models(draw):
+    """Constructor arguments of either flavor, and a trembling bound."""
+    lex = draw(st.booleans())
+    types = []
+    for _ in (0, 1):
+        labels = draw(st.lists(st.sampled_from(("a", "b", "c")), min_size=1, max_size=3,
+                               unique=True))
+        if draw(_RARELY):
+            labels.append(labels[0])
+        types.append(tuple(labels))
+    beliefs = []
+    for i in (0, 1):
+        j = 1 - i
+        pairs = [(s, t) for s in _GAME.strategies[j] for t in dict.fromkeys(types[j])]
+        # Player i's own strategy is unknown to the opponent, and so is "zz".
+        bad = [(_GAME.strategies[i][0], types[j][0]), (_GAME.strategies[j][0], "zz")]
+        per = {}
+        for t in types[i]:
+            if lex:
+                count = 0 if draw(_RARELY) else draw(st.integers(1, 3))
+                per[t] = [draw(_raw_level(pairs, bad)) for _ in range(count)]
+            else:
+                per[t] = draw(_raw_level(pairs, bad))
+        if draw(_RARELY):  # a type without beliefs, or beliefs without a type
+            extra = draw(st.booleans())
+            per["x" if extra else types[i][0]] = per.pop(types[i][0])
+        beliefs.append(per)
+    eps = draw(st.sampled_from((F(1, 10), F(1, 4), F(1, 2))))
+    return lex, tuple(types), tuple(beliefs), eps
+
+
+def _built(cls, types, beliefs):
+    try:
+        return ("ok", cls(_GAME, types, beliefs))
+    except InputError as exc:
+        return ("error", str(exc))
+
+
+_HALF = F(1, 2)
+_LEX_OK = ({"a": [{("X", "a"): _HALF, ("Y", "a"): _HALF}]},
+           {"a": [{("A", "a"): F(1)}, {("B", "a"): F(1)}]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw_type_models())
+@example((True, (("a",), ("a",)), _LEX_OK, F(1, 4)))
+# level 2 of a lexicographic type does not sum to 1
+@example((True, (("a",), ("a",)), (_LEX_OK[0], {"a": [{("A", "a"): F(1)}, {("B", "a"): _HALF}]}),
+          F(1, 4)))
+# the same defect in a probabilistic type
+@example((False, (("a",), ("a",)), ({"a": {("X", "a"): F(1)}}, {"a": {("A", "a"): _HALF}}),
+          F(1, 4)))
+# an unknown strategy with zero weight is dropped before pairs are checked
+@example((False, (("a",), ("a",)),
+          ({"a": {("X", "a"): F(1), ("Q", "a"): F(0)}}, {"a": {("A", "a"): F(1)}}), F(1, 2)))
+# an unknown opponent type at level 2
+@example((True, (("a",), ("a",)),
+          (_LEX_OK[0], {"a": [{("A", "a"): F(1)}, {("B", "zz"): F(1)}]}), F(1, 4)))
+# a lexicographic type without levels
+@example((True, (("a",), ("a",)), (_LEX_OK[0], {"a": []}), F(1, 4)))
+# duplicate labels, and beliefs that miss a type
+@example((False, (("a", "a"), ("a",)), ({"a": {("X", "a"): F(1)}}, {"a": {("A", "a"): F(1)}}),
+          F(1, 4)))
+@example((False, (("a", "b"), ("a",)), ({"a": {("X", "a"): F(1)}}, {"a": {("A", "a"): F(1)}}),
+          F(1, 4)))
+def test_type_model_core_matches_reference_constructors(case):
+    lex, types, beliefs, eps = case
+    flavors = ((LexEpistemicModel, ReferenceLexEpistemicModel) if lex
+               else (ProbEpistemicModel, ReferenceProbEpistemicModel))
+    (kind, model), (ref_kind, ref) = (_built(cls, types, beliefs) for cls in flavors)
+    if "error" in (kind, ref_kind):
+        assert (kind, model) == (ref_kind, ref)
+        return
+    assert model.beliefs == ref.beliefs
+    for i in (0, 1):
+        for t in types[i]:
+            assert type_caution(model, i, t) == reference_type_caution(ref, i, t)
+            assert optimal_strategies(model, i, t) == reference_optimal_strategies(ref, i, t)
+            if lex:
+                assert (primary_belief_in_rationality(model, i, t)
+                        == reference_primary_belief_in_rationality(ref, i, t))
+            else:
+                assert eps_trembling(model, i, t, eps) == reference_eps_trembling(ref, i, t, eps)
+                assert model.levels(i, t) == (model.belief(i, t),)

@@ -248,6 +248,67 @@ def test_cli_model_check_rejects_negative_beliefs(tmp_path, capsys):
     assert "ok" not in out.split()
 
 
+def _edited_fixture(tmp_path, fixture, node, value):
+    """A file holding ``fixture`` with the node at key path ``node`` replaced."""
+    data = _replace(json.loads((_ROOT / "fixtures" / fixture).read_text()), node, value)
+    return write(tmp_path, "edited.json", data)
+
+
+def _run(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+def test_model_check_eps_lists_beliefs_that_are_not_probabilities(flag, tmp_path, capsys):
+    # Beliefs summing to 5/4 leave rationality, and so the belief reading of
+    # the trembling bound, undefined; the check reports them as without --eps.
+    path = _edited_fixture(tmp_path, "myerson_prob.json", ("p", "1", "w1"),
+                           {"w1": "1", "w2": "1/4"})
+    plain = _run(capsys, ["model", "check", path, *flag])
+    assert plain[0] == 1
+    assert "player 1: weights at w1 sum to 5/4" in plain[1]
+    assert "p-constancy" in plain[1]
+    assert _run(capsys, ["model", "check", path, "--eps", "1/4", *flag]) == plain
+    # The pointwise reading needs no rationality and adds its own violations.
+    code, out, err = _run(capsys, ["model", "check", path, "--eps", "1/4",
+                                   "--trembling-reading", "pointwise", *flag])
+    assert (code, err) == (1, "") and "trembling" in out and len(out) > len(plain[1])
+    # A threshold outside (0, 1) is still the complaint.
+    assert _run(capsys, ["model", "check", path, "--eps", "2", *flag]) == (
+        2, "", "error: trembling bound must lie in (0, 1), got 2\n")
+
+
+_SUM = ("p", "1", "w1"), {"w1": "1", "w2": "1/4"}, "player 1: weights at w1 sum to 5/4"
+_NEGATIVE = (("p", "1", "w1"), {"w1": "3/2", "w2": "-1/2"},
+             "player 1: negative weight -1/2 at w1 on w2")
+_LEVEL_SUM = ("lambda", "1", "w1", 0), {"w1": "5"}, "player 1: level 1 at w1 sums to 5"
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command,fixture,edit", [
+    ("rat", "myerson_prob.json", _SUM),
+    ("to-types", "myerson_prob.json", _SUM),
+    ("rat", "myerson_prob.json", _NEGATIVE),
+    ("to-types", "myerson_prob.json", _NEGATIVE),
+    ("lrat", "myerson_ordered.json", _LEVEL_SUM),
+], ids=["rat-sum", "to-types-sum", "rat-negative", "to-types-negative", "lrat-sum"])
+def test_beliefs_that_are_not_probabilities_are_located(
+        command, fixture, edit, flag, tmp_path, capsys):
+    node, value, detail = edit
+    path = _edited_fixture(tmp_path, fixture, node, value)
+    assert _run(capsys, ["model", command, path, *flag]) == (2, "", f"error: {path}: {detail}\n")
+
+
+def test_negative_world_weight_with_nonnegative_strategy_total_still_has_rat(tmp_path, capsys):
+    # The opponent plays C at w1 and w3, so the strategy totals are 1 and 0.
+    path = _edited_fixture(tmp_path, "myerson_prob.json", ("p", "1", "w1"),
+                           {"w1": "3/2", "w3": "-1/2"})
+    code, out, err = _run(capsys, ["model", "rat", path])
+    assert (code, err) == (0, "") and out.startswith("rat_1:")
+
+
 def _shape_cases():
     game = modelio.game_to_json(myerson_game())
     model = modelio.model_to_json(myerson_prob_model(F(1, 4)))
