@@ -15,13 +15,14 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import InputError
-from .kripke import ProbKripkeModel, validate_beliefs, validate_standard
+from .kripke import ProbKripkeModel, belief_groups, validate_beliefs, validate_standard
 from .ordered import (
     OrderedKripkeModel,
     check_caution,
     check_lambda_constancy,
     check_structural_conditions,
     common_level1_belief,
+    level_ids,
     lrat,
     validate_levels,
 )
@@ -81,7 +82,7 @@ def _require_hypotheses(model: OrderedKripkeModel) -> None:
     if frame:
         raise InputError(f"built model is invalid: {frame[0]}")
     for v in validate_levels(model):
-        if v.kind in ("lambda-negative", "lambda-sum"):
+        if v.kind in ("lambda-negative", "lambda-sum", "lambda-support"):
             raise InputError(f"ordered model is invalid: {v}")
 
 
@@ -115,33 +116,55 @@ def build_epsilon_model(
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     _check_scheme(scheme)
     _require_hypotheses(model)
-    return _build_member(model, eps, scheme, not check_lambda_constancy(model))
+    ids = level_ids(model)
+    return _build_member(model, eps, scheme, not check_lambda_constancy(model, ids), ids)
 
 
 def _build_member(
-    model: OrderedKripkeModel, eps: Fraction, scheme: str, lam_constant: bool
+    model: OrderedKripkeModel,
+    eps: Fraction,
+    scheme: str,
+    lam_constant: bool,
+    ids: tuple[dict[str, int], dict[str, int]],
 ) -> ProbKripkeModel:
-    """Build and check one family member; the source-only checks are the caller's."""
+    """Build and check one family member; the source-only checks are the caller's.
+
+    ``ids`` are the source's ``level_ids``: worlds with equal levels get
+    one belief, built once and shared, so every reader of the member
+    evaluates it once.
+    """
     p: list[dict[str, dict[str, Fraction]]] = [{}, {}]
     for i in (0, 1):
+        built: dict[int, dict[str, Fraction]] = {}
         for w in model.worlds:
-            levels = model.lam[i][w]
-            masses = _level_masses(levels, eps, scheme)
-            total = sum(masses, Fraction(0))
-            dist: dict[str, Fraction] = {}
-            for mass, level in zip(masses, levels):
-                scale = mass / total
-                for w1, v in level.items():
-                    dist[w1] = scale * v
+            dist = built.get(ids[i][w])
+            if dist is None:
+                dist = built[ids[i][w]] = _member_belief(model.lam[i][w], eps, scheme)
             p[i][w] = dist
     out = ProbKripkeModel(model.base, (p[0], p[1]))
     _check_output(model, out, eps, lam_constant)
     return out
 
 
+def _member_belief(levels, eps: Fraction, scheme: str) -> dict[str, Fraction]:
+    masses = _level_masses(levels, eps, scheme)
+    total = sum(masses, Fraction(0))
+    dist: dict[str, Fraction] = {}
+    for mass, level in zip(masses, levels):
+        scale = mass / total
+        for w1, v in level.items():
+            dist[w1] = scale * v
+    return dist
+
+
 def _check_output(
     source: OrderedKripkeModel, out: ProbKripkeModel, eps: Fraction, lam_constant: bool
 ) -> None:
+    """Reject a member that is not a valid, cautious model meeting the eps bound.
+
+    Worlds that share a member belief share their source levels, so the
+    off-primary bound is checked once per belief.
+    """
     for v in validate_beliefs(out):
         # Belief constancy can only fail where the source levels already
         # varied inside a class; everything else is a construction bug.
@@ -151,9 +174,9 @@ def _check_output(
     if check_prob_caution(out):
         raise InputError("built model lost caution")
     for i in (0, 1):
-        for w in out.worlds:
-            level1 = set(source.lam[i][w][0])
-            for w1, weight in out.p[i][w].items():
+        for dist, holders in belief_groups(out.worlds, out.p[i]):
+            level1 = source.lam[i][holders[0]][0]
+            for w1, weight in dist.items():
                 if w1 not in level1 and weight > eps:
                     raise InputError(
                         f"weight {weight} on off-primary world {w1} exceeds eps {eps}")
@@ -216,12 +239,13 @@ def verify_convergence(
     """
     _check_scheme(scheme)
     _require_hypotheses(model)
-    lam_constant = not check_lambda_constancy(model)
+    ids = level_ids(model)
+    lam_constant = not check_lambda_constancy(model, ids)
     eps_values = schedule.values()
     rows = []
     events = []
     for n, eps in enumerate(eps_values):
-        built = _build_member(model, eps, scheme, lam_constant)
+        built = _build_member(model, eps, scheme, lam_constant, ids)
         if on_member is not None:
             on_member(n, built)
         _, rat_event = rat(built)

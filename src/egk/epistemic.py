@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .errors import InputError
 from .games import Game, MixedStrategy, lex_best_replies, other, push_forward
-from .kripke import ProbKripkeModel, StandardKripkeModel
+from .kripke import ProbKripkeModel, StandardKripkeModel, per_belief
 from .ordered import OrderedKripkeModel
 from . import dominance
 
@@ -342,13 +342,17 @@ def types_from_kripke(
         changed = False
         for i in (0, 1):
             j = other(i)
-            sigs = {}
-            for w in worlds:
+            sig_ids: dict[tuple, int] = {}
+
+            def signature(dist) -> int:
                 agg: dict[tuple[str, int], Fraction] = {}
-                for w1, v in model.p[i][w].items():
+                for w1, v in dist.items():
                     key = (model.sigma[j][w1], classes[j][w1])
                     agg[key] = agg.get(key, Fraction(0)) + v
-                sigs[w] = (classes[i][w], tuple(sorted(agg.items())))
+                return sig_ids.setdefault(tuple(sorted(agg.items())), len(sig_ids))
+
+            sig = per_belief(worlds, model.p[i], signature)
+            sigs = {w: (classes[i][w], sig[w]) for w in worlds}
             relabel: dict[tuple, int] = {}
             new = {}
             for w in worlds:  # first occurrence fixes the class id

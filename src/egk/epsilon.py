@@ -13,7 +13,7 @@ from typing import Callable, Iterable
 
 from .errors import InputError
 from .games import optimal_pure, other, point_mass
-from .kripke import EventSet, ProbKripkeModel, Violation, box, rat
+from .kripke import EventSet, ProbKripkeModel, Violation, box, per_belief, rat
 
 TREMBLING_READINGS = ("belief", "pointwise")
 
@@ -24,14 +24,20 @@ def check_prob_caution(model: ProbKripkeModel) -> list[Violation]:
     for i in (0, 1):
         j = other(i)
         name = model.game.players[i]
+        strategy_of = model.sigma[j]
+        strategies = model.game.strategies[j]
+
+        def unweighted(dist) -> list[str]:
+            seen = {strategy_of[w1] for w1 in dist}
+            return [s_j for s_j in strategies if s_j not in seen]
+
+        missing = per_belief(model.worlds, model.p[i], unweighted)
         for w in model.worlds:
-            seen = {model.sigma[j][w1] for w1 in model.p[i][w]}
-            for s_j in model.game.strategies[j]:
-                if s_j not in seen:
-                    out.append(Violation(
-                        "caution", i, (w, s_j),
-                        f"player {name}: belief at {w} gives no weight to a world "
-                        f"where the opponent plays {s_j!r}"))
+            for s_j in missing[w]:
+                out.append(Violation(
+                    "caution", i, (w, s_j),
+                    f"player {name}: belief at {w} gives no weight to a world "
+                    f"where the opponent plays {s_j!r}"))
     return out
 
 
@@ -93,13 +99,17 @@ def _check_eps(eps: Fraction) -> Fraction:
 
 def upper_access(model: ProbKripkeModel, i: int, w: str, eps: Fraction) -> frozenset[str]:
     """Accessible worlds with belief weight strictly above ``eps``."""
-    return _upper_view(model, i, _check_eps(eps))(w)
+    eps = _check_eps(eps)
+    return _above(model.p[i][w], eps)
+
+
+def _above(dist, eps: Fraction) -> frozenset[str]:
+    return frozenset(w1 for w1, v in dist.items() if v > eps)
 
 
 def _upper_view(model: ProbKripkeModel, i: int, eps: Fraction) -> Callable[[str], frozenset[str]]:
     """Player ``i``'s worlds weighted strictly above an already checked ``eps``."""
-    p = model.p[i]
-    return lambda w: frozenset(w1 for w1, v in p[w].items() if v > eps)
+    return per_belief(model.worlds, model.p[i], lambda dist: _above(dist, eps)).__getitem__
 
 
 def upper_belief(

@@ -11,13 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .dominance import Restriction, iesds, justifying_belief
 from .errors import InputError
 from .games import Game, lex_best_replies, other, push_forward
 
 EventSet = frozenset
+B = TypeVar("B")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -118,14 +120,51 @@ class ProbKripkeModel(FramedModel):
         for i in (0, 1):
             if set(self.p[i]) != wset:
                 raise InputError(f"belief map of player {self.game.players[i]!r} does not cover the worlds")
-            per = {}
-            for w, dist in self.p[i].items():
+            # Worlds that share a belief object keep sharing the cleaned one.
+            per = dict.fromkeys(self.p[i])
+            for dist, holders in belief_groups(self.p[i], self.p[i]):
                 bad = set(dist) - wset
                 if bad:
-                    raise InputError(f"belief at {w!r} weights unknown worlds {sorted(bad)}")
-                per[w] = exact_weights(dist)
+                    raise InputError(f"belief at {holders[0]!r} weights unknown worlds {sorted(bad)}")
+                clean = exact_weights(dist)
+                for w in holders:
+                    per[w] = clean
             cleaned.append(per)
         object.__setattr__(self, "p", tuple(cleaned))
+
+
+def belief_groups(worlds: Iterable[str], beliefs: Mapping[str, B]) -> list[tuple[B, list[str]]]:
+    """Each distinct belief object of ``beliefs`` with the worlds that hold it.
+
+    Worlds are grouped by the identity of their belief, not its value: a
+    family member gives every world of a class one mapping, so a reader
+    evaluates it once.  Groups come in the order of their first world and
+    list their worlds in ``worlds`` order.
+    """
+    groups: dict[int, tuple[B, list[str]]] = {}
+    for w in worlds:
+        belief = beliefs[w]
+        group = groups.get(id(belief))
+        if group is None:
+            groups[id(belief)] = (belief, [w])
+        else:
+            group[1].append(w)
+    return list(groups.values())
+
+
+def per_belief(worlds: Iterable[str], beliefs: Mapping[str, B], f: Callable[[B], R]) -> dict[str, R]:
+    """``f`` of each world's belief, evaluated once per distinct belief object."""
+    out = {}
+    for belief, holders in belief_groups(worlds, beliefs):
+        value = f(belief)
+        for w in holders:
+            out[w] = value
+    return out
+
+
+def one_level(dist: Mapping[str, Fraction]) -> tuple[Mapping[str, Fraction]]:
+    """A probabilistic belief as a sequence of levels: the one-level case."""
+    return (dist,)
 
 
 def exact_weights(dist: Mapping[str, Fraction]) -> dict[str, Fraction]:
@@ -188,22 +227,24 @@ def validate_beliefs(model: ProbKripkeModel) -> list[Violation]:
     out = []
     for i in (0, 1):
         name = model.game.players[i]
+        p = model.p[i]
+        measure = per_belief(model.worlds, p, lambda dist: (
+            [(t, v) for t, v in dist.items() if v.numerator < 0], weight_sum(dist)))
         for w in model.worlds:
-            dist = model.p[i][w]
-            for t, v in dist.items():
-                if v.numerator < 0:
-                    out.append(Violation(
-                        "p-negative", i, (w, t),
-                        f"player {name}: negative weight {v} at {w} on {t}"))
-            total = weight_sum(dist)
+            negative, total = measure[w]
+            for t, v in negative:
+                out.append(Violation(
+                    "p-negative", i, (w, t),
+                    f"player {name}: negative weight {v} at {w} on {t}"))
             if total != 1:
                 out.append(Violation("p-sum", i, (w,), f"player {name}: weights at {w} sum to {total}"))
-            extra = set(dist) - model.access[i][w]
+            # Support depends on the world's own access set, so it stays per world.
+            extra = set(p[w]) - model.access[i][w]
             for t in sorted(extra):
                 out.append(Violation(
                     "p-support", i, (w, t),
                     f"player {name}: positive weight on {t}, not accessible from {w}"))
-        belief_id = belief_ids(model.worlds, lambda w: (model.p[i][w],))
+        belief_id = belief_ids(model.worlds, p, one_level)
         for w in model.worlds:
             for w1 in model.access[i][w]:
                 if belief_id[w1] != belief_id[w]:
@@ -215,21 +256,21 @@ def validate_beliefs(model: ProbKripkeModel) -> list[Violation]:
 
 
 def belief_ids(
-    worlds: Iterable[str], levels: Callable[[str], tuple[Mapping[str, Fraction], ...]]
+    worlds: Iterable[str],
+    beliefs: Mapping[str, B],
+    levels: Callable[[B], tuple[Mapping[str, Fraction], ...]],
 ) -> dict[str, int]:
     """Per world, an id that two worlds share exactly when their belief levels are equal.
 
-    Each level becomes the canonical key sorted ``(world, numerator,
-    denominator)``, built once per world, so constancy checks compare ids
-    instead of ``Fraction`` dicts.
+    ``levels(belief)`` is a belief as its sequence of levels.  Each level
+    becomes the canonical key sorted ``(world, numerator, denominator)``,
+    built once per distinct belief object, so constancy checks compare ids
+    instead of ``Fraction`` dicts.  Ids count up in order of first world.
     """
     ids: dict[tuple, int] = {}
-    return {
-        w: ids.setdefault(tuple(
-            tuple(sorted((t, v.numerator, v.denominator) for t, v in dist.items()))
-            for dist in levels(w)), len(ids))
-        for w in worlds
-    }
+    return per_belief(worlds, beliefs, lambda belief: ids.setdefault(tuple(
+        tuple(sorted((t, v.numerator, v.denominator) for t, v in dist.items()))
+        for dist in levels(belief)), len(ids)))
 
 
 def box(
@@ -265,31 +306,37 @@ def common_belief(model: StandardKripkeModel | FramedModel, event: Iterable[str]
 
 def rat(model: ProbKripkeModel) -> tuple[tuple[EventSet, EventSet], EventSet]:
     """Per-player rationality events and their intersection RAT."""
-    per = [best_reply_worlds(model, i, lambda w: (model.p[i][w],)) for i in (0, 1)]
+    per = [best_reply_worlds(model, i, model.p[i], one_level) for i in (0, 1)]
     return (per[0], per[1]), per[0] & per[1]
 
 
-def best_reply_worlds(model, i: int, levels: Callable[[str], tuple]) -> EventSet:
+def best_reply_worlds(
+    model, i: int, beliefs: Mapping[str, B], levels: Callable[[B], tuple]
+) -> EventSet:
     """Worlds where player ``i``'s strategy is a lexicographic best reply.
 
-    ``levels(w)`` is the belief at ``w`` as a sequence of weights over
-    worlds (one level for a probabilistic model).  Best replies are memoized
-    on the integer push-forward of the levels, so worlds sharing a belief,
-    such as the members of an R_i class, cost one evaluation.
+    ``beliefs`` maps each world to player ``i``'s belief there, and
+    ``levels(belief)`` gives it as a sequence of weights over worlds (one
+    level for a probabilistic model).  The push-forward is taken once per
+    distinct belief object, and best replies are memoized on it, so worlds
+    with equal beliefs, such as the members of an R_i class, cost one
+    evaluation.
     """
     game = model.game
     j = other(i)
     strategy_of = model.sigma[j].__getitem__
     memo: dict[tuple, frozenset[str]] = {}
-    ok = set()
-    for w in model.worlds:
-        key = tuple(push_forward(game, j, dist, strategy_of) for dist in levels(w))
+
+    def best_replies(belief) -> frozenset[str]:
+        key = tuple(push_forward(game, j, dist, strategy_of) for dist in levels(belief))
         best = memo.get(key)
         if best is None:
             best = memo[key] = lex_best_replies(game, i, key)
-        if model.sigma[i][w] in best:
-            ok.add(w)
-    return frozenset(ok)
+        return best
+
+    best_at = per_belief(model.worlds, beliefs, best_replies)
+    own = model.sigma[i]
+    return frozenset(w for w in model.worlds if own[w] in best_at[w])
 
 
 @dataclass(frozen=True)

@@ -94,17 +94,32 @@ def validate_levels(model: OrderedKripkeModel) -> list[Violation]:
     return out
 
 
-def check_lambda_constancy(model: OrderedKripkeModel) -> list[Violation]:
+def _as_levels(levels: LevelSeq) -> LevelSeq:
+    return levels
+
+
+def level_ids(model: OrderedKripkeModel) -> tuple[dict[str, int], dict[str, int]]:
+    """Per player, ids that two worlds share exactly when their level sequences are equal."""
+    return (belief_ids(model.worlds, model.lam[0], _as_levels),
+            belief_ids(model.worlds, model.lam[1], _as_levels))
+
+
+def check_lambda_constancy(
+    model: OrderedKripkeModel, ids: tuple[dict[str, int], dict[str, int]] | None = None
+) -> list[Violation]:
     """Constancy of the level sequence on accessibility classes.
 
     Not required for validity (the defining condition only ties levels to
     R_i supports) but assumed by the type-extraction constructions; checked
-    separately so callers can decide.
+    separately so callers can decide.  ``ids`` are the model's
+    ``level_ids``, for a caller that already has them.
     """
+    if ids is None:
+        ids = level_ids(model)
     out = []
     for i in (0, 1):
         name = model.game.players[i]
-        levels_id = belief_ids(model.worlds, model.lam[i].__getitem__)
+        levels_id = ids[i]
         for w in model.worlds:
             for w1 in model.access[i][w]:
                 if levels_id[w1] != levels_id[w]:
@@ -148,7 +163,7 @@ def lex_prefers(model: OrderedKripkeModel, i: int, w: str, s_i: str, s_i2: str) 
 
 def lrat(model: OrderedKripkeModel) -> tuple[tuple[EventSet, EventSet], EventSet]:
     """Per-player lexicographic rationality events and their intersection."""
-    per = [best_reply_worlds(model, i, model.lam[i].__getitem__) for i in (0, 1)]
+    per = [best_reply_worlds(model, i, model.lam[i], _as_levels) for i in (0, 1)]
     return (per[0], per[1]), per[0] & per[1]
 
 

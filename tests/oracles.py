@@ -28,6 +28,10 @@ beliefs, predicate values and errors.
 ``reference_upper_common_belief`` and ``reference_upper_access`` are the
 belief operators as separate per-world loops; the operators built on
 :func:`egk.kripke.box` must give exactly their results and errors.
+
+``reference_build_member`` builds a family member world by world, one new
+belief per world; the member built once per distinct source belief must
+have exactly its weights.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from egk.convergence import _check_output, _level_masses
 from egk.epistemic import LexEpistemicModel, Pair
 from egk.errors import InputError
 from egk.games import (
@@ -49,6 +54,7 @@ from egk.games import (
     other,
 )
 from egk.kripke import ProbKripkeModel
+from egk.ordered import OrderedKripkeModel
 from egk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
 GRID_DENOMINATOR = 24
@@ -625,3 +631,24 @@ def reference_upper_common_belief(model, eps: Fraction, event):
         if union <= ev:
             out.add(w)
     return frozenset(out)
+
+
+def reference_build_member(
+    model: OrderedKripkeModel, eps: Fraction, scheme: str, lam_constant: bool
+) -> ProbKripkeModel:
+    """Build and check one family member; the source-only checks are the caller's."""
+    p: list[dict[str, dict[str, Fraction]]] = [{}, {}]
+    for i in (0, 1):
+        for w in model.worlds:
+            levels = model.lam[i][w]
+            masses = _level_masses(levels, eps, scheme)
+            total = sum(masses, Fraction(0))
+            dist: dict[str, Fraction] = {}
+            for mass, level in zip(masses, levels):
+                scale = mass / total
+                for w1, v in level.items():
+                    dist[w1] = scale * v
+            p[i][w] = dist
+    out = ProbKripkeModel(model.base, (p[0], p[1]))
+    _check_output(model, out, eps, lam_constant)
+    return out

@@ -2,23 +2,27 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from egk import cli, modelio
 from egk.convergence import (
+    SCHEMES,
     EpsilonSchedule,
     build_epsilon_model,
     check_limit_conditions,
     check_proper_ratio,
     verify_convergence,
 )
-from egk.epsilon import check_prob_caution, check_trembling
+from egk.epistemic import types_from_kripke
+from egk.epsilon import check_prob_caution, check_trembling, upper_common_belief
 from egk.errors import InputError
 from egk.fixtures import myerson_game, myerson_ordered_model, myerson_prob_model
 from egk.games import Game
-from egk.kripke import StandardKripkeModel, validate_prob
-from egk.ordered import OrderedKripkeModel
+from egk.kripke import ProbKripkeModel, StandardKripkeModel, rat, validate_beliefs, validate_prob
+from egk.ordered import OrderedKripkeModel, check_lambda_constancy
 
-from generators import random_game, random_ordered_model
+from generators import _random_dist, random_game, random_ordered_model
+from oracles import reference_build_member
 
 ONE = F(1)
 
@@ -163,6 +167,17 @@ def test_convergence_on_random_models():
         model = random_ordered_model(rng, game)
         report = verify_convergence(model, EpsilonSchedule(F(1, 2), 9))
         assert report.matches
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(SCHEMES))
+def test_main_theorem_on_random_models(seed, scheme):
+    # Every ordered model is the limit of its family: the stabilized tail of
+    # upper common belief in rationality is common primary belief in
+    # lexicographic rationality.
+    rng = random.Random(seed)
+    model = random_ordered_model(rng, random_game(rng))
+    assert verify_convergence(model, EpsilonSchedule(F(1, 2), 6), scheme).matches
 
 
 def test_limit_conditions_on_fixture_family():
@@ -321,3 +336,116 @@ def test_source_level_that_is_not_a_probability_is_rejected_before_any_member(
     data["lambda"]["1"]["w1"][0] = level
     _assert_source_rejected_before_any_member(
         data, f"ordered model is invalid: {detail}", tmp_path, capsys)
+
+
+def test_source_level_off_access_is_rejected_before_any_member(tmp_path, capsys):
+    # w3 is not accessible from w1 for player 1; a member would inherit the weight.
+    data = modelio.model_to_json(myerson_ordered_model())
+    data["lambda"]["1"]["w1"][0] = {"w1": "1/2", "w3": "1/2"}
+    _assert_source_rejected_before_any_member(
+        data, "ordered model is invalid: player 1: level 1 at w1 weights w3, not accessible",
+        tmp_path, capsys)
+
+
+def _wild_ordered_model(rng: random.Random) -> OrderedKripkeModel:
+    """A valid source whose levels vary inside R_i classes.
+
+    Starts from a class-constant model and redraws the levels of about half
+    the worlds, giving each new sequence to some of the world's class-mates
+    too, so classes split into several distinct beliefs.
+    """
+    model = random_ordered_model(rng, random_game(rng))
+    lam = []
+    for i in (0, 1):
+        per = dict(model.lam[i])
+        for w in model.worlds:
+            if rng.random() < 0.5:
+                continue
+            members = sorted(model.access[i][w])
+            rng.shuffle(members)
+            n_levels = rng.randint(1, min(3, len(members)))
+            cuts = sorted(rng.sample(range(1, len(members)), n_levels - 1))
+            levels = tuple(_random_dist(rng, members[a:b])
+                           for a, b in zip([0] + cuts, cuts + [len(members)]))
+            for w2 in model.access[i][w]:
+                if w2 == w or rng.random() < 0.4:
+                    per[w2] = levels
+        lam.append(per)
+    return OrderedKripkeModel(model.base, (lam[0], lam[1]))
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except InputError as exc:
+        return ("error", str(exc))
+
+
+def _readings(model: ProbKripkeModel, eps):
+    """What every per-belief reader says about ``model``."""
+    rat_outcome = _outcome(rat, model)
+    event = rat_outcome[1][1] if rat_outcome[0] == "ok" else frozenset(model.worlds[::2])
+    return (validate_beliefs(model), validate_prob(model), rat_outcome,
+            _outcome(upper_common_belief, model, eps, event), check_prob_caution(model),
+            _outcome(types_from_kripke, model))
+
+
+def _with_beliefs(model: ProbKripkeModel, i: int, beliefs) -> ProbKripkeModel:
+    p = [dict(model.p[0]), dict(model.p[1])]
+    p[i].update(beliefs)
+    return ProbKripkeModel(model.base, (p[0], p[1]))
+
+
+def _invalid_shared_variants(member: ProbKripkeModel) -> list[ProbKripkeModel]:
+    """Copies of ``member`` where one belief object, held by two worlds, is broken.
+
+    The object gets a wrong sum, or a negative weight, or is also handed to
+    a world with another access set.
+    """
+    for i in (0, 1):
+        acc = member.access[i]
+        pairs = [(a, b) for a in member.worlds for b in member.worlds
+                 if a < b and acc[a] == acc[b] and len(acc[a]) > 1]
+        if not pairs:
+            continue
+        a, b = pairs[0]
+        outsiders = [x for x in member.worlds if acc[x] != acc[a]]
+        if not outsiders:
+            continue
+        t1, t2 = sorted(acc[a])[:2]
+        doubled = {t: 2 * v for t, v in member.p[i][a].items()}
+        negative = {t1: F(3, 2), t2: F(-1, 2)}
+        shared = dict(member.p[i][a])
+        return [_with_beliefs(member, i, {a: doubled, b: doubled}),
+                _with_beliefs(member, i, {a: negative, b: negative}),
+                _with_beliefs(member, i, {a: shared, b: shared, outsiders[0]: shared})]
+    return []
+
+
+def _deep_copied(model: ProbKripkeModel) -> ProbKripkeModel:
+    return ProbKripkeModel(model.base, tuple(
+        {w: dict(model.p[i][w]) for w in model.worlds} for i in (0, 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("class-constant", "fixture", "wild")), st.integers(0, 10**6),
+       st.sampled_from(SCHEMES), st.sampled_from(EpsilonSchedule(F(1, 2), 4).values()))
+def test_member_built_per_belief_matches_the_per_world_build(kind, seed, scheme, eps):
+    rng = random.Random(seed)
+    if kind == "fixture":
+        source = myerson_ordered_model()
+    elif kind == "class-constant":
+        source = random_ordered_model(rng, random_game(rng))
+    else:
+        source = _wild_ordered_model(rng)
+    member = build_epsilon_model(source, eps, scheme)
+    reference = reference_build_member(source, eps, scheme, not check_lambda_constancy(source))
+    assert member.p == reference.p
+    if kind == "class-constant":
+        for i in (0, 1):
+            for w in source.worlds:
+                assert all(member.p[i][w1] is member.p[i][w] for w1 in source.access[i][w])
+    # Readers evaluate once per belief object, yet answer world by world:
+    # sharing must not change a result, a violation or its order.
+    for shared in [member] + _invalid_shared_variants(member):
+        assert _readings(shared, eps) == _readings(_deep_copied(shared), eps)
