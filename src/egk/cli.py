@@ -6,6 +6,9 @@ mismatch), 2 on malformed files or invalid arguments.  Each command's
 output with rationals as strings; without ``--json`` the command's
 ``_text_*`` renderer prints that same report, and the environment variable
 ``EGK_COLOR`` turns on ANSI colors in it.  Only ``main`` picks the mode.
+
+Every command runs in a fresh process, so a builder imports the layers it
+runs in its own body: a command loads only what it executes.
 """
 
 from __future__ import annotations
@@ -15,14 +18,15 @@ import os
 import sys
 from fractions import Fraction
 from functools import partial
+from typing import TYPE_CHECKING
 
-from . import convergence, dot, epistemic, epsilon, kripke, modelio, ordered
-from .dominance import dekel_fudenberg, iesds
-from .epistemic import LexEpistemicModel
+from . import modelio
 from .errors import EgkError, InputError
-from .kripke import ProbKripkeModel, StandardKripkeModel
 from .modelio import format_rational, parse_rational
-from .ordered import OrderedKripkeModel
+
+if TYPE_CHECKING:
+    from .convergence import EpsilonSchedule
+    from .kripke import ProbKripkeModel
 
 
 def _paint(text: str, code: str) -> str:
@@ -62,7 +66,9 @@ def _on_measures(path: str, model, run):
     try:
         return run(model)
     except InputError:
-        validate = (ordered.validate_levels if isinstance(model, OrderedKripkeModel)
+        from . import kripke, ordered
+
+        validate = (ordered.validate_levels if isinstance(model, ordered.OrderedKripkeModel)
                     else kripke.validate_beliefs)
         for v in validate(model):
             if v.kind in _MEASURE_KINDS:
@@ -84,6 +90,8 @@ def _save(path: str | None, payload: dict) -> None:
 
 
 def _cmd_game_analyze(args) -> tuple[int, dict]:
+    from .dominance import dekel_fudenberg, iesds
+
     game = modelio.game_from_json(modelio.load_file(args.file), args.file)
     run = dekel_fudenberg if args.procedure == "df" else iesds
     survivors, rounds = run(game)
@@ -121,14 +129,18 @@ def _text_game_analyze(args, report) -> None:
 
 
 def _cmd_model_check(args) -> tuple[int, dict]:
+    from . import kripke
+
     model = _load_model(args.file, args.game)
     players = model.game.players
     violations = []
     advisories = []
     upper = None
-    if isinstance(model, StandardKripkeModel):
+    if isinstance(model, kripke.StandardKripkeModel):
         violations += kripke.validate_standard(model)
-    elif isinstance(model, ProbKripkeModel):
+    elif isinstance(model, kripke.ProbKripkeModel):
+        from . import epsilon
+
         violations += kripke.validate_prob(model)
         violations += epsilon.check_prob_caution(model)
         if args.eps is not None:
@@ -146,6 +158,8 @@ def _cmd_model_check(args) -> tuple[int, dict]:
                                  for w in model.worlds}
                     for i in (0, 1)}
     else:
+        from . import ordered
+
         violations += ordered.validate_ordered(model)
         violations += ordered.check_caution(model)
         violations += ordered.check_structural_conditions(model).violations
@@ -187,27 +201,29 @@ def _cmd_model_operators(args) -> tuple[int, dict]:
     op = args.op
     if op in ("b", "b1", "beps") and not args.player:
         raise InputError(f"operator {op!r} needs --player")
-    if op in ("b1", "cb1") and not isinstance(model, OrderedKripkeModel):
-        raise InputError(f"operator {op!r} needs an ordered model")
-    if op in ("beps", "cbeps"):
-        if not isinstance(model, ProbKripkeModel):
+    game = model.game
+    if op in ("b", "cb"):
+        from . import kripke
+
+        result = (kripke.belief(model, _player_index(game, args.player), event) if op == "b"
+                  else kripke.common_belief(model, event))
+    elif op in ("b1", "cb1"):
+        from . import ordered
+
+        if not isinstance(model, ordered.OrderedKripkeModel):
+            raise InputError(f"operator {op!r} needs an ordered model")
+        result = (ordered.level1_belief(model, _player_index(game, args.player), event)
+                  if op == "b1" else ordered.common_level1_belief(model, event))
+    else:
+        from . import epsilon, kripke
+
+        if not isinstance(model, kripke.ProbKripkeModel):
             raise InputError(f"operator {op!r} needs a probabilistic model")
         if args.eps is None:
             raise InputError(f"operator {op!r} needs --eps")
         eps = parse_rational(args.eps, "--eps")
-    game = model.game
-    if op == "b":
-        result = kripke.belief(model, _player_index(game, args.player), event)
-    elif op == "cb":
-        result = kripke.common_belief(model, event)
-    elif op == "b1":
-        result = ordered.level1_belief(model, _player_index(game, args.player), event)
-    elif op == "cb1":
-        result = ordered.common_level1_belief(model, event)
-    elif op == "beps":
-        result = epsilon.upper_belief(model, _player_index(game, args.player), eps, event)
-    else:
-        result = epsilon.upper_common_belief(model, eps, event)
+        result = (epsilon.upper_belief(model, _player_index(game, args.player), eps, event)
+                  if op == "beps" else epsilon.upper_common_belief(model, eps, event))
     report = modelio.event_to_json(model.order(result))
     _save(args.event_out, report)
     return 0, report
@@ -217,18 +233,22 @@ def _text_model_operators(args, report) -> None:
     print(_members(report["worlds"]))
 
 
-# Per rationality command: its help, the model flavor it needs, and its events.
+# Per rationality command: its help, and the complaint at a model of another flavor.
 _RATIONALITY = {
-    "rat": ("rationality events of a probabilistic model", ProbKripkeModel,
-            "rationality needs a probabilistic model", kripke.rat),
-    "lrat": ("lexicographic rationality of an ordered model", OrderedKripkeModel,
-             "lexicographic rationality needs an ordered model", ordered.lrat),
+    "rat": ("rationality events of a probabilistic model",
+            "rationality needs a probabilistic model"),
+    "lrat": ("lexicographic rationality of an ordered model",
+             "lexicographic rationality needs an ordered model"),
 }
 
 
 def _cmd_model_rationality(args) -> tuple[int, dict]:
-    _, flavor, complaint, events = _RATIONALITY[args.subcommand]
+    _, complaint = _RATIONALITY[args.subcommand]
     model = _load_model(args.file, args.game)
+    if args.subcommand == "rat":
+        from .kripke import ProbKripkeModel as flavor, rat as events
+    else:
+        from .ordered import OrderedKripkeModel as flavor, lrat as events
     if not isinstance(model, flavor):
         raise InputError(complaint)
     per_player, event = _on_measures(args.file, model, events)
@@ -252,9 +272,11 @@ def _text_rationality(args, report) -> None:
 
 
 def _cmd_types_analyze(args) -> tuple[int, dict]:
+    from . import epistemic
+
     model = modelio.types_from_json(modelio.load_file(args.file), None, args.file)
     players = model.game.players
-    lex = isinstance(model, LexEpistemicModel)
+    lex = isinstance(model, epistemic.LexEpistemicModel)
     props = [epistemic.caution_property(model)]
     eps = None
     if lex:
@@ -297,8 +319,10 @@ def _text_types_analyze(args, report) -> None:
 
 
 def _cmd_types_to_kripke(args) -> tuple[int, dict]:
+    from . import epistemic
+
     model = modelio.types_from_json(modelio.load_file(args.file), None, args.file)
-    if not isinstance(model, LexEpistemicModel):
+    if not isinstance(model, epistemic.LexEpistemicModel):
         raise InputError("to-kripke expects a lexicographic type model")
     report = modelio.model_to_json(epistemic.kripke_from_lex_types(model))
     _save(args.out, report)
@@ -306,8 +330,10 @@ def _cmd_types_to_kripke(args) -> tuple[int, dict]:
 
 
 def _cmd_model_to_types(args) -> tuple[int, dict]:
+    from . import epistemic, kripke
+
     model = _load_model(args.file, args.game)
-    if not isinstance(model, ProbKripkeModel):
+    if not isinstance(model, kripke.ProbKripkeModel):
         raise InputError("to-types expects a probabilistic model")
     tmodel, world_types = _on_measures(args.file, model, epistemic.types_from_kripke)
     report = modelio.types_to_json(tmodel)
@@ -326,7 +352,9 @@ def _text_document(args, report) -> None:
 # converge
 
 
-def _parse_schedule(text: str) -> convergence.EpsilonSchedule:
+def _parse_schedule(text: str) -> EpsilonSchedule:
+    from .convergence import EpsilonSchedule
+
     if not text.startswith("geometric:"):
         raise InputError(f"unknown schedule {text!r}; expected geometric:RATIO,COUNT")
     body = text[len("geometric:"):]
@@ -338,12 +366,14 @@ def _parse_schedule(text: str) -> convergence.EpsilonSchedule:
         count = int(parts[1])
     except ValueError:
         raise InputError(f"malformed schedule count {parts[1]!r}")
-    return convergence.EpsilonSchedule(ratio, count)
+    return EpsilonSchedule(ratio, count)
 
 
 def _cmd_converge(args) -> tuple[int, dict]:
+    from . import convergence, ordered
+
     model = _load_model(args.file, args.game)
-    if not isinstance(model, OrderedKripkeModel):
+    if not isinstance(model, ordered.OrderedKripkeModel):
         raise InputError("converge expects an ordered model")
     schedule = _parse_schedule(args.schedule)
 
@@ -390,6 +420,8 @@ def _text_converge(args, report) -> None:
 
 
 def _cmd_export_dot(args) -> tuple[int, str]:
+    from . import dot
+
     text = dot.export_dot(_load_model(args.file, args.game))
     if args.out:
         modelio.write_file(args.out, text)
@@ -423,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("file")
     check.add_argument("--game", help="game file overriding the embedded game")
     check.add_argument("--eps", help="also check the trembling bound at this threshold")
-    check.add_argument("--trembling-reading", choices=epsilon.TREMBLING_READINGS,
+    # epsilon.TREMBLING_READINGS, spelled out so that parsing imports no model layer.
+    check.add_argument("--trembling-reading", choices=("belief", "pointwise"),
                        default="belief")
     check.add_argument("--show-upper", action="store_true",
                        help="with --eps, print accessibility above the threshold")
@@ -470,7 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("file")
     conv.add_argument("--game")
     conv.add_argument("--schedule", required=True, help="geometric:RATIO,COUNT")
-    conv.add_argument("--scheme", choices=convergence.SCHEMES, default="perfect")
+    # convergence.SCHEMES, spelled out for the same reason.
+    conv.add_argument("--scheme", choices=("perfect", "proper"), default="perfect")
     conv.add_argument("--emit-family", help="directory for the built model files")
     conv.set_defaults(build=_cmd_converge, text=_text_converge)
 

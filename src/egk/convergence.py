@@ -10,11 +10,11 @@ times every shallower-level weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import InputError
+from .frozen import Frozen
 from .kripke import ProbKripkeModel, belief_groups, validate_beliefs, validate_standard
 from .ordered import (
     OrderedKripkeModel,
@@ -32,22 +32,22 @@ from .kripke import rat
 SCHEMES = ("perfect", "proper")
 
 
-@dataclass(frozen=True)
-class EpsilonSchedule:
+class EpsilonSchedule(Frozen):
     """Finite strictly decreasing thresholds eps_n = ratio**(n+2), n = 0..count-1."""
 
+    __slots__ = ("ratio", "count")
     ratio: Fraction
     count: int
 
-    def __post_init__(self) -> None:
-        ratio = Fraction(self.ratio)
-        object.__setattr__(self, "ratio", ratio)
+    def __init__(self, ratio, count) -> None:
+        ratio = Fraction(ratio)
         if not 0 < ratio < 1:
             raise InputError(f"schedule ratio must lie in (0, 1), got {ratio}")
         if ratio * ratio >= Fraction(1, 2):
             raise InputError(f"schedule must start below 1/2; ratio {ratio} is too large")
-        if self.count < 1:
+        if count < 1:
             raise InputError("schedule needs at least one threshold")
+        super().__init__(ratio, count)
 
     def values(self) -> tuple[Fraction, ...]:
         return tuple(self.ratio ** (n + 2) for n in range(self.count))
@@ -203,16 +203,14 @@ def check_proper_ratio(
     return problems
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n: int
     eps: Fraction
     rat: tuple[str, ...]
     upper_cb: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     rows: tuple[ConvergenceRow, ...]
     cb1_lrat: tuple[str, ...]
     tails: tuple[tuple[int, tuple[str, ...]], ...]
@@ -275,8 +273,7 @@ def verify_convergence(
     )
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     vanishing: tuple[str, ...]
     primary: tuple[str, ...]
     proportions: tuple[str, ...]

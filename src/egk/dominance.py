@@ -8,18 +8,19 @@ generality and keeps the LPs small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError
+from .frozen import Frozen
 from .games import Game, MixedStrategy, other
 from .lp import OPTIMAL, maximize
 
 
-@dataclass(frozen=True)
-class Restriction:
+class Restriction(Frozen):
     """Per-player surviving strategy sets at some stage of elimination."""
 
+    __slots__ = ("sets",)
     sets: tuple[tuple[str, ...], tuple[str, ...]]
 
     @classmethod
@@ -42,15 +43,13 @@ class Restriction:
         )
 
 
-@dataclass(frozen=True)
-class Elimination:
+class Elimination(NamedTuple):
     player: int
     strategy: str
     dominator: MixedStrategy
 
 
-@dataclass(frozen=True)
-class EliminationRound:
+class EliminationRound(NamedTuple):
     phase: str  # "weak" or "strict"
     eliminations: tuple[Elimination, ...]
 

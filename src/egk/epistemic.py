@@ -10,16 +10,15 @@ deem an eliminated opponent type possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InputError
+from .frozen import Frozen
 from .games import Game, MixedStrategy, lex_best_replies, other, push_forward
 from .kripke import ProbKripkeModel, StandardKripkeModel, per_belief
 from .ordered import OrderedKripkeModel
-from . import dominance
 
 Pair = tuple  # (opponent strategy, opponent type)
 
@@ -39,28 +38,28 @@ def _clean_dist(dist: Mapping[Pair, Fraction], where: str) -> dict[Pair, Fractio
     return out
 
 
-@dataclass(frozen=True)
-class _TypeModel:
+class _TypeModel(Frozen):
     """Types whose beliefs are levels over opponent (strategy, type) pairs.
 
     A flavor reads a belief entry as levels and stores them back
     (``_as_levels``, ``_from_levels``); ``_WHERE`` locates a level.
     """
 
+    __slots__ = ("game", "types", "beliefs")
     game: Game
     types: tuple[tuple[str, ...], tuple[str, ...]]
     beliefs: tuple[Mapping, Mapping]
 
-    def __post_init__(self) -> None:
+    def __init__(self, game, types, beliefs) -> None:
         cleaned = []
         for i in (0, 1):
             j = other(i)
-            if len(set(self.types[i])) != len(self.types[i]):
-                raise InputError(f"duplicate type label for player {self.game.players[i]!r}")
-            if set(self.beliefs[i]) != set(self.types[i]):
-                raise InputError(f"beliefs of player {self.game.players[i]!r} do not cover the types")
+            if len(set(types[i])) != len(types[i]):
+                raise InputError(f"duplicate type label for player {game.players[i]!r}")
+            if set(beliefs[i]) != set(types[i]):
+                raise InputError(f"beliefs of player {game.players[i]!r} do not cover the types")
             per = {}
-            for t, entry in self.beliefs[i].items():
+            for t, entry in beliefs[i].items():
                 levels = self._as_levels(entry)
                 if not levels:
                     raise InputError(f"type {t!r} has no belief levels")
@@ -69,13 +68,13 @@ class _TypeModel:
                     where = self._WHERE.format(t=t, n=k + 1)
                     d = _clean_dist(dist, where)
                     for (s_j, t_j) in d:
-                        self.game.check_strategy(j, s_j)
-                        if t_j not in self.types[j]:
+                        game.check_strategy(j, s_j)
+                        if t_j not in types[j]:
                             raise InputError(f"{where}: unknown opponent type {t_j!r}")
                     fixed.append(d)
                 per[t] = self._from_levels(fixed)
             cleaned.append(per)
-        object.__setattr__(self, "beliefs", tuple(cleaned))
+        super().__init__(game, types, tuple(cleaned))
 
     def check_type(self, i: int, t: str) -> None:
         if t not in self.types[i]:
@@ -90,6 +89,7 @@ class _TypeModel:
 class LexEpistemicModel(_TypeModel):
     """``beliefs[i][t]`` is a nonempty tuple of levels."""
 
+    __slots__ = ()
     _WHERE = "type {t!r} level {n}"
     _as_levels = _from_levels = tuple
 
@@ -97,6 +97,7 @@ class LexEpistemicModel(_TypeModel):
 class ProbEpistemicModel(_TypeModel):
     """``beliefs[i][t]`` is one distribution, read as a single level."""
 
+    __slots__ = ()
     _WHERE = "type {t!r}"
     _from_levels = itemgetter(0)
 
@@ -162,8 +163,7 @@ def eps_trembling(model: ProbEpistemicModel, i: int, t: str, eps: Fraction) -> b
     return _mistakes_at_most(model, i, t, Fraction(eps))
 
 
-@dataclass(frozen=True)
-class TypeProperty:
+class TypeProperty(NamedTuple):
     name: str
     holds: tuple[Mapping[str, bool], Mapping[str, bool]]
 
@@ -408,6 +408,8 @@ def df_witness_types(game: Game) -> LexEpistemicModel:
     over all opponent strategies, spread uniformly over all opponent types,
     which makes every type cautious.
     """
+    from . import dominance
+
     survivors, _ = dominance.dekel_fudenberg(game)
     full = dominance.Restriction.full(game)
     tlabel = [{s: f"th_{s}" for s in survivors.sets[i]} for i in (0, 1)]

@@ -8,11 +8,11 @@ results (survivor sets, belief events) are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import InputError
+from .frozen import Frozen
 
 # Outcomes of lexicographic comparison.
 GREATER = 1
@@ -27,30 +27,32 @@ def other(i: int) -> int:
     return 1 - i
 
 
-@dataclass(frozen=True)
-class Game:
+class Game(Frozen):
     """A finite two-player strategic-form game.
 
     ``strategies`` keeps the file order of strategy labels; every
     enumeration (elimination rounds, reports, tie-breaking) follows it.
     ``payoffs`` maps each profile ``(s1, s2)`` to the payoff pair
-    ``(u1, u2)``.
+    ``(u1, u2)``.  ``_compiled`` holds the best-reply kernel's form of the
+    game once it is built (:func:`_compiled`).
     """
 
+    __slots__ = ("players", "strategies", "payoffs", "_compiled")
     players: tuple[str, str]
     strategies: tuple[tuple[str, ...], tuple[str, ...]]
     payoffs: Mapping[tuple[str, str], tuple[Fraction, Fraction]]
 
-    def __post_init__(self) -> None:
+    def __init__(self, players, strategies, payoffs) -> None:
         for i in (0, 1):
-            if not self.strategies[i]:
-                raise InputError(f"player {self.players[i]!r} has an empty strategy set")
-            if len(set(self.strategies[i])) != len(self.strategies[i]):
-                raise InputError(f"duplicate strategy label for player {self.players[i]!r}")
-        for s1 in self.strategies[0]:
-            for s2 in self.strategies[1]:
-                if (s1, s2) not in self.payoffs:
+            if not strategies[i]:
+                raise InputError(f"player {players[i]!r} has an empty strategy set")
+            if len(set(strategies[i])) != len(strategies[i]):
+                raise InputError(f"duplicate strategy label for player {players[i]!r}")
+        for s1 in strategies[0]:
+            for s2 in strategies[1]:
+                if (s1, s2) not in payoffs:
                     raise InputError(f"missing payoff cell {s1},{s2}")
+        super().__init__(players, strategies, payoffs)
 
     def payoff(self, i: int, s1: str, s2: str) -> Fraction:
         """Payoff of player ``i`` at the pure profile ``(s1, s2)``."""
@@ -66,17 +68,17 @@ class Game:
                 yield (s1, s2)
 
 
-@dataclass(frozen=True)
-class MixedStrategy:
+class MixedStrategy(Frozen):
     """A mixed strategy of ``owner``; zero-weight entries are dropped."""
 
+    __slots__ = ("owner", "weights")
     owner: int
     weights: Mapping[str, Fraction]
 
-    def __post_init__(self) -> None:
+    def __init__(self, owner, weights) -> None:
         cleaned = {}
         total = Fraction(0)
-        for label, w in self.weights.items():
+        for label, w in weights.items():
             w = Fraction(w)
             if w < 0:
                 raise InputError(f"negative weight {w} on strategy {label!r}")
@@ -85,7 +87,7 @@ class MixedStrategy:
             total += w
         if total != 1:
             raise InputError(f"mixed-strategy weights sum to {total}, expected 1")
-        object.__setattr__(self, "weights", cleaned)
+        super().__init__(owner, cleaned)
 
     @property
     def support(self) -> frozenset[str]:
@@ -118,15 +120,6 @@ def expected_utility(game: Game, i: int, s_i: str, mix_j: MixedStrategy) -> Frac
         profile = (s_i, s_j) if i == 0 else (s_j, s_i)
         total += w * game.payoff(i, *profile)
     return total
-
-
-def lex_utility_vector(
-    game: Game, i: int, s_i: str, beliefs: Sequence[MixedStrategy]
-) -> tuple[Fraction, ...]:
-    """Level-wise expected utilities of ``s_i`` against a belief sequence."""
-    if not beliefs:
-        raise InputError("belief sequence is empty")
-    return tuple(expected_utility(game, i, s_i, b) for b in beliefs)
 
 
 def lex_compare(u: Sequence[Fraction], v: Sequence[Fraction]) -> int:

@@ -9,21 +9,22 @@ model checker can surface every defect at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, TypeVar
 
-from .dominance import Restriction, iesds, justifying_belief
 from .errors import InputError
+from .frozen import Frozen
 from .games import Game, lex_best_replies, other, push_forward
+
+if TYPE_CHECKING:
+    from .dominance import Restriction
 
 EventSet = frozenset
 B = TypeVar("B")
 R = TypeVar("R")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     player: int | None
     where: tuple[str, ...]
@@ -33,30 +34,30 @@ class Violation:
         return self.detail
 
 
-@dataclass(frozen=True)
-class StandardKripkeModel:
+class StandardKripkeModel(Frozen):
+    __slots__ = ("game", "worlds", "access", "sigma")
     game: Game
     worlds: tuple[str, ...]
     access: tuple[Mapping[str, frozenset[str]], Mapping[str, frozenset[str]]]
     sigma: tuple[Mapping[str, str], Mapping[str, str]]
 
-    def __post_init__(self) -> None:
-        if len(set(self.worlds)) != len(self.worlds):
+    def __init__(self, game, worlds, access, sigma) -> None:
+        if len(set(worlds)) != len(worlds):
             raise InputError("duplicate world labels")
-        wset = set(self.worlds)
-        access = tuple({w: frozenset(t) for w, t in self.access[i].items()} for i in (0, 1))
-        object.__setattr__(self, "access", access)
+        wset = set(worlds)
+        access = tuple({w: frozenset(t) for w, t in access[i].items()} for i in (0, 1))
         for i in (0, 1):
-            if set(self.access[i]) != wset:
-                raise InputError(f"accessibility map of player {self.game.players[i]!r} does not cover the worlds")
-            if set(self.sigma[i]) != wset:
-                raise InputError(f"strategy assignment of player {self.game.players[i]!r} does not cover the worlds")
-            for w, targets in self.access[i].items():
+            if set(access[i]) != wset:
+                raise InputError(f"accessibility map of player {game.players[i]!r} does not cover the worlds")
+            if set(sigma[i]) != wset:
+                raise InputError(f"strategy assignment of player {game.players[i]!r} does not cover the worlds")
+            for w, targets in access[i].items():
                 bad = targets - wset
                 if bad:
                     raise InputError(f"accessibility from {w!r} points at unknown worlds {sorted(bad)}")
-            for w, s in self.sigma[i].items():
-                self.game.check_strategy(i, s)
+            for w, s in sigma[i].items():
+                game.check_strategy(i, s)
+        super().__init__(game, worlds, access, sigma)
 
     def event(self, labels: Iterable[str]) -> EventSet:
         ev = frozenset(labels)
@@ -74,14 +75,14 @@ class StandardKripkeModel:
         return (self.sigma[0][w], self.sigma[1][w])
 
 
-@dataclass(frozen=True)
-class FramedModel:
+class FramedModel(Frozen):
     """A model that carries beliefs over the standard frame ``base``.
 
     Forwards the frame's game, worlds, accessibility, strategy assignment
     and event helpers, so every operator reads any model flavor alike.
     """
 
+    __slots__ = ("base",)
     base: StandardKripkeModel
 
     @property
@@ -110,19 +111,19 @@ class FramedModel:
         return self.base.profile(w)
 
 
-@dataclass(frozen=True)
 class ProbKripkeModel(FramedModel):
+    __slots__ = ("p",)
     p: tuple[Mapping[str, Mapping[str, Fraction]], Mapping[str, Mapping[str, Fraction]]]
 
-    def __post_init__(self) -> None:
-        wset = set(self.base.worlds)
+    def __init__(self, base, p) -> None:
+        wset = set(base.worlds)
         cleaned = []
         for i in (0, 1):
-            if set(self.p[i]) != wset:
-                raise InputError(f"belief map of player {self.game.players[i]!r} does not cover the worlds")
+            if set(p[i]) != wset:
+                raise InputError(f"belief map of player {base.game.players[i]!r} does not cover the worlds")
             # Worlds that share a belief object keep sharing the cleaned one.
-            per = dict.fromkeys(self.p[i])
-            for dist, holders in belief_groups(self.p[i], self.p[i]):
+            per = dict.fromkeys(p[i])
+            for dist, holders in belief_groups(p[i], p[i]):
                 bad = set(dist) - wset
                 if bad:
                     raise InputError(f"belief at {holders[0]!r} weights unknown worlds {sorted(bad)}")
@@ -130,7 +131,7 @@ class ProbKripkeModel(FramedModel):
                 for w in holders:
                     per[w] = clean
             cleaned.append(per)
-        object.__setattr__(self, "p", tuple(cleaned))
+        super().__init__(base, tuple(cleaned))
 
 
 def belief_groups(worlds: Iterable[str], beliefs: Mapping[str, B]) -> list[tuple[B, list[str]]]:
@@ -339,8 +340,7 @@ def best_reply_worlds(
     return frozenset(w for w in model.worlds if own[w] in best_at[w])
 
 
-@dataclass(frozen=True)
-class IesdsInclusionReport:
+class IesdsInclusionReport(NamedTuple):
     cb_rat: tuple[str, ...]
     survivors: Restriction
     failures: tuple[str, ...]
@@ -349,6 +349,8 @@ class IesdsInclusionReport:
 
 def check_iesds_inclusion(model: ProbKripkeModel) -> IesdsInclusionReport:
     """Verify that worlds under common belief in rationality play IESDS survivors."""
+    from .dominance import iesds
+
     _, rat_event = rat(model)
     cb = common_belief(model, rat_event)
     survivors, _ = iesds(model.game)
@@ -364,6 +366,8 @@ def iesds_witness_model(game: Game, profile: tuple[str, str]) -> tuple[ProbKripk
     strategies; worlds are the surviving profiles, clustered by the owner's
     strategy, with the cluster belief given by that justifying belief.
     """
+    from .dominance import iesds, justifying_belief
+
     survivors, _ = iesds(game)
     for i in (0, 1):
         if profile[i] not in survivors.sets[i]:

@@ -21,10 +21,9 @@ sequence and the results are those of the plain rational tableau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -33,8 +32,7 @@ UNBOUNDED = "unbounded"
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     status: str
     value: Fraction | None = None
     x: tuple[Fraction, ...] | None = None

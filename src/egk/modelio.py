@@ -5,22 +5,27 @@ lowest terms; nothing is ever serialized as a float.  Model and type files
 embed their game under the ``"game"`` key so a single file is
 self-contained.  All dumps preserve file order, so identical inputs produce
 byte-identical output.
+
+The model and type layers are imported by the functions that build or read
+them, so loading a game pulls in none of them.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-from .epistemic import LexEpistemicModel, ProbEpistemicModel
 from .errors import FormatError, InputError
 from .games import Game
-from .kripke import ProbKripkeModel, StandardKripkeModel
-from .ordered import OrderedKripkeModel
 
-KripkeModel = StandardKripkeModel | ProbKripkeModel | OrderedKripkeModel
-TypeModel = LexEpistemicModel | ProbEpistemicModel
+if TYPE_CHECKING:
+    from .epistemic import LexEpistemicModel, ProbEpistemicModel
+    from .kripke import ProbKripkeModel, StandardKripkeModel
+    from .ordered import OrderedKripkeModel
+
+    KripkeModel = StandardKripkeModel | ProbKripkeModel | OrderedKripkeModel
+    TypeModel = LexEpistemicModel | ProbEpistemicModel
 
 
 def parse_rational(text: Any, where: str) -> Fraction:
@@ -142,7 +147,13 @@ def _player_maps(data: Mapping, key: str, game: Game, where: str, keys: str = "w
 
 
 def model_from_json(data: Mapping, game: Game | None = None, where: str = "model") -> KripkeModel:
-    """Load a standard, probabilistic, or ordered model, by the keys present."""
+    """Load a standard, probabilistic, or ordered model, by the keys present.
+
+    Equal beliefs (the same items in the same file order) become one shared
+    object, so the model's readers evaluate each distinct belief once.
+    """
+    from .kripke import ProbKripkeModel, StandardKripkeModel
+
     if game is None:
         game = game_from_json(_expect(data, "game", where), f"{where}.game")
     worlds = tuple(_labels(_expect(data, "worlds", where), f"{where}.worlds", "world labels"))
@@ -161,16 +172,22 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
     base = _construct(where, StandardKripkeModel, game, worlds, access, sigma)
     if "p" in data and "lambda" in data:
         raise FormatError(f"{where}: both 'p' and 'lambda' present; split the file")
+    seen: dict[tuple, Any] = {}
     if "p" in data:
         p_raw = _player_maps(data, "p", game, where)
-        p = tuple(
-            {w: {t: parse_rational(v, f"{where}.p.{game.players[i]}.{w}.{t}")
-                 for t, v in _map(p_raw[i].get(w, {}), f"{where}.p.{game.players[i]}.{w}",
-                                  "world").items()}
-             for w in worlds}
-            for i in (0, 1))
-        return _construct(where, ProbKripkeModel, base, p)
+        p = []
+        for i in (0, 1):
+            per = {}
+            for w in worlds:
+                spot = f"{where}.p.{game.players[i]}.{w}"
+                dist = {t: parse_rational(v, f"{spot}.{t}")
+                        for t, v in _map(p_raw[i].get(w, {}), spot, "world").items()}
+                per[w] = seen.setdefault(tuple(dist.items()), dist)
+            p.append(per)
+        return _construct(where, ProbKripkeModel, base, tuple(p))
     if "lambda" in data:
+        from .ordered import OrderedKripkeModel
+
         lam_raw = _player_maps(data, "lambda", game, where)
         lam = []
         for i in (0, 1):
@@ -179,17 +196,20 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
                 if w not in lam_raw[i]:
                     raise FormatError(f"{where}.lambda: missing world {w!r} for player {game.players[i]!r}")
                 spot = f"{where}.lambda.{game.players[i]}.{w}"
-                levels = _list(lam_raw[i][w], spot, "belief levels")
-                per[w] = tuple(
+                levels = tuple(
                     {t: parse_rational(v, f"{spot}[{k}].{t}")
                      for t, v in _map(level, f"{spot}[{k}]", "world").items()}
-                    for k, level in enumerate(levels))
+                    for k, level in enumerate(_list(lam_raw[i][w], spot, "belief levels")))
+                per[w] = seen.setdefault(tuple(tuple(dist.items()) for dist in levels), levels)
             lam.append(per)
         return _construct(where, OrderedKripkeModel, base, tuple(lam))
     return base
 
 
 def model_to_json(model: KripkeModel) -> dict:
+    from .kripke import ProbKripkeModel
+    from .ordered import OrderedKripkeModel
+
     game, worlds, access = model.game, model.worlds, model.access
     out: dict = {
         "game": game_to_json(game),
@@ -230,6 +250,8 @@ def _parse_pair(key: str, where: str) -> tuple[str, str]:
 
 def types_from_json(data: Mapping, game: Game | None = None, where: str = "types") -> TypeModel:
     """Load a type model; a belief given as a list of levels is lexicographic."""
+    from .epistemic import LexEpistemicModel, ProbEpistemicModel
+
     if game is None:
         game = game_from_json(_expect(data, "game", where), f"{where}.game")
     types_raw = _list(_expect(data, "types", where), f"{where}.types", "type lists")
@@ -265,6 +287,8 @@ def types_from_json(data: Mapping, game: Game | None = None, where: str = "types
 
 
 def types_to_json(model: TypeModel) -> dict:
+    from .epistemic import LexEpistemicModel
+
     game = model.game
     lex = isinstance(model, LexEpistemicModel)
     beliefs: dict = {}

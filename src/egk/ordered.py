@@ -7,9 +7,8 @@ Levels are 0-based internally and rendered 1-based in reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError
 from .games import lex_compare, lex_values, other, push_forward
@@ -17,6 +16,7 @@ from .kripke import (
     EventSet,
     FramedModel,
     Violation,
+    belief_groups,
     belief_ids,
     best_reply_worlds,
     box,
@@ -28,29 +28,32 @@ from .kripke import (
 LevelSeq = tuple  # tuple of per-level weight mappings
 
 
-@dataclass(frozen=True)
 class OrderedKripkeModel(FramedModel):
+    __slots__ = ("lam",)
     lam: tuple[Mapping[str, LevelSeq], Mapping[str, LevelSeq]]
 
-    def __post_init__(self) -> None:
-        wset = set(self.base.worlds)
+    def __init__(self, base, lam) -> None:
+        wset = set(base.worlds)
         cleaned = []
         for i in (0, 1):
-            if set(self.lam[i]) != wset:
-                raise InputError(f"belief levels of player {self.game.players[i]!r} do not cover the worlds")
-            per = {}
-            for w, levels in self.lam[i].items():
+            if set(lam[i]) != wset:
+                raise InputError(f"belief levels of player {base.game.players[i]!r} do not cover the worlds")
+            # Worlds that share a level sequence object keep sharing the cleaned one.
+            per = dict.fromkeys(lam[i])
+            for levels, holders in belief_groups(lam[i], lam[i]):
                 if not levels:
-                    raise InputError(f"world {w!r} has an empty level sequence")
+                    raise InputError(f"world {holders[0]!r} has an empty level sequence")
                 fixed = []
                 for dist in levels:
                     bad = set(dist) - wset
                     if bad:
-                        raise InputError(f"level belief at {w!r} weights unknown worlds {sorted(bad)}")
+                        raise InputError(f"level belief at {holders[0]!r} weights unknown worlds {sorted(bad)}")
                     fixed.append(exact_weights(dist))
-                per[w] = tuple(fixed)
+                shared = tuple(fixed)
+                for w in holders:
+                    per[w] = shared
             cleaned.append(per)
-        object.__setattr__(self, "lam", tuple(cleaned))
+        super().__init__(base, tuple(cleaned))
 
     def levels(self, i: int, w: str) -> LevelSeq:
         return self.lam[i][w]
@@ -181,8 +184,7 @@ def common_level1_belief(model: OrderedKripkeModel, event: Iterable[str]) -> Eve
     return box(model, (partial(level1_access, model, 0), partial(level1_access, model, 1)), event)
 
 
-@dataclass(frozen=True)
-class StructuralReport:
+class StructuralReport(NamedTuple):
     disjoint_supports: bool
     surjection: bool
     violations: tuple[Violation, ...]

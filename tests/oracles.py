@@ -11,7 +11,8 @@ rule; the fraction-free :func:`egk.lp.maximize` must return exactly its results.
 
 ``reference_rat``, ``reference_lrat`` and ``reference_optimal_strategies`` are
 the per-candidate ``Fraction`` best-reply routines that rebuild a
-``MixedStrategy`` for every candidate strategy, and
+``MixedStrategy`` for every candidate strategy (``lex_utility_vector`` is
+their level-wise expected utility), and
 ``reference_strategy_marginal`` the ``Fraction`` push-forward of a type's
 level; the integer best-reply kernel in :mod:`egk.games` must give exactly
 their results and errors.
@@ -50,7 +51,6 @@ from egk.games import (
     MixedStrategy,
     expected_utility,
     lex_compare,
-    lex_utility_vector,
     other,
 )
 from egk.kripke import ProbKripkeModel
@@ -364,6 +364,15 @@ def reference_rat(model):
                 ok.add(w)
         per.append(frozenset(ok))
     return (per[0], per[1]), per[0] & per[1]
+
+
+def lex_utility_vector(
+    game: Game, i: int, s_i: str, beliefs: Sequence[MixedStrategy]
+) -> tuple[Fraction, ...]:
+    """Level-wise expected utilities of ``s_i`` against a belief sequence."""
+    if not beliefs:
+        raise InputError("belief sequence is empty")
+    return tuple(expected_utility(game, i, s_i, b) for b in beliefs)
 
 
 def _level_mixture(model, i: int, w: str, k: int) -> MixedStrategy:

@@ -13,9 +13,9 @@ from egk.games import (
     MixedStrategy,
     expected_utility,
     lex_compare,
-    lex_utility_vector,
     point_mass,
 )
+from oracles import lex_utility_vector
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 

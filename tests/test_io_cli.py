@@ -1,6 +1,9 @@
+import argparse
 import contextlib
+import copy
 import io
 import json
+import random
 import re
 import tempfile
 from pathlib import Path
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from egk import cli, modelio
+from egk import cli, convergence, epsilon, modelio
 from egk.errors import FormatError
 from egk.fixtures import (
     myerson_game,
@@ -19,6 +22,9 @@ from egk.fixtures import (
     myerson_prob_model,
     myerson_prob_types,
 )
+from egk.kripke import ProbKripkeModel, rat, validate_beliefs
+from egk.ordered import OrderedKripkeModel, level_ids, lrat, validate_levels
+from generators import random_game, random_ordered_model
 
 
 def write(tmp_path, name, payload):
@@ -67,6 +73,48 @@ def test_model_roundtrips():
     assert modelio.model_from_json(data) == base
 
 
+def _loaded_models():
+    yield modelio.model_from_json(modelio.load_file(str(_ROOT / "fixtures" / "myerson_prob.json")))
+    yield modelio.model_from_json(
+        modelio.load_file(str(_ROOT / "fixtures" / "myerson_ordered.json")))
+    for seed in range(6):
+        rng = random.Random(seed)
+        source = random_ordered_model(rng, random_game(rng, 3, 3))
+        yield modelio.model_from_json(json.loads(modelio.dumps(modelio.model_to_json(source))))
+
+
+def _per_world_copy(model):
+    """``model`` with every world's beliefs deep-copied on their own: nothing shared."""
+    if isinstance(model, OrderedKripkeModel):
+        return OrderedKripkeModel(model.base, tuple(
+            {w: copy.deepcopy(model.lam[i][w]) for w in model.worlds} for i in (0, 1)))
+    return ProbKripkeModel(model.base, tuple(
+        {w: copy.deepcopy(model.p[i][w]) for w in model.worlds} for i in (0, 1)))
+
+
+def test_loaded_worlds_with_equal_beliefs_share_one_object():
+    shared = 0
+    for model in _loaded_models():
+        beliefs = model.lam if isinstance(model, OrderedKripkeModel) else model.p
+        for i in (0, 1):
+            for w in model.worlds:
+                for w2 in model.worlds:
+                    same = beliefs[i][w] is beliefs[i][w2]
+                    assert same == (beliefs[i][w] == beliefs[i][w2]), (i, w, w2)
+                    shared += same and w != w2
+        alone = _per_world_copy(model)
+        assert alone == model
+        if isinstance(model, OrderedKripkeModel):
+            assert len({id(alone.lam[0][w]) for w in model.worlds}) == len(model.worlds)
+            assert lrat(alone) == lrat(model)
+            assert level_ids(alone) == level_ids(model)
+            assert validate_levels(alone) == validate_levels(model)
+        else:
+            assert rat(alone) == rat(model)
+            assert validate_beliefs(alone) == validate_beliefs(model)
+    assert shared
+
+
 def test_types_roundtrips():
     for model in (myerson_lex_types(), myerson_prob_types(F(1, 4))):
         data = modelio.types_to_json(model)
@@ -79,6 +127,25 @@ def test_model_with_both_p_and_lambda_is_rejected():
     data["lambda"] = modelio.model_to_json(myerson_ordered_model())["lambda"]
     with pytest.raises(FormatError, match="both"):
         modelio.model_from_json(data)
+
+
+def _leaf(parser, *words):
+    """The subparser that ``words`` (a command path) select in ``parser``."""
+    for word in words:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[word]
+    return parser
+
+
+def _choices(parser, dest):
+    return tuple(next(a for a in parser._actions if a.dest == dest).choices)
+
+
+def test_parser_choices_are_the_library_constants():
+    parser = cli.build_parser()
+    assert (_choices(_leaf(parser, "model", "check"), "trembling_reading")
+            == epsilon.TREMBLING_READINGS)
+    assert _choices(_leaf(parser, "converge"), "scheme") == convergence.SCHEMES
 
 
 def test_cli_game_analyze(tmp_path, capsys):
