@@ -4,7 +4,8 @@ A subclass lists its fields in ``__slots__``; a slot whose name starts with
 ``_`` is a private cache, outside equality.  Its constructor checks the
 arguments and hands the field values, in slot order, to
 ``Frozen.__init__``.  Instances compare, hash and print field by field, and
-any later assignment raises ``AttributeError``.
+any later assignment raises ``AttributeError``; copies and pickles are
+rebuilt through the constructor.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ class Frozen:
 
     def __hash__(self) -> int:
         return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -4,6 +4,8 @@ Both kinds compare, hash and print field by field, and neither lets a field
 be assigned after construction.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -111,6 +113,14 @@ def test_assigning_a_record_attribute_raises(name):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert record == RECORDS[name][0]()
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_copy_and_pickle_to_equal_records(name):
+    record = RECORDS[name][0]()
+    for again in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(again) is type(record)
+        assert again == record
 
 
 def test_validated_records_are_unequal_across_classes():
