@@ -66,11 +66,9 @@ def _on_measures(path: str, model, run):
     try:
         return run(model)
     except InputError:
-        from . import kripke, ordered
+        from .kripke import validate_beliefs
 
-        validate = (ordered.validate_levels if isinstance(model, ordered.OrderedKripkeModel)
-                    else kripke.validate_beliefs)
-        for v in validate(model):
+        for v in validate_beliefs(model):
             if v.kind in _MEASURE_KINDS:
                 raise InputError(f"{path}: {v.detail}") from None
         raise

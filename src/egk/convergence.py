@@ -15,19 +15,23 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import InputError
 from .frozen import Frozen
-from .kripke import ProbKripkeModel, belief_groups, validate_beliefs, validate_standard
+from .kripke import (
+    ProbKripkeModel,
+    belief_groups,
+    check_caution,
+    check_constancy,
+    level_ids,
+    rat,
+    validate_beliefs,
+    validate_standard,
+)
 from .ordered import (
     OrderedKripkeModel,
-    check_caution,
-    check_lambda_constancy,
     check_structural_conditions,
     common_level1_belief,
-    level_ids,
     lrat,
-    validate_levels,
 )
-from .epsilon import check_prob_caution, upper_common_belief
-from .kripke import rat
+from .epsilon import upper_common_belief
 
 SCHEMES = ("perfect", "proper")
 
@@ -81,7 +85,7 @@ def _require_hypotheses(model: OrderedKripkeModel) -> None:
     frame = validate_standard(model.base)
     if frame:
         raise InputError(f"built model is invalid: {frame[0]}")
-    for v in validate_levels(model):
+    for v in validate_beliefs(model):
         if v.kind in ("lambda-negative", "lambda-sum", "lambda-support"):
             raise InputError(f"ordered model is invalid: {v}")
 
@@ -117,7 +121,7 @@ def build_epsilon_model(
     _check_scheme(scheme)
     _require_hypotheses(model)
     ids = level_ids(model)
-    return _build_member(model, eps, scheme, not check_lambda_constancy(model, ids), ids)
+    return _build_member(model, eps, scheme, not check_constancy(model, ids), ids)
 
 
 def _build_member(
@@ -171,7 +175,7 @@ def _check_output(
         if v.kind == "p-constancy" and not lam_constant:
             continue
         raise InputError(f"built model is invalid: {v}")
-    if check_prob_caution(out):
+    if check_caution(out):
         raise InputError("built model lost caution")
     for i in (0, 1):
         for dist, holders in belief_groups(out.worlds, out.p[i]):
@@ -238,7 +242,7 @@ def verify_convergence(
     _check_scheme(scheme)
     _require_hypotheses(model)
     ids = level_ids(model)
-    lam_constant = not check_lambda_constancy(model, ids)
+    lam_constant = not check_constancy(model, ids)
     eps_values = schedule.values()
     rows = []
     events = []

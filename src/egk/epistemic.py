@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import itemgetter
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import InputError
 from .frozen import Frozen
 from .games import Game, MixedStrategy, lex_best_replies, other, push_forward
-from .kripke import ProbKripkeModel, StandardKripkeModel, per_belief
-from .ordered import OrderedKripkeModel
+
+if TYPE_CHECKING:
+    from .kripke import ProbKripkeModel, StandardKripkeModel
+    from .ordered import OrderedKripkeModel
 
 Pair = tuple  # (opponent strategy, opponent type)
 
@@ -158,9 +160,16 @@ def primary_belief_in_rationality(model: LexEpistemicModel, i: int, t: str) -> b
     return _mistakes_at_most(model, i, t, Fraction(0))
 
 
+def _trembling_bound(eps: Fraction) -> Fraction:
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise InputError(f"trembling bound must lie in (0, 1), got {eps}")
+    return eps
+
+
 def eps_trembling(model: ProbEpistemicModel, i: int, t: str, eps: Fraction) -> bool:
-    """Pairs whose strategy is not optimal for its type weigh at most ``eps``."""
-    return _mistakes_at_most(model, i, t, Fraction(eps))
+    """Pairs whose strategy is not optimal for its type weigh at most ``eps``, in (0, 1)."""
+    return _mistakes_at_most(model, i, t, _trembling_bound(eps))
 
 
 class TypeProperty(NamedTuple):
@@ -179,8 +188,9 @@ def primary_rationality_property(model: LexEpistemicModel) -> TypeProperty:
 
 
 def trembling_property(model: ProbEpistemicModel, eps: Fraction) -> TypeProperty:
+    bound = _trembling_bound(eps)
     return TypeProperty(f"trembling({eps})", tuple(
-        {t: eps_trembling(model, i, t, eps) for t in model.types[i]} for i in (0, 1)))
+        {t: eps_trembling(model, i, t, bound) for t in model.types[i]} for i in (0, 1)))
 
 
 def conjoin(*props: TypeProperty) -> TypeProperty:
@@ -259,6 +269,8 @@ def _product_model(
     the opponent's (type, strategy) by the level's weight on that pair;
     R_i(w) is the union of the level supports.
     """
+    from .kripke import StandardKripkeModel
+
     worlds = []
     sigma: tuple[dict[str, str], dict[str, str]] = ({}, {})
     access: tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]] = ({}, {})
@@ -293,6 +305,8 @@ def kripke_from_lex_types(model: LexEpistemicModel) -> OrderedKripkeModel:
     merged; any remaining duplicate levels are rejected because the induced
     level sequence must be injective.
     """
+    from .ordered import OrderedKripkeModel
+
     game = model.game
     for i in (0, 1):
         for t in model.types[i]:
@@ -319,6 +333,8 @@ def kripke_from_lex_types(model: LexEpistemicModel) -> OrderedKripkeModel:
 
 def kripke_from_prob_types(model: ProbEpistemicModel) -> ProbKripkeModel:
     """Probabilistic Kripke model over (type pair, profile) worlds."""
+    from .kripke import ProbKripkeModel
+
     base, lam = _product_model(model.game, model.types, [
         {t: model.levels(i, t) for t in model.types[i]} for i in (0, 1)])
     return ProbKripkeModel(base, tuple({w: levels[0] for w, levels in per.items()}
@@ -336,6 +352,8 @@ def types_from_kripke(
     such partition.  The belief of a type totals the world-belief weight of
     each class on each strategy, so it is independent of the representative.
     """
+    from .kripke import per_belief
+
     worlds = model.worlds
     classes = [{w: 0 for w in worlds}, {w: 0 for w in worlds}]
     while True:

@@ -14,31 +14,10 @@ from typing import Callable, Iterable
 from .errors import InputError
 from .games import optimal_pure, other, point_mass
 from .kripke import EventSet, ProbKripkeModel, Violation, box, per_belief, rat
+# The core's caution check, under the name callers of this module know.
+from .kripke import check_caution as check_prob_caution
 
 TREMBLING_READINGS = ("belief", "pointwise")
-
-
-def check_prob_caution(model: ProbKripkeModel) -> list[Violation]:
-    """Every opponent strategy must get positive weight in every belief."""
-    out = []
-    for i in (0, 1):
-        j = other(i)
-        name = model.game.players[i]
-        strategy_of = model.sigma[j]
-        strategies = model.game.strategies[j]
-
-        def unweighted(dist) -> list[str]:
-            seen = {strategy_of[w1] for w1 in dist}
-            return [s_j for s_j in strategies if s_j not in seen]
-
-        missing = per_belief(model.worlds, model.p[i], unweighted)
-        for w in model.worlds:
-            for s_j in missing[w]:
-                out.append(Violation(
-                    "caution", i, (w, s_j),
-                    f"player {name}: belief at {w} gives no weight to a world "
-                    f"where the opponent plays {s_j!r}"))
-    return out
 
 
 def check_trembling(

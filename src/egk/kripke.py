@@ -1,15 +1,18 @@
 """Standard and probabilistic Kripke models of a game, with belief operators.
 
-Accessibility is expected to be KD45 (serial, transitive, Euclidean) and a
-player's own strategy constant on accessibility classes; ``validate_standard``
-and ``validate_prob`` report violations as data rather than raising, so a
-model checker can surface every defect at once.
+``FramedModel`` is the belief core of both model flavors: a probabilistic
+belief is the one-level case of an ordered one.  Accessibility is expected
+to be KD45 (serial, transitive, Euclidean) and a player's own strategy
+constant on accessibility classes; ``validate_standard`` and
+``validate_prob`` report violations as data rather than raising, so a model
+checker can surface every defect at once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 from .errors import InputError
@@ -79,7 +82,12 @@ class FramedModel(Frozen):
     """A model that carries beliefs over the standard frame ``base``.
 
     Forwards the frame's game, worlds, accessibility, strategy assignment
-    and event helpers, so every operator reads any model flavor alike.
+    and event helpers, so every operator reads any model flavor alike.  A
+    flavor adds one belief field after ``base`` and tells its beliefs apart
+    by data alone: how a stored belief reads as levels and back
+    (``_as_levels``, ``_from_levels``), its name in files and violation
+    kinds (``KIND``), the wording of its messages (``_TEXT``), and whether
+    beliefs must be constant on R_i classes (``_REQUIRE_CONSTANCY``).
     """
 
     __slots__ = ("base",)
@@ -110,28 +118,70 @@ class FramedModel(Frozen):
     def profile(self, w: str) -> tuple[str, str]:
         return self.base.profile(w)
 
+    def _cleaned(self, base: StandardKripkeModel, beliefs) -> tuple[dict, dict]:
+        """``beliefs`` checked against the frame, with exact weights and no zeros.
 
-class ProbKripkeModel(FramedModel):
-    __slots__ = ("p",)
-    p: tuple[Mapping[str, Mapping[str, Fraction]], Mapping[str, Mapping[str, Fraction]]]
-
-    def __init__(self, base, p) -> None:
+        Worlds that share a belief object keep sharing the cleaned one, so
+        each distinct belief is checked and converted once.
+        """
         wset = set(base.worlds)
         cleaned = []
         for i in (0, 1):
-            if set(p[i]) != wset:
-                raise InputError(f"belief map of player {base.game.players[i]!r} does not cover the worlds")
-            # Worlds that share a belief object keep sharing the cleaned one.
-            per = dict.fromkeys(p[i])
-            for dist, holders in belief_groups(p[i], p[i]):
-                bad = set(dist) - wset
-                if bad:
-                    raise InputError(f"belief at {holders[0]!r} weights unknown worlds {sorted(bad)}")
-                clean = exact_weights(dist)
+            if set(beliefs[i]) != wset:
+                raise InputError(self._TEXT["cover"].format(name=base.game.players[i]))
+            per = dict.fromkeys(beliefs[i])
+            for belief, holders in belief_groups(beliefs[i], beliefs[i]):
+                levels = self._as_levels(belief)
+                if not levels:
+                    raise InputError(self._TEXT["empty"].format(w=holders[0]))
+                fixed = []
+                for dist in levels:
+                    bad = set(dist) - wset
+                    if bad:
+                        raise InputError(
+                            self._TEXT["unknown"].format(w=holders[0], bad=sorted(bad)))
+                    fixed.append(exact_weights(dist))
+                clean = self._from_levels(fixed)
                 for w in holders:
                     per[w] = clean
             cleaned.append(per)
-        super().__init__(base, tuple(cleaned))
+        return tuple(cleaned)
+
+    def beliefs(self, i: int) -> Mapping:
+        """Player ``i``'s stored belief at each world: the flavor's own field."""
+        return getattr(self, self._fields[1])[i]
+
+    def levels(self, i: int, w: str) -> tuple[Mapping[str, Fraction], ...]:
+        """Player ``i``'s belief at ``w`` as levels, primary first."""
+        return self._as_levels(self.beliefs(i)[w])
+
+
+class ProbKripkeModel(FramedModel):
+    """``p[i][w]`` is one distribution, read as a single level."""
+
+    __slots__ = ("p",)
+    p: tuple[Mapping[str, Mapping[str, Fraction]], Mapping[str, Mapping[str, Fraction]]]
+    KIND = "p"
+    _REQUIRE_CONSTANCY = True
+    _TEXT = {
+        "cover": "belief map of player {name!r} does not cover the worlds",
+        "unknown": "belief at {w!r} weights unknown worlds {bad}",
+        "negative": "player {name}: negative weight {v} at {w} on {t}",
+        "sum": "player {name}: weights at {w} sum to {total}",
+        "support": "player {name}: positive weight on {t}, not accessible from {w}",
+        "constancy": "player {name}: belief at {w1} differs from belief at {w} "
+                     "although {w1} is accessible from {w}",
+        "caution": "player {name}: belief at {w} gives no weight to a world "
+                   "where the opponent plays {s!r}",
+    }
+    _from_levels = itemgetter(0)
+
+    @staticmethod
+    def _as_levels(dist: Mapping[str, Fraction]) -> tuple[Mapping[str, Fraction]]:
+        return (dist,)
+
+    def __init__(self, base, p) -> None:
+        super().__init__(base, self._cleaned(base, p))
 
 
 def belief_groups(worlds: Iterable[str], beliefs: Mapping[str, B]) -> list[tuple[B, list[str]]]:
@@ -161,11 +211,6 @@ def per_belief(worlds: Iterable[str], beliefs: Mapping[str, B], f: Callable[[B],
         for w in holders:
             out[w] = value
     return out
-
-
-def one_level(dist: Mapping[str, Fraction]) -> tuple[Mapping[str, Fraction]]:
-    """A probabilistic belief as a sequence of levels: the one-level case."""
-    return (dist,)
 
 
 def exact_weights(dist: Mapping[str, Fraction]) -> dict[str, Fraction]:
@@ -223,55 +268,110 @@ def validate_prob(model: ProbKripkeModel) -> list[Violation]:
     return validate_standard(model.base) + validate_beliefs(model)
 
 
-def validate_beliefs(model: ProbKripkeModel) -> list[Violation]:
-    """Measure constraints and constancy of p_i, without the frame's axioms."""
+def validate_beliefs(model: FramedModel) -> list[Violation]:
+    """Measure, support and injectivity of every belief level, without the frame's axioms.
+
+    Each distinct belief is measured once; support depends on the world's
+    own access set, so it stays per world.  A flavor whose beliefs must be
+    constant on R_i classes also gets those violations, after each player's
+    per-world checks.
+    """
+
+    def measure(belief):
+        levels = model._as_levels(belief)
+        weights = [(dist, [(t, v) for t, v in dist.items() if v.numerator < 0], weight_sum(dist))
+                   for dist in levels]
+        repeats = [(k + 1, k2 + 1) for k in range(len(levels)) for k2 in range(k + 1, len(levels))
+                   if levels[k] == levels[k2]]
+        return weights, repeats
+
     out = []
     for i in (0, 1):
-        name = model.game.players[i]
-        p = model.p[i]
-        measure = per_belief(model.worlds, p, lambda dist: (
-            [(t, v) for t, v in dist.items() if v.numerator < 0], weight_sum(dist)))
+        acc = model.access[i]
+        measured = per_belief(model.worlds, model.beliefs(i), measure)
         for w in model.worlds:
-            negative, total = measure[w]
-            for t, v in negative:
-                out.append(Violation(
-                    "p-negative", i, (w, t),
-                    f"player {name}: negative weight {v} at {w} on {t}"))
-            if total != 1:
-                out.append(Violation("p-sum", i, (w,), f"player {name}: weights at {w} sum to {total}"))
-            # Support depends on the world's own access set, so it stays per world.
-            extra = set(p[w]) - model.access[i][w]
-            for t in sorted(extra):
-                out.append(Violation(
-                    "p-support", i, (w, t),
-                    f"player {name}: positive weight on {t}, not accessible from {w}"))
-        belief_id = belief_ids(model.worlds, p, one_level)
-        for w in model.worlds:
-            for w1 in model.access[i][w]:
-                if belief_id[w1] != belief_id[w]:
-                    out.append(Violation(
-                        "p-constancy", i, (w, w1),
-                        f"player {name}: belief at {w1} differs from belief at {w} "
-                        f"although {w1} is accessible from {w}"))
+            weights, repeats = measured[w]
+            for k, (dist, negative, total) in enumerate(weights, 1):
+                for t, v in negative:
+                    out.append(_violation(model, "negative", i, (w, t), k=k, w=w, t=t, v=v))
+                if total != 1:
+                    out.append(_violation(model, "sum", i, (w,), k=k, w=w, total=total))
+                for t in sorted(set(dist) - acc[w]):
+                    out.append(_violation(model, "support", i, (w, t), k=k, w=w, t=t))
+            for k, k2 in repeats:
+                out.append(_violation(model, "injectivity", i, (w,), k=k, k2=k2, w=w))
+        if model._REQUIRE_CONSTANCY:
+            out += _constancy(model, i, belief_ids(model, i))
     return out
 
 
-def belief_ids(
-    worlds: Iterable[str],
-    beliefs: Mapping[str, B],
-    levels: Callable[[B], tuple[Mapping[str, Fraction], ...]],
-) -> dict[str, int]:
-    """Per world, an id that two worlds share exactly when their belief levels are equal.
+def _violation(
+    model: FramedModel, kind: str, i: int, where: tuple[str, ...], **fields
+) -> Violation:
+    """The flavor's ``kind`` violation, worded by its message table."""
+    detail = model._TEXT[kind].format(name=model.game.players[i], **fields)
+    return Violation(f"{model.KIND}-{kind}", i, where, detail)
 
-    ``levels(belief)`` is a belief as its sequence of levels.  Each level
-    becomes the canonical key sorted ``(world, numerator, denominator)``,
-    built once per distinct belief object, so constancy checks compare ids
-    instead of ``Fraction`` dicts.  Ids count up in order of first world.
+
+def _constancy(model: FramedModel, i: int, ids: Mapping[str, int]) -> list[Violation]:
+    return [_violation(model, "constancy", i, (w, w1), w=w, w1=w1)
+            for w in model.worlds for w1 in model.access[i][w] if ids[w1] != ids[w]]
+
+
+def check_constancy(
+    model: FramedModel, ids: tuple[dict[str, int], dict[str, int]] | None = None
+) -> list[Violation]:
+    """Constancy of each player's belief levels on accessibility classes.
+
+    ``validate_beliefs`` requires it of a probabilistic model.  An ordered
+    model's defining condition only ties levels to R_i supports, but the
+    type-extraction constructions assume it, so there it is checked
+    separately and callers decide.  ``ids`` are the model's ``level_ids``,
+    for a caller that already has them.
+    """
+    if ids is None:
+        ids = level_ids(model)
+    return _constancy(model, 0, ids[0]) + _constancy(model, 1, ids[1])
+
+
+def check_caution(model: FramedModel) -> list[Violation]:
+    """Every opponent strategy must get positive weight at some level, everywhere."""
+    out = []
+    for i in (0, 1):
+        j = other(i)
+        name = model.game.players[i]
+        strategy_of = model.sigma[j]
+        strategies = model.game.strategies[j]
+
+        def unweighted(belief) -> list[str]:
+            seen = {strategy_of[w1] for dist in model._as_levels(belief) for w1 in dist}
+            return [s_j for s_j in strategies if s_j not in seen]
+
+        missing = per_belief(model.worlds, model.beliefs(i), unweighted)
+        for w in model.worlds:
+            for s_j in missing[w]:
+                out.append(Violation(
+                    "caution", i, (w, s_j), model._TEXT["caution"].format(name=name, w=w, s=s_j)))
+    return out
+
+
+def belief_ids(model: FramedModel, i: int) -> dict[str, int]:
+    """Per world, an id that two worlds share exactly when player ``i``'s belief levels are equal.
+
+    Each level becomes the canonical key sorted ``(world, numerator,
+    denominator)``, built once per distinct belief object, so constancy
+    checks compare ids instead of ``Fraction`` dicts.  Ids count up in
+    order of first world.
     """
     ids: dict[tuple, int] = {}
-    return per_belief(worlds, beliefs, lambda belief: ids.setdefault(tuple(
+    return per_belief(model.worlds, model.beliefs(i), lambda belief: ids.setdefault(tuple(
         tuple(sorted((t, v.numerator, v.denominator) for t, v in dist.items()))
-        for dist in levels(belief)), len(ids)))
+        for dist in model._as_levels(belief)), len(ids)))
+
+
+def level_ids(model: FramedModel) -> tuple[dict[str, int], dict[str, int]]:
+    """Per player, ids that two worlds share exactly when their belief levels are equal."""
+    return belief_ids(model, 0), belief_ids(model, 1)
 
 
 def box(
@@ -307,21 +407,16 @@ def common_belief(model: StandardKripkeModel | FramedModel, event: Iterable[str]
 
 def rat(model: ProbKripkeModel) -> tuple[tuple[EventSet, EventSet], EventSet]:
     """Per-player rationality events and their intersection RAT."""
-    per = [best_reply_worlds(model, i, model.p[i], one_level) for i in (0, 1)]
+    per = [best_reply_worlds(model, i) for i in (0, 1)]
     return (per[0], per[1]), per[0] & per[1]
 
 
-def best_reply_worlds(
-    model, i: int, beliefs: Mapping[str, B], levels: Callable[[B], tuple]
-) -> EventSet:
-    """Worlds where player ``i``'s strategy is a lexicographic best reply.
+def best_reply_worlds(model: FramedModel, i: int) -> EventSet:
+    """Worlds where player ``i``'s strategy is a lexicographic best reply to their belief.
 
-    ``beliefs`` maps each world to player ``i``'s belief there, and
-    ``levels(belief)`` gives it as a sequence of weights over worlds (one
-    level for a probabilistic model).  The push-forward is taken once per
-    distinct belief object, and best replies are memoized on it, so worlds
-    with equal beliefs, such as the members of an R_i class, cost one
-    evaluation.
+    The push-forward of each level is taken once per distinct belief
+    object, and best replies are memoized on it, so worlds with equal
+    beliefs, such as the members of an R_i class, cost one evaluation.
     """
     game = model.game
     j = other(i)
@@ -329,13 +424,13 @@ def best_reply_worlds(
     memo: dict[tuple, frozenset[str]] = {}
 
     def best_replies(belief) -> frozenset[str]:
-        key = tuple(push_forward(game, j, dist, strategy_of) for dist in levels(belief))
+        key = tuple(push_forward(game, j, dist, strategy_of) for dist in model._as_levels(belief))
         best = memo.get(key)
         if best is None:
             best = memo[key] = lex_best_replies(game, i, key)
         return best
 
-    best_at = per_belief(model.worlds, beliefs, best_replies)
+    best_at = per_belief(model.worlds, model.beliefs(i), best_replies)
     own = model.sigma[i]
     return frozenset(w for w in model.worlds if own[w] in best_at[w])
 

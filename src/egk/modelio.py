@@ -207,8 +207,7 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
 
 
 def model_to_json(model: KripkeModel) -> dict:
-    from .kripke import ProbKripkeModel
-    from .ordered import OrderedKripkeModel
+    from .kripke import FramedModel, ProbKripkeModel
 
     game, worlds, access = model.game, model.worlds, model.access
     out: dict = {
@@ -223,21 +222,17 @@ def model_to_json(model: KripkeModel) -> dict:
             game.players[i]: {w: model.sigma[i][w] for w in worlds} for i in (0, 1)
         },
     }
-    if isinstance(model, ProbKripkeModel):
-        out["p"] = {
-            game.players[i]: {
-                w: {t: format_rational(v) for t, v in model.p[i][w].items()}
-                for w in worlds}
-            for i in (0, 1)
-        }
-    if isinstance(model, OrderedKripkeModel):
-        out["lambda"] = {
-            game.players[i]: {
-                w: [{t: format_rational(v) for t, v in level.items()}
-                    for level in model.lam[i][w]]
-                for w in worlds}
-            for i in (0, 1)
-        }
+    if isinstance(model, FramedModel):
+        single = isinstance(model, ProbKripkeModel)
+        beliefs: dict = {}
+        for i in (0, 1):
+            per = {}
+            for w in worlds:
+                levels = [{t: format_rational(v) for t, v in level.items()}
+                          for level in model.levels(i, w)]
+                per[w] = levels[0] if single else levels
+            beliefs[game.players[i]] = per
+        out[model.KIND] = beliefs
     return out
 
 

@@ -33,6 +33,14 @@ belief operators as separate per-world loops; the operators built on
 ``reference_build_member`` builds a family member world by world, one new
 belief per world; the member built once per distinct source belief must
 have exactly its weights.
+
+``ReferenceProbKripkeModel`` and ``ReferenceOrderedKripkeModel`` are the two
+Kripke-model constructors written out once per flavor, with
+``reference_validate_beliefs``, ``reference_validate_levels``,
+``reference_check_lambda_constancy``, ``reference_check_caution`` and
+``reference_check_prob_caution`` as separate checks over them; the models
+built on one belief core in :mod:`egk.kripke` must give exactly their
+errors, cleaned beliefs and violations, in order.
 """
 
 from __future__ import annotations
@@ -53,7 +61,15 @@ from egk.games import (
     lex_compare,
     other,
 )
-from egk.kripke import ProbKripkeModel
+from egk.kripke import (
+    ProbKripkeModel,
+    StandardKripkeModel,
+    Violation,
+    belief_groups,
+    exact_weights,
+    per_belief,
+    weight_sum,
+)
 from egk.ordered import OrderedKripkeModel
 from egk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
@@ -660,4 +676,229 @@ def reference_build_member(
             p[i][w] = dist
     out = ProbKripkeModel(model.base, (p[0], p[1]))
     _check_output(model, out, eps, lam_constant)
+    return out
+
+
+class _ReferenceFramed:
+    """The frame's fields, read through ``base`` as on the package's models."""
+
+    @property
+    def game(self) -> Game:
+        return self.base.game
+
+    @property
+    def worlds(self) -> tuple[str, ...]:
+        return self.base.worlds
+
+    @property
+    def access(self):
+        return self.base.access
+
+    @property
+    def sigma(self):
+        return self.base.sigma
+
+
+@dataclass(frozen=True)
+class ReferenceProbKripkeModel(_ReferenceFramed):
+    base: StandardKripkeModel
+    p: tuple[Mapping[str, Mapping[str, Fraction]], Mapping[str, Mapping[str, Fraction]]]
+
+    def __post_init__(self) -> None:
+        base, p = self.base, self.p
+        wset = set(base.worlds)
+        cleaned = []
+        for i in (0, 1):
+            if set(p[i]) != wset:
+                raise InputError(f"belief map of player {base.game.players[i]!r} does not cover the worlds")
+            # Worlds that share a belief object keep sharing the cleaned one.
+            per = dict.fromkeys(p[i])
+            for dist, holders in belief_groups(p[i], p[i]):
+                bad = set(dist) - wset
+                if bad:
+                    raise InputError(f"belief at {holders[0]!r} weights unknown worlds {sorted(bad)}")
+                clean = exact_weights(dist)
+                for w in holders:
+                    per[w] = clean
+            cleaned.append(per)
+        object.__setattr__(self, "p", tuple(cleaned))
+
+
+@dataclass(frozen=True)
+class ReferenceOrderedKripkeModel(_ReferenceFramed):
+    base: StandardKripkeModel
+    lam: tuple[Mapping[str, tuple], Mapping[str, tuple]]
+
+    def __post_init__(self) -> None:
+        base, lam = self.base, self.lam
+        wset = set(base.worlds)
+        cleaned = []
+        for i in (0, 1):
+            if set(lam[i]) != wset:
+                raise InputError(f"belief levels of player {base.game.players[i]!r} do not cover the worlds")
+            # Worlds that share a level sequence object keep sharing the cleaned one.
+            per = dict.fromkeys(lam[i])
+            for levels, holders in belief_groups(lam[i], lam[i]):
+                if not levels:
+                    raise InputError(f"world {holders[0]!r} has an empty level sequence")
+                fixed = []
+                for dist in levels:
+                    bad = set(dist) - wset
+                    if bad:
+                        raise InputError(f"level belief at {holders[0]!r} weights unknown worlds {sorted(bad)}")
+                    fixed.append(exact_weights(dist))
+                shared = tuple(fixed)
+                for w in holders:
+                    per[w] = shared
+            cleaned.append(per)
+        object.__setattr__(self, "lam", tuple(cleaned))
+
+
+def _reference_belief_ids(worlds, beliefs, levels) -> dict[str, int]:
+    ids: dict[tuple, int] = {}
+    return per_belief(worlds, beliefs, lambda belief: ids.setdefault(tuple(
+        tuple(sorted((t, v.numerator, v.denominator) for t, v in dist.items()))
+        for dist in levels(belief)), len(ids)))
+
+
+def _one_level(dist):
+    return (dist,)
+
+
+def _as_levels(levels):
+    return levels
+
+
+def reference_validate_beliefs(model) -> list[Violation]:
+    """Measure constraints and constancy of p_i, without the frame's axioms."""
+    out = []
+    for i in (0, 1):
+        name = model.game.players[i]
+        p = model.p[i]
+        measure = per_belief(model.worlds, p, lambda dist: (
+            [(t, v) for t, v in dist.items() if v.numerator < 0], weight_sum(dist)))
+        for w in model.worlds:
+            negative, total = measure[w]
+            for t, v in negative:
+                out.append(Violation(
+                    "p-negative", i, (w, t),
+                    f"player {name}: negative weight {v} at {w} on {t}"))
+            if total != 1:
+                out.append(Violation("p-sum", i, (w,), f"player {name}: weights at {w} sum to {total}"))
+            # Support depends on the world's own access set, so it stays per world.
+            extra = set(p[w]) - model.access[i][w]
+            for t in sorted(extra):
+                out.append(Violation(
+                    "p-support", i, (w, t),
+                    f"player {name}: positive weight on {t}, not accessible from {w}"))
+        belief_id = _reference_belief_ids(model.worlds, p, _one_level)
+        for w in model.worlds:
+            for w1 in model.access[i][w]:
+                if belief_id[w1] != belief_id[w]:
+                    out.append(Violation(
+                        "p-constancy", i, (w, w1),
+                        f"player {name}: belief at {w1} differs from belief at {w} "
+                        f"although {w1} is accessible from {w}"))
+    return out
+
+
+def reference_validate_levels(model) -> list[Violation]:
+    """Measure, support, and injectivity of the levels, without the frame's axioms."""
+    out = []
+    for i in (0, 1):
+        name = model.game.players[i]
+        for w in model.worlds:
+            levels = model.lam[i][w]
+            for k, dist in enumerate(levels):
+                for t, v in dist.items():
+                    if v.numerator < 0:
+                        out.append(Violation(
+                            "lambda-negative", i, (w, t),
+                            f"player {name}: level {k + 1} at {w} gives {t} the negative "
+                            f"weight {v}"))
+                total = weight_sum(dist)
+                if total != 1:
+                    out.append(Violation(
+                        "lambda-sum", i, (w,),
+                        f"player {name}: level {k + 1} at {w} sums to {total}"))
+                extra = set(dist) - model.access[i][w]
+                for t in sorted(extra):
+                    out.append(Violation(
+                        "lambda-support", i, (w, t),
+                        f"player {name}: level {k + 1} at {w} weights {t}, not accessible"))
+            for k in range(len(levels)):
+                for k2 in range(k + 1, len(levels)):
+                    if levels[k] == levels[k2]:
+                        out.append(Violation(
+                            "lambda-injectivity", i, (w,),
+                            f"player {name}: levels {k + 1} and {k2 + 1} at {w} are identical"))
+    return out
+
+
+def reference_level_ids(model) -> tuple[dict[str, int], dict[str, int]]:
+    """Per player, ids that two worlds share exactly when their level sequences are equal."""
+    return (_reference_belief_ids(model.worlds, model.lam[0], _as_levels),
+            _reference_belief_ids(model.worlds, model.lam[1], _as_levels))
+
+
+def reference_check_lambda_constancy(
+    model, ids: tuple[dict[str, int], dict[str, int]] | None = None
+) -> list[Violation]:
+    """Constancy of the level sequence on accessibility classes."""
+    if ids is None:
+        ids = reference_level_ids(model)
+    out = []
+    for i in (0, 1):
+        name = model.game.players[i]
+        levels_id = ids[i]
+        for w in model.worlds:
+            for w1 in model.access[i][w]:
+                if levels_id[w1] != levels_id[w]:
+                    out.append(Violation(
+                        "lambda-constancy", i, (w, w1),
+                        f"player {name}: levels at {w1} differ from levels at {w} "
+                        f"although {w1} is accessible from {w}"))
+    return out
+
+
+def reference_check_caution(model) -> list[Violation]:
+    """Every opponent strategy must get positive weight at some level, everywhere."""
+    out = []
+    for i in (0, 1):
+        j = other(i)
+        name = model.game.players[i]
+        for w in model.worlds:
+            seen = set()
+            for dist in model.lam[i][w]:
+                for w1 in dist:
+                    seen.add(model.sigma[j][w1])
+            for s_j in model.game.strategies[j]:
+                if s_j not in seen:
+                    out.append(Violation(
+                        "caution", i, (w, s_j),
+                        f"player {name}: no level at {w} gives positive weight to a world "
+                        f"where the opponent plays {s_j!r}"))
+    return out
+
+
+def reference_check_prob_caution(model) -> list[Violation]:
+    """Every opponent strategy must get positive weight in every belief."""
+    out = []
+    for i in (0, 1):
+        j = other(i)
+        name = model.game.players[i]
+        strategy_of = model.sigma[j]
+        strategies = model.game.strategies[j]
+
+        def unweighted(dist) -> list[str]:
+            seen = {strategy_of[w1] for w1 in dist}
+            return [s_j for s_j in strategies if s_j not in seen]
+
+        missing = per_belief(model.worlds, model.p[i], unweighted)
+        for w in model.worlds:
+            for s_j in missing[w]:
+                out.append(Violation(
+                    "caution", i, (w, s_j),
+                    f"player {name}: belief at {w} gives no weight to a world "
+                    f"where the opponent plays {s_j!r}"))
     return out

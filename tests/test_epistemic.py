@@ -25,6 +25,7 @@ from egk.epistemic import (
     type_caution,
     types_from_kripke,
 )
+from egk.epsilon import check_trembling
 from egk.errors import InputError
 from egk.fixtures import (
     myerson_game,
@@ -174,6 +175,22 @@ def test_eps_trembling_on_fixture():
     assert eps_trembling(model, 0, "t1", eps) is True
     assert eps_trembling(model, 0, "t1", eps / 2) is False
     assert eps_trembling(model, 1, "t2", eps) is True
+
+
+@pytest.mark.parametrize("eps", [F(0), F(1), F(2), F(-1)])
+def test_trembling_bound_outside_the_unit_interval_is_rejected(eps):
+    model = myerson_prob_types(F(1, 4))
+    message = f"trembling bound must lie in (0, 1), got {eps}"
+    for check in (lambda: eps_trembling(model, 0, "t1", eps),
+                  lambda: trembling_property(model, eps),
+                  lambda: eps_permissible(model, eps),
+                  lambda: check_trembling(myerson_prob_model(F(1, 4)), eps)):
+        with pytest.raises(InputError) as info:
+            check()
+        assert str(info.value) == message
+    # Primary belief in rationality is the bound-0 case and stays allowed.
+    assert primary_rationality_property(myerson_lex_types()).holds == ({"th1": True},
+                                                                      {"th2": True})
 
 
 def test_trembling_holds_when_only_optimal_pairs_weighted():

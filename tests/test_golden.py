@@ -15,6 +15,7 @@ a deliberate change of output, with ``PYTHONPATH=src python tests/test_golden.py
 from __future__ import annotations
 
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -166,6 +167,17 @@ def test_cli_output_matches_golden(name, tmp_path, capsys, monkeypatch):
         for member in expected:
             assert ((tmp_path / FAMILY / member).read_text()
                     == (GOLDEN / FAMILY / member).read_text())
+
+
+def test_fixture_generator_reproduces_fixtures(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-m", "egk.fixtures", str(tmp_path)],
+                   cwd=ROOT, env=env, capture_output=True, check=True)
+    expected = sorted(p.name for p in (ROOT / "fixtures").iterdir())
+    assert len(expected) == 5
+    assert sorted(os.listdir(tmp_path)) == expected
+    for name in expected:
+        assert (tmp_path / name).read_bytes() == (ROOT / "fixtures" / name).read_bytes(), name
 
 
 def _regenerate() -> None:

@@ -23,7 +23,7 @@ from egk.fixtures import (
     myerson_prob_types,
 )
 from egk.kripke import ProbKripkeModel, rat, validate_beliefs
-from egk.ordered import OrderedKripkeModel, level_ids, lrat, validate_levels
+from egk.ordered import OrderedKripkeModel, level_ids, lrat
 from generators import random_game, random_ordered_model
 
 
@@ -108,7 +108,7 @@ def test_loaded_worlds_with_equal_beliefs_share_one_object():
             assert len({id(alone.lam[0][w]) for w in model.worlds}) == len(model.worlds)
             assert lrat(alone) == lrat(model)
             assert level_ids(alone) == level_ids(model)
-            assert validate_levels(alone) == validate_levels(model)
+            assert validate_beliefs(alone) == validate_beliefs(model)
         else:
             assert rat(alone) == rat(model)
             assert validate_beliefs(alone) == validate_beliefs(model)
@@ -221,6 +221,16 @@ def test_cli_types_analyze(tmp_path, capsys):
     assert cli.main(["types", "analyze", prob_path, "--eps", "1/4"]) == 0
     out = capsys.readouterr().out
     assert "eps-permissible at 1/4 1: A" in out
+
+
+@pytest.mark.parametrize("eps", ["2", "1", "0", "-1"])
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_cli_types_analyze_rejects_a_trembling_bound_outside_the_unit_interval(eps, fmt, capsys):
+    code = cli.main(["types", "analyze", "fixtures/myerson_prob_types.json", "--eps", eps, *fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: trembling bound must lie in (0, 1), got {eps}\n"
 
 
 def test_cli_types_to_kripke_and_back(tmp_path, capsys):

@@ -1,0 +1,195 @@
+"""One belief core for both Kripke-model flavors, against the flavors written out apart.
+
+A probabilistic model is the one-level case of an ordered model, so both
+share one constructor, one validator and one caution, constancy and
+best-reply check.  Each must give exactly what the per-flavor code in
+``oracles`` gives, on models drawn wild enough to hit every message: errors
+and cleaned beliefs (with their sharing), violations in order, and the
+rationality events.
+"""
+
+import random
+from fractions import Fraction as F
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from egk.epsilon import check_prob_caution
+from egk.errors import InputError
+from egk.fixtures import myerson_game
+from egk.kripke import (
+    ProbKripkeModel,
+    StandardKripkeModel,
+    check_caution,
+    check_constancy,
+    rat,
+    validate_beliefs,
+    validate_prob,
+    validate_standard,
+)
+from egk.ordered import (
+    OrderedKripkeModel,
+    check_lambda_constancy,
+    level_ids,
+    lrat,
+    validate_ordered,
+)
+
+from generators import random_game
+from oracles import (
+    ReferenceOrderedKripkeModel,
+    ReferenceProbKripkeModel,
+    reference_check_caution,
+    reference_check_lambda_constancy,
+    reference_check_prob_caution,
+    reference_level_ids,
+    reference_lrat,
+    reference_rat,
+    reference_validate_beliefs,
+    reference_validate_levels,
+)
+
+GAMES = (myerson_game(), random_game(random.Random(3), 3, 3))
+
+
+def _odds(n: int):
+    """True about once in ``n`` draws (Hypothesis favors the ends of a range, so not 0)."""
+    return st.integers(0, n - 1).map(lambda k: k == n // 2)
+
+
+_SOMETIMES, _RARELY, _SELDOM = _odds(4), _odds(16), _odds(48)
+_WILD_WEIGHTS = st.sampled_from((F(1), F(1, 2), F(1, 3), F(3, 2), F(0), F(-1, 2), 1, 0))
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except InputError as exc:
+        return ("error", str(exc))
+
+
+@st.composite
+def _level(draw, pool):
+    """Weights over some of ``pool``: mostly a distribution, sometimes any weights."""
+    support = draw(st.lists(st.sampled_from(pool), min_size=0 if draw(_RARELY) else 1,
+                            max_size=4, unique=True))
+    if draw(_SELDOM):
+        support.append("zz")  # an unknown world
+    if draw(_SOMETIMES):
+        return {t: draw(_WILD_WEIGHTS) for t in support}
+    counts = [draw(st.integers(1, 3)) for _ in support]
+    return {t: F(n, sum(counts)) for t, n in zip(support, counts)}
+
+
+@st.composite
+def _belief(draw, lex, pool):
+    if not lex:
+        return draw(_level(pool))
+    levels = [draw(_level(pool)) for _ in range(0 if draw(_SELDOM) else draw(st.integers(1, 3)))]
+    if levels and draw(_RARELY):  # a repeated level: the same object or an equal copy
+        levels.append(levels[0] if draw(st.booleans()) else dict(levels[0]))
+    return levels if draw(st.booleans()) else tuple(levels)
+
+
+@st.composite
+def wild_models(draw):
+    """Constructor arguments of either flavor over a drawn frame.
+
+    Each player's worlds fall into classes that hold one belief object
+    each; some worlds take another class's object (one belief shared by
+    different access sets) or one of their own (a belief that varies
+    inside a class), and some belief maps miss a world or name an extra one.
+    """
+    lex = draw(st.booleans())
+    game = draw(st.sampled_from(GAMES))
+    worlds = tuple(f"w{n}" for n in range(1, draw(st.integers(1, 4)) + 1))
+    sigma = tuple({w: draw(st.sampled_from(game.strategies[i])) for w in worlds}
+                  for i in (0, 1))
+    access, beliefs = [], []
+    for _ in (0, 1):
+        cls = {w: draw(st.integers(0, 1)) for w in worlds}
+        members = {c: [w for w in worlds if cls[w] == c] for c in set(cls.values())}
+        access.append({w: frozenset(members[cls[w]]) for w in worlds})
+        held = {c: draw(_belief(lex, list(worlds) if draw(_SOMETIMES) else m))
+                for c, m in members.items()}
+        per = {}
+        for w in worlds:
+            per[w] = held[cls[w]]
+            if draw(_RARELY):
+                per[w] = held[draw(st.sampled_from(sorted(held)))]
+            elif draw(_RARELY):
+                per[w] = draw(_belief(lex, list(worlds)))
+        if draw(_RARELY):
+            if draw(st.booleans()):
+                del per[worlds[0]]
+            else:
+                per["zz"] = per[worlds[0]]
+        beliefs.append(per)
+    base = StandardKripkeModel(game, worlds, tuple(access), sigma)
+    return lex, base, tuple(beliefs)
+
+
+def _two_worlds(lex, beliefs):
+    """Player 1 tells w1 and w2 apart, player 2 does not; the profiles are (A, C) and (B, D)."""
+    both = {"w1", "w2"}
+    base = StandardKripkeModel(GAMES[0], ("w1", "w2"),
+                               ({"w1": {"w1"}, "w2": {"w2"}}, {"w1": both, "w2": both}),
+                               ({"w1": "A", "w2": "B"}, {"w1": "C", "w2": "D"}))
+    return lex, base, beliefs
+
+
+_W1 = {"w1": F(1)}
+_BOTH = {"w1": F(1, 2), "w2": F(1, 2)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(wild_models())
+# player 1's belief at w1 sums to 1/2, in each flavor
+@example(_two_worlds(False, ({"w1": {"w1": F(1, 2)}, "w2": {"w2": F(1)}},
+                             {"w1": _BOTH, "w2": _BOTH})))
+@example(_two_worlds(True, ({"w1": [{"w1": F(1, 2)}], "w2": [{"w2": F(1)}]},
+                                {"w1": [_BOTH], "w2": [_BOTH]})))
+# one belief object at w1 and w2, whose access sets differ: support fails at w2 only
+@example(_two_worlds(False, ({"w1": _W1, "w2": _W1}, {"w1": _BOTH, "w2": _BOTH})))
+# player 2's belief varies inside the class {w1, w2}
+@example(_two_worlds(False, ({"w1": _W1, "w2": {"w2": F(1)}}, {"w1": _BOTH, "w2": {"w1": F(1)}})))
+# player 2 sees the opponent's B only at level 2 of w1
+@example(_two_worlds(True, ({"w1": [_W1], "w2": [{"w2": F(1)}]},
+                                {"w1": [{"w1": F(1)}, {"w2": F(1)}], "w2": [_BOTH]})))
+def test_belief_core_matches_the_flavors_written_apart(case):
+    lex, base, beliefs = case
+    cls, ref_cls = ((OrderedKripkeModel, ReferenceOrderedKripkeModel) if lex
+                    else (ProbKripkeModel, ReferenceProbKripkeModel))
+    got, want = _outcome(cls, base, beliefs), _outcome(ref_cls, base, beliefs)
+    if "error" in (got[0], want[0]):
+        assert got == want
+        return
+    model, ref = got[1], want[1]
+    stored, ref_stored = (model.lam, ref.lam) if lex else (model.p, ref.p)
+    assert stored == ref_stored
+    for i in (0, 1):
+        for w in base.worlds:
+            assert model.levels(i, w) == (ref_stored[i][w] if lex else (ref_stored[i][w],))
+            for w2 in base.worlds:
+                assert (stored[i][w] is stored[i][w2]) == (ref_stored[i][w] is ref_stored[i][w2])
+    frame = validate_standard(base)
+    if lex:
+        violations = reference_validate_levels(ref)
+        assert validate_beliefs(model) == violations
+        assert validate_ordered(model) == frame + violations
+        assert level_ids(model) == reference_level_ids(ref)
+        assert check_lambda_constancy(model) == reference_check_lambda_constancy(ref)
+        assert check_caution(model) == reference_check_caution(ref)
+        assert _outcome(lrat, model) == _outcome(reference_lrat, ref)
+    else:
+        violations = reference_validate_beliefs(ref)
+        assert validate_beliefs(model) == violations
+        assert validate_prob(model) == frame + violations
+        assert check_constancy(model) == [v for v in violations if v.kind == "p-constancy"]
+        assert check_prob_caution(model) == reference_check_prob_caution(ref)
+        assert _outcome(rat, model) == _outcome(reference_rat, ref)
+
+
+def test_the_flavors_share_the_core_checks():
+    assert check_prob_caution is check_caution
+    assert check_lambda_constancy is check_constancy

@@ -48,3 +48,11 @@ def test_no_egk_module_imports_dataclasses():
     loaded = _loaded("\n".join(f"import egk.{name}" for name in modules))
     assert {f"egk.{name}" for name in modules} <= loaded
     assert "dataclasses" not in loaded
+
+
+def test_types_analyze_loads_no_kripke_model():
+    for name in ("myerson_lex_types", "myerson_prob_types"):
+        loaded = _loaded("from egk import cli\n"
+                         f"assert cli.main(['types', 'analyze', 'fixtures/{name}.json']) == 0")
+        assert "egk.epistemic" in loaded
+        assert not loaded & {"egk.kripke", "egk.ordered"}
