@@ -3,7 +3,10 @@
 Strict and weak dominance by mixed strategies are rational feasibility
 questions, decided by the exact simplex in :mod:`egk.lp`.  Dominator
 supports exclude the candidate strategy itself; this is without loss of
-generality and keeps the LPs small.
+generality and keeps the LPs small.  A strategy that is a best reply to a
+surviving pure opponent strategy (the unique one, for weak dominance) is
+undominated, and is certified so by integer comparisons on the game's
+compiled payoff rows, without an LP.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .frozen import Frozen
-from .games import Game, MixedStrategy, other
+from .games import Game, MixedStrategy, _compiled, other
 from .lp import OPTIMAL, maximize
 
 
@@ -58,6 +61,25 @@ def _payoff(game: Game, i: int, s_i: str, s_j: str) -> Fraction:
     return game.payoff(i, s_i, s_j) if i == 0 else game.payoff(i, s_j, s_i)
 
 
+def _pure_best_reply(game: Game, r: Restriction, i: int, s_i: str, unique: bool) -> bool:
+    """Whether ``s_i`` is a best reply within ``r`` to a surviving pure opponent strategy ``o``.
+
+    With ``unique``, every other strategy of ``r.sets[i]`` must do strictly
+    worse at ``o``.  A best reply at ``o`` is not strictly dominated within
+    ``r``: no mixture of the others earns more there.  A unique one is not
+    weakly dominated either: every mixture of the others earns less there.
+    """
+    rows, index = _compiled(game)
+    own = rows[i][s_i]
+    rivals = [rows[i][t] for t in r.sets[i] if t != s_i]
+    for o in r.sets[other(i)]:
+        k = index[other(i)][o]
+        best = max(row[k] for row in rivals)
+        if best < own[k] or (not unique and best == own[k]):
+            return True
+    return False
+
+
 def strictly_dominated(
     game: Game, r: Restriction, i: int, s_i: str
 ) -> MixedStrategy | None:
@@ -71,7 +93,7 @@ def strictly_dominated(
         raise InputError(f"strategy {s_i!r} is not in the restriction for player {game.players[i]!r}")
     cands = [t for t in r.sets[i] if t != s_i]
     opps = r.sets[other(i)]
-    if not cands:
+    if not cands or _pure_best_reply(game, r, i, s_i, unique=False):
         return None
     k = len(cands)
     # Variables: dominator weights, then the free margin split as d+ - d-.
@@ -102,7 +124,7 @@ def weakly_dominated(
         raise InputError(f"strategy {s_i!r} is not in the restriction for player {game.players[i]!r}")
     cands = [t for t in r.sets[i] if t != s_i]
     opps = r.sets[other(i)]
-    if not cands:
+    if not cands or _pure_best_reply(game, r, i, s_i, unique=True):
         return None
     k = len(cands)
     nm = len(opps)

@@ -38,7 +38,13 @@ class Violation(NamedTuple):
 
 
 class StandardKripkeModel(Frozen):
-    __slots__ = ("game", "worlds", "access", "sigma")
+    """A Kripke frame over ``game``: worlds, accessibility per player and strategy per world.
+
+    ``_violations`` holds the frame's :func:`validate_standard` result once it
+    is found.
+    """
+
+    __slots__ = ("game", "worlds", "access", "sigma", "_violations")
     game: Game
     worlds: tuple[str, ...]
     access: tuple[Mapping[str, frozenset[str]], Mapping[str, frozenset[str]]]
@@ -231,7 +237,18 @@ def weight_sum(dist: Mapping[str, Fraction]) -> Fraction:
 
 
 def validate_standard(model: StandardKripkeModel) -> list[Violation]:
-    """KD45 axioms plus constancy of a player's own strategy on R_i classes."""
+    """KD45 axioms plus constancy of a player's own strategy on R_i classes.
+
+    Found once per frame and kept on it; every call returns a fresh list.
+    """
+    found = getattr(model, "_violations", None)
+    if found is None:
+        found = tuple(_frame_violations(model))
+        object.__setattr__(model, "_violations", found)
+    return list(found)
+
+
+def _frame_violations(model: StandardKripkeModel) -> list[Violation]:
     out = []
     for i in (0, 1):
         name = model.game.players[i]

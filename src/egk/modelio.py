@@ -104,20 +104,29 @@ def game_from_json(data: Mapping, where: str = "game") -> Game:
     strategies = tuple(
         tuple(_labels(strategies[i], f"{where}.strategies[{i}]", "strategy labels"))
         for i in (0, 1))
-    payoffs = {}
+    # A cell key joins the profile's labels with a comma, so labels that
+    # contain commas can make two profiles read one cell.
+    profiles: dict[str, tuple[str, str]] = {}
     for s1 in strategies[0]:
         for s2 in strategies[1]:
             key = f"{s1},{s2}"
-            if key not in payoffs_raw:
-                raise FormatError(f"{where}.payoffs: missing cell {key!r}")
-            cell = _list(payoffs_raw[key], f"{where}.payoffs.{key}", "two payoffs")
-            if len(cell) != 2:
-                raise FormatError(f"{where}.payoffs.{key}: expected two payoffs")
-            payoffs[(s1, s2)] = (
-                parse_rational(cell[0], f"{where}.payoffs.{key}[0]"),
-                parse_rational(cell[1], f"{where}.payoffs.{key}[1]"),
-            )
-    extra = set(payoffs_raw) - {f"{a},{b}" for a in strategies[0] for b in strategies[1]}
+            if key in profiles:
+                raise FormatError(
+                    f"{where}.payoffs: cell key {key!r} names two profiles, "
+                    f"{profiles[key]!r} and {(s1, s2)!r}")
+            profiles[key] = (s1, s2)
+    payoffs = {}
+    for key, profile in profiles.items():
+        if key not in payoffs_raw:
+            raise FormatError(f"{where}.payoffs: missing cell {key!r}")
+        cell = _list(payoffs_raw[key], f"{where}.payoffs.{key}", "two payoffs")
+        if len(cell) != 2:
+            raise FormatError(f"{where}.payoffs.{key}: expected two payoffs")
+        payoffs[profile] = (
+            parse_rational(cell[0], f"{where}.payoffs.{key}[0]"),
+            parse_rational(cell[1], f"{where}.payoffs.{key}[1]"),
+        )
+    extra = set(payoffs_raw) - set(profiles)
     if extra:
         raise FormatError(f"{where}.payoffs: unknown cell {sorted(extra)[0]!r}")
     return _construct(where, Game, (players[0], players[1]), strategies, payoffs)

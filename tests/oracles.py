@@ -9,6 +9,12 @@ complete decision procedure, so the oracle is exact, not just a sampler.
 ``reference_maximize`` is the plain ``Fraction``-tableau simplex with Bland's
 rule; the fraction-free :func:`egk.lp.maximize` must return exactly its results.
 
+``reference_strictly_dominated`` and ``reference_weakly_dominated`` decide
+every dominance test by its LP, with no pure best-reply screen, and
+``reference_elimination`` runs DF or IESDS rounds on them; the screened tests
+in :mod:`egk.dominance` must give exactly their dominators, rounds and
+survivors.
+
 ``reference_rat``, ``reference_lrat`` and ``reference_optimal_strategies`` are
 the per-candidate ``Fraction`` best-reply routines that rebuild a
 ``MixedStrategy`` for every candidate strategy (``lex_utility_vector`` is
@@ -51,6 +57,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from egk.convergence import _check_output, _level_masses
+from egk.dominance import Elimination, EliminationRound, Restriction
 from egk.epistemic import LexEpistemicModel, Pair
 from egk.errors import InputError
 from egk.games import (
@@ -71,7 +78,7 @@ from egk.kripke import (
     weight_sum,
 )
 from egk.ordered import OrderedKripkeModel
-from egk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
+from egk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, maximize
 
 GRID_DENOMINATOR = 24
 
@@ -218,6 +225,93 @@ def verify_justifier(game, r, i, s_i, mix) -> bool:
 
     target = eu(s_i)
     return all(target >= eu(s) for s in r.sets[i])
+
+
+def reference_strictly_dominated(
+    game: Game, r: Restriction, i: int, s_i: str
+) -> MixedStrategy | None:
+    """A mixture strictly dominating ``s_i`` within ``r``, or None.
+
+    Maximizes the minimum margin over the opponent's restricted strategies;
+    ``s_i`` is dominated iff the optimum is positive.
+    """
+    r.check(game)
+    if s_i not in r.sets[i]:
+        raise InputError(f"strategy {s_i!r} is not in the restriction for player {game.players[i]!r}")
+    cands = [t for t in r.sets[i] if t != s_i]
+    opps = r.sets[other(i)]
+    if not cands:
+        return None
+    k = len(cands)
+    # Variables: dominator weights, then the free margin split as d+ - d-.
+    c = [Fraction(0)] * k + [Fraction(1), Fraction(-1)]
+    a_ub, b_ub = [], []
+    for o in opps:
+        row = [-payoff(game, i, t, o) for t in cands] + [Fraction(1), Fraction(-1)]
+        a_ub.append(row)
+        b_ub.append(-payoff(game, i, s_i, o))
+    a_eq = [[Fraction(1)] * k + [Fraction(0), Fraction(0)]]
+    b_eq = [Fraction(1)]
+    res = maximize(c, a_ub, b_ub, a_eq, b_eq)
+    if res.status != OPTIMAL or res.value <= 0:
+        return None
+    return MixedStrategy(i, {t: w for t, w in zip(cands, res.x) if w > 0})
+
+
+def reference_weakly_dominated(
+    game: Game, r: Restriction, i: int, s_i: str
+) -> MixedStrategy | None:
+    """A mixture weakly dominating ``s_i`` within ``r``, or None.
+
+    Maximizes total slack subject to componentwise >=; weakly dominated iff
+    the optimum is positive.
+    """
+    r.check(game)
+    if s_i not in r.sets[i]:
+        raise InputError(f"strategy {s_i!r} is not in the restriction for player {game.players[i]!r}")
+    cands = [t for t in r.sets[i] if t != s_i]
+    opps = r.sets[other(i)]
+    if not cands:
+        return None
+    k = len(cands)
+    nm = len(opps)
+    # Variables: dominator weights, then one nonnegative margin per opponent strategy.
+    c = [Fraction(0)] * k + [Fraction(1)] * nm
+    a_eq, b_eq = [], []
+    for idx, o in enumerate(opps):
+        row = [payoff(game, i, t, o) for t in cands] + [Fraction(0)] * nm
+        row[k + idx] = Fraction(-1)
+        a_eq.append(row)
+        b_eq.append(payoff(game, i, s_i, o))
+    a_eq.append([Fraction(1)] * k + [Fraction(0)] * nm)
+    b_eq.append(Fraction(1))
+    res = maximize(c, a_eq=a_eq, b_eq=b_eq)
+    if res.status != OPTIMAL or res.value <= 0:
+        return None
+    return MixedStrategy(i, {t: w for t, w in zip(cands, res.x) if w > 0})
+
+
+def reference_elimination(
+    game: Game, procedure: str
+) -> tuple[Restriction, tuple[EliminationRound, ...]]:
+    """``"df"`` (one weak round, then strict rounds) or ``"iesds"`` on the LP-only tests."""
+    r = Restriction.full(game)
+    rounds = []
+    phases = ["weak"] if procedure == "df" else []
+    while True:
+        phase = phases.pop() if phases else "strict"
+        test = reference_weakly_dominated if phase == "weak" else reference_strictly_dominated
+        elims = []
+        for i in (0, 1):
+            for s in r.sets[i]:
+                dom = test(game, r, i, s)
+                if dom is not None:
+                    elims.append(Elimination(i, s, dom))
+        if elims:
+            rounds.append(EliminationRound(phase, tuple(elims)))
+            r = r.remove({i: {e.strategy for e in elims if e.player == i} for i in (0, 1)})
+        elif phase == "strict":
+            return r, tuple(rounds)
 
 
 def reference_maximize(

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from egk import dominance
 from egk.dominance import (
     Restriction,
     dekel_fudenberg,
@@ -19,6 +22,9 @@ from generators import random_game
 from oracles import (
     oracle_strictly_dominated,
     oracle_weakly_dominated,
+    reference_elimination,
+    reference_strictly_dominated,
+    reference_weakly_dominated,
     verify_dominator,
     verify_justifier,
 )
@@ -207,3 +213,119 @@ def test_trace_dominators_verify():
                     strict=rnd.phase == "strict")
             r = r.remove({0: {e.strategy for e in rnd.eliminations if e.player == 0},
                           1: {e.strategy for e in rnd.eliminations if e.player == 1}})
+
+
+# ---------------------------------------------------------------------------
+# The pure best-reply screen: same answers as the LP-only tests, fewer LPs.
+
+_BINARY = (F(0), F(1))
+_WIDE = (F(-2), F(-1), F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(7, 3), F(3))
+
+
+@st.composite
+def _games_with_restrictions(draw):
+    """A game of 1-6 x 1-6 strategies, and a random non-empty sub-restriction."""
+    values = draw(st.sampled_from((_BINARY, _WIDE)))
+    rows = tuple(f"r{k}" for k in range(draw(st.integers(1, 6))))
+    cols = tuple(f"c{k}" for k in range(draw(st.integers(1, 6))))
+    payoffs = {(a, b): (draw(st.sampled_from(values)), draw(st.sampled_from(values)))
+               for a in rows for b in cols}
+    sub = tuple(tuple(draw(st.lists(st.sampled_from(labels), min_size=1, unique=True)))
+                for labels in (rows, cols))
+    return Game(("1", "2"), (rows, cols), payoffs), Restriction(sub)
+
+
+def _along(r, rounds):
+    """``r`` and every restriction its elimination rounds reach."""
+    yield r
+    for rnd in rounds:
+        r = r.remove({i: {e.strategy for e in rnd.eliminations if e.player == i}
+                      for i in (0, 1)})
+        yield r
+
+
+@settings(max_examples=120, deadline=None)
+@given(_games_with_restrictions())
+# A tied best reply can be weakly dominated: (1, 1) beats (1, 0) weakly.
+@example((_game(("A", "B"), ("C", "D"), [[(1, 0), (1, 0)], [(1, 0), (0, 0)]]),
+          Restriction((("A", "B"), ("C", "D")))))
+# B is the unique best reply to D only, which the restriction removes.
+@example((_game(("A", "B"), ("C", "D"), [[(1, 0), (0, 0)], [(0, 0), (1, 0)]]),
+          Restriction((("A", "B"), ("C",)))))
+def test_screened_tests_match_the_lp_only_references(case):
+    game, sub = case
+    df = dekel_fudenberg(game)
+    ie = iesds(game)
+    assert df == reference_elimination(game, "df")
+    assert ie == reference_elimination(game, "iesds")
+    full = Restriction.full(game)
+    restrictions = {sub, *_along(full, df[1]), *_along(full, ie[1])}
+    for r in restrictions:
+        for i in (0, 1):
+            for s in r.sets[i]:
+                assert strictly_dominated(game, r, i, s) == \
+                    reference_strictly_dominated(game, r, i, s)
+                assert weakly_dominated(game, r, i, s) == \
+                    reference_weakly_dominated(game, r, i, s)
+
+
+def _travelers_dilemma(claims: int, reward: int = 2) -> Game:
+    labels = tuple(f"c{v}" for v in range(2, claims + 2))
+
+    def u(x: int, y: int) -> int:
+        return x if x == y else (x + reward if x < y else y - reward)
+
+    payoffs = {(a, b): (F(u(int(a[1:]), int(b[1:]))), F(u(int(b[1:]), int(a[1:]))))
+               for a in labels for b in labels}
+    return Game(("1", "2"), (labels, labels), payoffs)
+
+
+def _planted_game(n: int) -> Game:
+    """Each strategy the unique best reply to the opponent's strategy of the same index."""
+    rows = tuple(f"r{k}" for k in range(n))
+    cols = tuple(f"c{k}" for k in range(n))
+    payoffs = {(a, b): (F(n if a[1:] == b[1:] else (3 * int(a[1:]) + int(b[1:])) % n),
+                        F(n if a[1:] == b[1:] else (int(a[1:]) + 2 * int(b[1:])) % n))
+               for a in rows for b in cols}
+    return Game(("1", "2"), (rows, cols), payoffs)
+
+
+def _count_lps(monkeypatch) -> list:
+    """Patch the dominance tests' LP solver to log one entry per call."""
+    calls = []
+    solve = dominance.maximize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dominance, "maximize", counting)
+    return calls
+
+
+@pytest.mark.parametrize("build,eliminations", [
+    # Two procedures, each 7 rounds that remove one claim per player.
+    (lambda: _travelers_dilemma(8), 2 * 7 * 2),
+    (lambda: _planted_game(6), 0),
+], ids=["travelers-dilemma", "planted"])
+def test_only_eliminations_run_an_lp(build, eliminations, monkeypatch):
+    calls = _count_lps(monkeypatch)
+    game = build()
+    found = 0
+    for procedure in (dekel_fudenberg, iesds):
+        _, rounds = procedure(game)
+        found += sum(len(rnd.eliminations) for rnd in rounds)
+    assert found == eliminations
+    assert len(calls) == eliminations
+
+
+def test_a_best_reply_within_the_restriction_runs_no_lp(monkeypatch):
+    # C beats A and B everywhere, but the restriction leaves C out.
+    game = _game(("A", "B", "C"), ("X", "Y"),
+                 [[(1, 0), (0, 0)], [(0, 0), (1, 0)], [(2, 0), (2, 0)]])
+    r = Restriction((("A", "B"), ("X", "Y")))
+    calls = _count_lps(monkeypatch)
+    for s in ("A", "B"):
+        assert strictly_dominated(game, r, 0, s) is None
+        assert weakly_dominated(game, r, 0, s) is None
+    assert calls == []

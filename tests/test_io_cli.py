@@ -604,6 +604,42 @@ def test_player_names_must_be_distinct(flag, tmp_path, capsys):
         modelio.game_from_json(game)
 
 
+def _comma_game(rows, cols):
+    """A game document over labels that may contain commas; every payoff is 0."""
+    return {"players": ["1", "2"], "strategies": [rows, cols],
+            "payoffs": {f"{a},{b}": ["0", "0"] for a in rows for b in cols}}
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("embedded", [False, True], ids=["game", "model"])
+def test_two_profiles_with_one_cell_key_exit_2(embedded, flag, tmp_path, capsys):
+    # (a,b | x) and (a | b,x) both read the cell "a,b,x".
+    game = _comma_game(["a,b", "a"], ["x", "b,x"])
+    if embedded:
+        doc = {"game": game, "worlds": ["w"], "access": {"1": {"w": ["w"]}, "2": {"w": ["w"]}},
+               "sigma": {"1": {"w": "a"}, "2": {"w": "x"}}}
+        argv, where = ["model", "check"], "game.payoffs"
+    else:
+        doc, argv, where = game, ["game", "analyze"], "payoffs"
+    path = write(tmp_path, "input.json", doc)
+    assert cli.main([*argv, path, *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}.{where}: cell key 'a,b,x' names two profiles, "
+                            f"('a,b', 'x') and ('a', 'b,x')\n")
+
+
+def test_labels_with_commas_load_when_every_cell_key_is_distinct(tmp_path, capsys):
+    data = _comma_game(["a,b", "c"], ["x", "y,z"])
+    data["payoffs"]["a,b,y,z"] = ["1", "1"]
+    game = modelio.game_from_json(data)
+    assert game.payoff(0, "a,b", "y,z") == 1
+    assert game.payoff(0, "c", "y,z") == 0
+    assert modelio.game_to_json(game) == data
+    assert cli.main(["game", "analyze", write(tmp_path, "game.json", data)]) == 0
+    assert "survivors 1: a,b" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # Loader fuzzing: one node of a fixture document replaced by a pool value.
 

@@ -27,7 +27,13 @@ from egk.fixtures import (
     myerson_prob_types,
 )
 from egk.games import Game, MixedStrategy, optimal_pure, point_mass
-from egk.kripke import FramedModel, IesdsInclusionReport, StandardKripkeModel, Violation
+from egk.kripke import (
+    FramedModel,
+    IesdsInclusionReport,
+    StandardKripkeModel,
+    Violation,
+    validate_standard,
+)
 from egk.lp import LPResult
 from egk.ordered import StructuralReport
 from generators import random_ordered_model
@@ -137,3 +143,35 @@ def test_equal_games_stay_equal_after_one_is_compiled():
     assert game == again
     assert repr(game) == repr(again)
     assert game._fields == ("players", "strategies", "payoffs")
+
+
+def _hash_or_error(record):
+    try:
+        return hash(record)
+    except TypeError as error:
+        return type(error)
+
+
+def test_equal_frames_stay_equal_after_one_is_validated():
+    frame, again = _one_world("A"), _one_world("A")
+    found = validate_standard(frame)
+    assert found == [] and frame._violations == ()
+    assert getattr(again, "_violations", None) is None
+    assert frame._fields == ("game", "worlds", "access", "sigma")
+    for copied in (frame, copy.copy(frame), copy.deepcopy(frame),
+                   pickle.loads(pickle.dumps(frame))):
+        assert copied == again
+        assert _hash_or_error(copied) == _hash_or_error(again)
+        assert repr(copied) == repr(again)
+
+
+def test_validated_frame_returns_a_fresh_list_each_call():
+    game = myerson_game()
+    frame = StandardKripkeModel(game, ("w",), ({"w": set()}, {"w": {"w"}}),
+                                ({"w": "A"}, {"w": "C"}))
+    first = validate_standard(frame)
+    assert [v.kind for v in first] == ["seriality"]
+    first.clear()
+    assert validate_standard(frame) == validate_standard(StandardKripkeModel(
+        game, ("w",), ({"w": set()}, {"w": {"w"}}), ({"w": "A"}, {"w": "C"})))
+    assert len(validate_standard(frame)) == 1
