@@ -120,23 +120,17 @@ def build_epsilon_model(
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     _check_scheme(scheme)
     _require_hypotheses(model)
-    ids = level_ids(model)
-    return _build_member(model, eps, scheme, not check_constancy(model, ids), ids)
+    return _build_member(model, eps, scheme)
 
 
-def _build_member(
-    model: OrderedKripkeModel,
-    eps: Fraction,
-    scheme: str,
-    lam_constant: bool,
-    ids: tuple[dict[str, int], dict[str, int]],
-) -> ProbKripkeModel:
+def _build_member(model: OrderedKripkeModel, eps: Fraction, scheme: str) -> ProbKripkeModel:
     """Build and check one family member; the source-only checks are the caller's.
 
-    ``ids`` are the source's ``level_ids``: worlds with equal levels get
-    one belief, built once and shared, so every reader of the member
-    evaluates it once.
+    Worlds with equal levels in the source (its ``level_ids``) get one
+    belief, built once and shared, so every reader of the member evaluates
+    it once.
     """
+    ids = level_ids(model)
     p: list[dict[str, dict[str, Fraction]]] = [{}, {}]
     for i in (0, 1):
         built: dict[int, dict[str, Fraction]] = {}
@@ -146,7 +140,7 @@ def _build_member(
                 dist = built[ids[i][w]] = _member_belief(model.lam[i][w], eps, scheme)
             p[i][w] = dist
     out = ProbKripkeModel(model.base, (p[0], p[1]))
-    _check_output(model, out, eps, lam_constant)
+    _check_output(model, out, eps, not check_constancy(model))
     return out
 
 
@@ -241,13 +235,11 @@ def verify_convergence(
     """
     _check_scheme(scheme)
     _require_hypotheses(model)
-    ids = level_ids(model)
-    lam_constant = not check_constancy(model, ids)
     eps_values = schedule.values()
     rows = []
     events = []
     for n, eps in enumerate(eps_values):
-        built = _build_member(model, eps, scheme, lam_constant, ids)
+        built = _build_member(model, eps, scheme)
         if on_member is not None:
             on_member(n, built)
         _, rat_event = rat(built)

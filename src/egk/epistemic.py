@@ -370,48 +370,32 @@ def types_from_kripke(
                 return sig_ids.setdefault(tuple(sorted(agg.items())), len(sig_ids))
 
             sig = per_belief(worlds, model.p[i], signature)
-            sigs = {w: (classes[i][w], sig[w]) for w in worlds}
-            relabel: dict[tuple, int] = {}
-            new = {}
-            for w in worlds:  # first occurrence fixes the class id
-                new[w] = relabel.setdefault(sigs[w], len(relabel))
+            relabel: dict[tuple, int] = {}  # first occurrence fixes the class id
+            new = {w: relabel.setdefault((classes[i][w], sig[w]), len(relabel)) for w in worlds}
             if new != classes[i]:
                 classes[i] = new
                 changed = True
         if not changed:
             break
 
-    labels = []
-    reps = []
-    for i in (0, 1):
-        ordered_ids = []
-        rep = {}
-        for w in worlds:
-            cid = classes[i][w]
-            if cid not in rep:
-                rep[cid] = w
-                ordered_ids.append(cid)
-        labels.append({cid: f"t{i + 1}_{k + 1}" for k, cid in enumerate(ordered_ids)})
-        reps.append(rep)
-
-    # Types in first-occurrence order of their representative world.
-    types = tuple(
-        tuple(labels[i][classes[i][w]] for w in worlds
-              if reps[i][classes[i][w]] == w)
-        for i in (0, 1)
-    )
+    # Class ids count up in order of first world, so they number the types.
+    labels = [tuple(f"t{i + 1}_{cid + 1}" for cid in range(len(set(classes[i].values()))))
+              for i in (0, 1)]
     beliefs = []
     for i in (0, 1):
         j = other(i)
         per = {}
-        for cid, w in reps[i].items():
+        for w in worlds:
+            label = labels[i][classes[i][w]]
+            if label in per:  # the first world of a class stands for it
+                continue
             dist: dict[Pair, Fraction] = {}
             for w1, v in model.p[i][w].items():
                 pair = (model.sigma[j][w1], labels[j][classes[j][w1]])
                 dist[pair] = dist.get(pair, Fraction(0)) + v
-            per[labels[i][cid]] = dist
+            per[label] = dist
         beliefs.append(per)
-    tmodel = ProbEpistemicModel(model.game, types, (beliefs[0], beliefs[1]))
+    tmodel = ProbEpistemicModel(model.game, (labels[0], labels[1]), (beliefs[0], beliefs[1]))
     world_types = {
         w: (labels[0][classes[0][w]], labels[1][classes[1][w]]) for w in worlds}
     return tmodel, world_types

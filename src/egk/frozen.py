@@ -1,11 +1,11 @@
 """One small immutable base for the package's validated value classes.
 
 A subclass lists its fields in ``__slots__``; a slot whose name starts with
-``_`` is a private cache, outside equality.  Its constructor checks the
-arguments and hands the field values, in slot order, to
-``Frozen.__init__``.  Instances compare, hash and print field by field, and
-any later assignment raises ``AttributeError``; copies and pickles are
-rebuilt through the constructor.
+``_`` is private and holds a memo (:meth:`Frozen._memo`), outside equality.
+Its constructor checks the arguments and hands the field values, in slot
+order, to ``Frozen.__init__``.  Instances compare, hash and print field by
+field, and any later assignment raises ``AttributeError``; copies and
+pickles are rebuilt through the constructor, so they start without memos.
 """
 
 from __future__ import annotations
@@ -23,6 +23,12 @@ class Frozen:
     def __init__(self, *values) -> None:
         for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
+
+    def _memo(self, slot: str, compute):
+        """``compute(self)``, found on first use and kept in the private ``slot``."""
+        if not hasattr(self, slot):
+            object.__setattr__(self, slot, compute(self))
+        return getattr(self, slot)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -101,13 +101,6 @@ def point_mass(owner: int, s: str) -> MixedStrategy:
     return MixedStrategy(owner, {s: Fraction(1)})
 
 
-def uniform(owner: int, labels: Sequence[str]) -> MixedStrategy:
-    n = len(labels)
-    if n == 0:
-        raise InputError("uniform mixture over an empty strategy list")
-    return MixedStrategy(owner, {s: Fraction(1, n) for s in labels})
-
-
 def expected_utility(game: Game, i: int, s_i: str, mix_j: MixedStrategy) -> Fraction:
     """Expected payoff of ``s_i`` against the opponent mixture ``mix_j``."""
     game.check_strategy(i, s_i)
@@ -187,22 +180,22 @@ def _compiled(game: Game) -> tuple[tuple[dict, dict], tuple[dict, dict]]:
     strategies (file order) as integers over one common denominator, and a
     label -> position index of the player's strategies.
     """
-    compiled = getattr(game, "_compiled", None)
-    if compiled is None:
-        rows = []
-        for i in (0, 1):
-            values = {
-                s_i: [Fraction(game.payoff(i, *((s_i, s_j) if i == 0 else (s_j, s_i))))
-                      for s_j in game.strategies[1 - i]]
-                for s_i in game.strategies[i]
-            }
-            den = math.lcm(*(v.denominator for row in values.values() for v in row))
-            rows.append({s: tuple(v.numerator * (den // v.denominator) for v in row)
-                         for s, row in values.items()})
-        index = tuple({s: k for k, s in enumerate(game.strategies[i])} for i in (0, 1))
-        compiled = (tuple(rows), index)
-        object.__setattr__(game, "_compiled", compiled)
-    return compiled
+    return game._memo("_compiled", _compile)
+
+
+def _compile(game: Game) -> tuple[tuple[dict, dict], tuple[dict, dict]]:
+    rows = []
+    for i in (0, 1):
+        values = {
+            s_i: [Fraction(game.payoff(i, *((s_i, s_j) if i == 0 else (s_j, s_i))))
+                  for s_j in game.strategies[1 - i]]
+            for s_i in game.strategies[i]
+        }
+        den = math.lcm(*(v.denominator for row in values.values() for v in row))
+        rows.append({s: tuple(v.numerator * (den // v.denominator) for v in row)
+                     for s, row in values.items()})
+    index = tuple({s: k for k, s in enumerate(game.strategies[i])} for i in (0, 1))
+    return tuple(rows), index
 
 
 def _dot(row: tuple[int, ...], weights: tuple[int, ...]) -> int:

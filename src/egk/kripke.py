@@ -5,7 +5,8 @@ belief is the one-level case of an ordered one.  Accessibility is expected
 to be KD45 (serial, transitive, Euclidean) and a player's own strategy
 constant on accessibility classes; ``validate_standard`` and
 ``validate_prob`` report violations as data rather than raising, so a model
-checker can surface every defect at once.
+checker can surface every defect at once.  Each model's checks are found
+once and kept on it; the belief checks all read one pass per player.
 """
 
 from __future__ import annotations
@@ -94,9 +95,10 @@ class FramedModel(Frozen):
     (``_as_levels``, ``_from_levels``), its name in files and violation
     kinds (``KIND``), the wording of its messages (``_TEXT``), and whether
     beliefs must be constant on R_i classes (``_REQUIRE_CONSTANCY``).
+    ``_checked`` holds the belief checks once found (:func:`_checks`).
     """
 
-    __slots__ = ("base",)
+    __slots__ = ("base", "_checked")
     base: StandardKripkeModel
 
     @property
@@ -241,14 +243,10 @@ def validate_standard(model: StandardKripkeModel) -> list[Violation]:
 
     Found once per frame and kept on it; every call returns a fresh list.
     """
-    found = getattr(model, "_violations", None)
-    if found is None:
-        found = tuple(_frame_violations(model))
-        object.__setattr__(model, "_violations", found)
-    return list(found)
+    return list(model._memo("_violations", _frame_violations))
 
 
-def _frame_violations(model: StandardKripkeModel) -> list[Violation]:
+def _frame_violations(model: StandardKripkeModel) -> tuple[Violation, ...]:
     out = []
     for i in (0, 1):
         name = model.game.players[i]
@@ -277,7 +275,7 @@ def _frame_violations(model: StandardKripkeModel) -> list[Violation]:
                         "sigma-constancy", i, (w, w1),
                         f"player {name}: strategy at {w1} is {model.sigma[i][w1]!r}, "
                         f"but {w1} is accessible from {w} playing {model.sigma[i][w]!r}"))
-    return out
+    return tuple(out)
 
 
 def validate_prob(model: ProbKripkeModel) -> list[Violation]:
@@ -288,11 +286,71 @@ def validate_prob(model: ProbKripkeModel) -> list[Violation]:
 def validate_beliefs(model: FramedModel) -> list[Violation]:
     """Measure, support and injectivity of every belief level, without the frame's axioms.
 
-    Each distinct belief is measured once; support depends on the world's
-    own access set, so it stays per world.  A flavor whose beliefs must be
-    constant on R_i classes also gets those violations, after each player's
-    per-world checks.
+    A flavor whose beliefs must be constant on R_i classes also gets those
+    violations, after each player's per-world checks.
     """
+    out = []
+    for i in (0, 1):
+        checks = _checks(model, i)
+        out += checks.levels
+        if model._REQUIRE_CONSTANCY:
+            out += checks.constancy
+    return out
+
+
+def check_constancy(model: FramedModel) -> list[Violation]:
+    """Constancy of each player's belief levels on accessibility classes.
+
+    ``validate_beliefs`` requires it of a probabilistic model.  An ordered
+    model's defining condition only ties levels to R_i supports, but the
+    type-extraction constructions assume it, so there it is checked
+    separately and callers decide.
+    """
+    return list(_checks(model, 0).constancy + _checks(model, 1).constancy)
+
+
+def check_caution(model: FramedModel) -> list[Violation]:
+    """Every opponent strategy must get positive weight at some level, everywhere."""
+    return list(_checks(model, 0).caution + _checks(model, 1).caution)
+
+
+def level_ids(model: FramedModel) -> tuple[dict[str, int], dict[str, int]]:
+    """Per player and world, an id that two worlds share exactly when their belief levels are equal.
+
+    Ids count up in order of first world.
+    """
+    return dict(_checks(model, 0).ids), dict(_checks(model, 1).ids)
+
+
+class _BeliefChecks(NamedTuple):
+    """One player's belief checks, each in report order."""
+
+    levels: tuple[Violation, ...]  # negative weights, sums, support, then injectivity, per world
+    constancy: tuple[Violation, ...]
+    caution: tuple[Violation, ...]
+    ids: dict[str, int]  # see level_ids
+
+
+def _checks(model: FramedModel, i: int) -> _BeliefChecks:
+    """Player ``i``'s belief checks, found for both players on first use and kept on the model."""
+    return model._memo("_checked", lambda m: (_check_beliefs(m, 0), _check_beliefs(m, 1)))[i]
+
+
+def _check_beliefs(model: FramedModel, i: int) -> _BeliefChecks:
+    """One pass over player ``i``'s distinct beliefs, then one over the worlds.
+
+    Per belief object: each level's negative weights and exact sum, the
+    pairs of equal levels, the opponent strategies no level weights, and
+    an id keyed by the levels' value, the canonical key sorted ``(world,
+    numerator, denominator)`` per level, so worlds with equal but distinct
+    belief objects share it.  Support depends on the world's own access
+    set, so it stays per world, and constancy compares ids.
+    """
+    j = other(i)
+    acc = model.access[i]
+    strategy_of = model.sigma[j]
+    strategies = model.game.strategies[j]
+    ids: dict[tuple, int] = {}
 
     def measure(belief):
         levels = model._as_levels(belief)
@@ -300,26 +358,31 @@ def validate_beliefs(model: FramedModel) -> list[Violation]:
                    for dist in levels]
         repeats = [(k + 1, k2 + 1) for k in range(len(levels)) for k2 in range(k + 1, len(levels))
                    if levels[k] == levels[k2]]
-        return weights, repeats
+        seen = {strategy_of[w1] for dist in levels for w1 in dist}
+        unweighted = [s_j for s_j in strategies if s_j not in seen]
+        key = tuple(tuple(sorted((t, v.numerator, v.denominator) for t, v in dist.items()))
+                    for dist in levels)
+        return weights, repeats, unweighted, ids.setdefault(key, len(ids))
 
-    out = []
-    for i in (0, 1):
-        acc = model.access[i]
-        measured = per_belief(model.worlds, model.beliefs(i), measure)
-        for w in model.worlds:
-            weights, repeats = measured[w]
-            for k, (dist, negative, total) in enumerate(weights, 1):
-                for t, v in negative:
-                    out.append(_violation(model, "negative", i, (w, t), k=k, w=w, t=t, v=v))
-                if total != 1:
-                    out.append(_violation(model, "sum", i, (w,), k=k, w=w, total=total))
-                for t in sorted(set(dist) - acc[w]):
-                    out.append(_violation(model, "support", i, (w, t), k=k, w=w, t=t))
-            for k, k2 in repeats:
-                out.append(_violation(model, "injectivity", i, (w,), k=k, k2=k2, w=w))
-        if model._REQUIRE_CONSTANCY:
-            out += _constancy(model, i, belief_ids(model, i))
-    return out
+    measured = per_belief(model.worlds, model.beliefs(i), measure)
+    belief_id = {w: found[3] for w, found in measured.items()}
+    levels, constancy, caution = [], [], []
+    for w in model.worlds:
+        weights, repeats, unweighted, _ = measured[w]
+        for k, (dist, negative, total) in enumerate(weights, 1):
+            for t, v in negative:
+                levels.append(_violation(model, "negative", i, (w, t), k=k, w=w, t=t, v=v))
+            if total != 1:
+                levels.append(_violation(model, "sum", i, (w,), k=k, w=w, total=total))
+            for t in sorted(set(dist) - acc[w]):
+                levels.append(_violation(model, "support", i, (w, t), k=k, w=w, t=t))
+        for k, k2 in repeats:
+            levels.append(_violation(model, "injectivity", i, (w,), k=k, k2=k2, w=w))
+        constancy += [_violation(model, "constancy", i, (w, w1), w=w, w1=w1)
+                      for w1 in acc[w] if belief_id[w1] != belief_id[w]]
+        caution += [Violation("caution", i, (w, s_j), model._TEXT["caution"].format(
+                        name=model.game.players[i], w=w, s=s_j)) for s_j in unweighted]
+    return _BeliefChecks(tuple(levels), tuple(constancy), tuple(caution), belief_id)
 
 
 def _violation(
@@ -328,67 +391,6 @@ def _violation(
     """The flavor's ``kind`` violation, worded by its message table."""
     detail = model._TEXT[kind].format(name=model.game.players[i], **fields)
     return Violation(f"{model.KIND}-{kind}", i, where, detail)
-
-
-def _constancy(model: FramedModel, i: int, ids: Mapping[str, int]) -> list[Violation]:
-    return [_violation(model, "constancy", i, (w, w1), w=w, w1=w1)
-            for w in model.worlds for w1 in model.access[i][w] if ids[w1] != ids[w]]
-
-
-def check_constancy(
-    model: FramedModel, ids: tuple[dict[str, int], dict[str, int]] | None = None
-) -> list[Violation]:
-    """Constancy of each player's belief levels on accessibility classes.
-
-    ``validate_beliefs`` requires it of a probabilistic model.  An ordered
-    model's defining condition only ties levels to R_i supports, but the
-    type-extraction constructions assume it, so there it is checked
-    separately and callers decide.  ``ids`` are the model's ``level_ids``,
-    for a caller that already has them.
-    """
-    if ids is None:
-        ids = level_ids(model)
-    return _constancy(model, 0, ids[0]) + _constancy(model, 1, ids[1])
-
-
-def check_caution(model: FramedModel) -> list[Violation]:
-    """Every opponent strategy must get positive weight at some level, everywhere."""
-    out = []
-    for i in (0, 1):
-        j = other(i)
-        name = model.game.players[i]
-        strategy_of = model.sigma[j]
-        strategies = model.game.strategies[j]
-
-        def unweighted(belief) -> list[str]:
-            seen = {strategy_of[w1] for dist in model._as_levels(belief) for w1 in dist}
-            return [s_j for s_j in strategies if s_j not in seen]
-
-        missing = per_belief(model.worlds, model.beliefs(i), unweighted)
-        for w in model.worlds:
-            for s_j in missing[w]:
-                out.append(Violation(
-                    "caution", i, (w, s_j), model._TEXT["caution"].format(name=name, w=w, s=s_j)))
-    return out
-
-
-def belief_ids(model: FramedModel, i: int) -> dict[str, int]:
-    """Per world, an id that two worlds share exactly when player ``i``'s belief levels are equal.
-
-    Each level becomes the canonical key sorted ``(world, numerator,
-    denominator)``, built once per distinct belief object, so constancy
-    checks compare ids instead of ``Fraction`` dicts.  Ids count up in
-    order of first world.
-    """
-    ids: dict[tuple, int] = {}
-    return per_belief(model.worlds, model.beliefs(i), lambda belief: ids.setdefault(tuple(
-        tuple(sorted((t, v.numerator, v.denominator) for t, v in dist.items()))
-        for dist in model._as_levels(belief)), len(ids)))
-
-
-def level_ids(model: FramedModel) -> tuple[dict[str, int], dict[str, int]]:
-    """Per player, ids that two worlds share exactly when their belief levels are equal."""
-    return belief_ids(model, 0), belief_ids(model, 1)
 
 
 def box(

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Mapping
 
 from .errors import FormatError, InputError
-from .games import Game
+from .games import Game, other
 
 if TYPE_CHECKING:
     from .epistemic import LexEpistemicModel, ProbEpistemicModel
@@ -245,11 +245,18 @@ def model_to_json(model: KripkeModel) -> dict:
     return out
 
 
-def _parse_pair(key: str, where: str) -> tuple[str, str]:
+def _parse_pair(key: str, strategies, types, where: str, error=FormatError) -> tuple[str, str]:
+    """``key`` read as ``strategy,type``: split at its only comma, or else at the
+    one comma between one of ``strategies`` and one of ``types``."""
     parts = key.split(",")
-    if len(parts) != 2:
-        raise FormatError(f"{where}: expected 'strategy,type', got {key!r}")
-    return parts[0], parts[1]
+    pairs = [(",".join(parts[:k]), ",".join(parts[k:])) for k in range(1, len(parts))]
+    if len(pairs) > 1:
+        pairs = [(s, t) for s, t in pairs if s in strategies and t in types]
+    if not pairs:
+        raise error(f"{where}: expected 'strategy,type', got {key!r}")
+    if len(pairs) > 1:
+        raise error(f"{where}: key {key!r} splits into more than one 'strategy,type' pair")
+    return pairs[0]
 
 
 def types_from_json(data: Mapping, game: Game | None = None, where: str = "types") -> TypeModel:
@@ -267,6 +274,7 @@ def types_from_json(data: Mapping, game: Game | None = None, where: str = "types
     lex = None
     parsed = []
     for i in (0, 1):
+        j = other(i)
         per = {}
         for t in types[i]:
             if t not in beliefs_raw[i]:
@@ -282,7 +290,8 @@ def types_from_json(data: Mapping, game: Game | None = None, where: str = "types
             for k, level in enumerate(levels):
                 spot = f"{where}.beliefs.{game.players[i]}.{t}[{k}]"
                 fixed.append({
-                    _parse_pair(pair, spot): parse_rational(v, f"{spot}.{pair}")
+                    _parse_pair(pair, game.strategies[j], types[j], spot):
+                        parse_rational(v, f"{spot}.{pair}")
                     for pair, v in _map(level, spot, "'strategy,type' pair").items()})
             per[t] = tuple(fixed) if entry_is_lex else fixed[0]
         parsed.append(per)
@@ -297,10 +306,13 @@ def types_to_json(model: TypeModel) -> dict:
     lex = isinstance(model, LexEpistemicModel)
     beliefs: dict = {}
     for i in (0, 1):
+        j = other(i)
         per = {}
         for t in model.types[i]:
             levels = [{f"{s},{tj}": format_rational(v) for (s, tj), v in level.items()}
                       for level in model.levels(i, t)]
+            for key in (written for level in levels for written in level):
+                _parse_pair(key, game.strategies[j], model.types[j], f"type {t!r}", InputError)
             per[t] = levels if lex else levels[0]
         beliefs[game.players[i]] = per
     return {

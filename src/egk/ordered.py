@@ -28,9 +28,12 @@ LevelSeq = tuple  # tuple of per-level weight mappings
 
 
 class OrderedKripkeModel(FramedModel):
-    """``lam[i][w]`` is a nonempty tuple of levels; their constancy on R_i classes is advisory."""
+    """``lam[i][w]`` is a nonempty tuple of levels; their constancy on R_i classes is advisory.
 
-    __slots__ = ("lam",)
+    ``_structural`` holds the :func:`check_structural_conditions` report once found.
+    """
+
+    __slots__ = ("lam", "_structural")
     lam: tuple[Mapping[str, LevelSeq], Mapping[str, LevelSeq]]
     KIND = "lambda"
     _REQUIRE_CONSTANCY = False
@@ -96,7 +99,14 @@ class StructuralReport(NamedTuple):
 
 
 def check_structural_conditions(model: OrderedKripkeModel) -> StructuralReport:
-    """Disjoint level supports, and every accessible world weighted at some level."""
+    """Disjoint level supports, and every accessible world weighted at some level.
+
+    Found once per model and kept on it.
+    """
+    return model._memo("_structural", _structural_report)
+
+
+def _structural_report(model: OrderedKripkeModel) -> StructuralReport:
     out = []
     for i in (0, 1):
         name = model.game.players[i]

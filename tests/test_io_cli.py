@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egk import cli, convergence, epsilon, modelio
-from egk.errors import FormatError
+from egk.epistemic import ProbEpistemicModel, df_witness_types
+from egk.errors import FormatError, InputError
 from egk.fixtures import (
     myerson_game,
     myerson_lex_types,
@@ -638,6 +639,64 @@ def test_labels_with_commas_load_when_every_cell_key_is_distinct(tmp_path, capsy
     assert modelio.game_to_json(game) == data
     assert cli.main(["game", "analyze", write(tmp_path, "game.json", data)]) == 0
     assert "survivors 1: a,b" in capsys.readouterr().out
+
+
+def test_witness_types_over_labels_with_commas_round_trip():
+    data = _comma_game(["a,b", "c"], ["x", "y,z"])
+    data["payoffs"]["a,b,y,z"] = ["1", "1"]
+    types = df_witness_types(modelio.game_from_json(data))
+    written = modelio.types_to_json(types)
+    assert written["beliefs"]["2"]["th_y,z"][0] == {"a,b,th_a,b": "1"}
+    assert modelio.types_from_json(json.loads(json.dumps(written))) == types
+
+
+def test_types_extracted_over_labels_with_commas_read_back(tmp_path, capsys):
+    model = {"game": _comma_game(["a,b", "c"], ["x", "y,z"]), "worlds": ["w1", "w2"],
+             "access": {"1": {"w1": ["w1"], "w2": ["w2"]}, "2": {"w1": ["w1"], "w2": ["w2"]}},
+             "sigma": {"1": {"w1": "a,b", "w2": "c"}, "2": {"w1": "y,z", "w2": "x"}},
+             "p": {"1": {"w1": {"w1": "1"}, "w2": {"w2": "1"}},
+                   "2": {"w1": {"w1": "1"}, "w2": {"w2": "1"}}}}
+    out = tmp_path / "types.json"
+    assert cli.main(["model", "to-types", write(tmp_path, "model.json", model),
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["beliefs"]["2"]["t2_1"] == {"a,b,t1_1": "1"}
+    assert cli.main(["types", "analyze", str(out)]) == 0
+    capsys.readouterr()
+
+
+def _ambiguous_types(belief_key: str) -> dict:
+    # Player 2's strategies a and a,b with types b,t and t: "a,b,t" reads as
+    # (a, b,t) and as (a,b, t).
+    return {"game": _comma_game(["c"], ["a", "a,b"]), "types": [["u"], ["b,t", "t"]],
+            "beliefs": {"1": {"u": {belief_key: "1"}},
+                        "2": {"b,t": {"c,u": "1"}, "t": {"c,u": "1"}}}}
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+def test_a_belief_key_with_two_readings_exits_2(flag, tmp_path, capsys):
+    path = write(tmp_path, "types.json", _ambiguous_types("a,b,t"))
+    assert cli.main(["types", "analyze", path, *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}.beliefs.1.u[0]: key 'a,b,t' splits into more "
+                            f"than one 'strategy,type' pair\n")
+    path = write(tmp_path, "missing.json", _ambiguous_types("a,b,u"))
+    assert cli.main(["types", "analyze", path, *flag]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}.beliefs.1.u[0]: expected 'strategy,type', got 'a,b,u'\n")
+
+
+@pytest.mark.parametrize("pair", [("a", "b,t"), ("a,b", "t")])
+def test_a_belief_key_that_would_read_back_as_another_pair_is_not_written(pair):
+    data = _ambiguous_types("a,t")
+    game = modelio.game_from_json(data["game"])
+    types = ProbEpistemicModel(game, (("u",), ("b,t", "t")), (
+        {"u": {pair: F(1)}}, {"b,t": {("c", "u"): F(1)}, "t": {("c", "u"): F(1)}}))
+    with pytest.raises(InputError, match=re.escape(
+            "type 'u': key 'a,b,t' splits into more than one 'strategy,type' pair")):
+        modelio.types_to_json(types)
+    ok = ProbEpistemicModel(game, types.types, ({"u": {("a", "t"): F(1)}}, types.beliefs[1]))
+    assert modelio.types_from_json(modelio.types_to_json(ok)) == ok
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,18 @@ rationality events.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from egk import kripke, ordered
+from egk.convergence import EpsilonSchedule, build_epsilon_model, verify_convergence
 from egk.epsilon import check_prob_caution
 from egk.errors import InputError
-from egk.fixtures import myerson_game
+from egk.fixtures import myerson_game, myerson_ordered_model
 from egk.kripke import (
     ProbKripkeModel,
     StandardKripkeModel,
@@ -30,6 +34,7 @@ from egk.kripke import (
 from egk.ordered import (
     OrderedKripkeModel,
     check_lambda_constancy,
+    check_structural_conditions,
     level_ids,
     lrat,
     validate_ordered,
@@ -193,3 +198,90 @@ def test_belief_core_matches_the_flavors_written_apart(case):
 def test_the_flavors_share_the_core_checks():
     assert check_prob_caution is check_caution
     assert check_lambda_constancy is check_constancy
+
+
+def test_each_model_is_checked_once(monkeypatch):
+    passes, reports = Counter(), Counter()
+    check_beliefs, structural_report = kripke._check_beliefs, ordered._structural_report
+
+    def counted_pass(model, i):
+        passes[id(model), i] += 1
+        return check_beliefs(model, i)
+
+    def counted_report(model):
+        reports[id(model)] += 1
+        return structural_report(model)
+
+    monkeypatch.setattr(kripke, "_check_beliefs", counted_pass)
+    monkeypatch.setattr(ordered, "_structural_report", counted_report)
+    source = myerson_ordered_model()
+    models = [source]  # every model stays alive, so no id is reused
+    assert validate_ordered(source) == []
+    assert check_caution(source) == []
+    assert check_structural_conditions(source).surjection
+    verify_convergence(source, EpsilonSchedule(F(1, 2), 3),
+                       on_member=lambda n, member: models.append(member))
+    built = build_epsilon_model(source, F(1, 16))
+    models.append(built)
+    # The source's levels vary inside its classes, and so does the member's belief.
+    assert {v.kind for v in validate_prob(built)} == {"p-constancy"}
+    assert len(models) == 5
+    assert passes == Counter({(id(model), i): 1 for model in models for i in (0, 1)})
+    assert reports == Counter({id(source): 1})
+
+
+def _scribble(answer):
+    """Change a check's answer in place: a list gains an entry, an id map a world."""
+    if isinstance(answer, tuple):
+        for ids in answer:
+            ids["zz"] = -1
+    else:
+        answer.append("zz")
+
+
+@pytest.mark.parametrize("check", [
+    lambda model: validate_standard(model.base),
+    validate_beliefs, check_caution, check_constancy, level_ids,
+], ids=["validate_standard", "validate_beliefs", "check_caution", "check_constancy", "level_ids"])
+@pytest.mark.parametrize("lex", [False, True], ids=["prob", "ordered"])
+def test_changing_an_answer_leaves_the_next_one_alone(check, lex):
+    # Player 2's belief varies inside the class {w1, w2} and never weights D;
+    # player 1's belief at w1 sums to 1/2; w2 plays B, which player 1 cannot see.
+    p1 = {"w1": {"w1": F(1, 2)}, "w2": {"w2": F(1)}}
+    p2 = {"w1": {"w1": F(1)}, "w2": _BOTH}
+    if lex:
+        p1, p2 = ({w: (dist,) for w, dist in p.items()} for p in (p1, p2))
+    _, base, beliefs = _two_worlds(lex, (p1, p2))
+    cls = OrderedKripkeModel if lex else ProbKripkeModel
+    model = cls(base, beliefs)
+    first = check(model)
+    _scribble(first)
+    assert check(model) == check(cls(base, beliefs)) != first
+
+
+@pytest.mark.parametrize("lex", [False, True], ids=["prob", "ordered"])
+def test_equal_beliefs_held_as_distinct_objects_are_constant(lex):
+    # Player 2's class {w1, w2} holds one value twice, as two objects.
+    beliefs = ({"w1": _W1, "w2": {"w2": F(1)}}, {"w1": dict(_BOTH), "w2": dict(_BOTH)})
+    if lex:
+        beliefs = tuple({w: [dist] for w, dist in per.items()} for per in beliefs)
+    _, base, beliefs = _two_worlds(lex, beliefs)
+    model = (OrderedKripkeModel if lex else ProbKripkeModel)(base, beliefs)
+    assert model.beliefs(1)["w1"] is not model.beliefs(1)["w2"]
+    assert check_constancy(model) == []
+    assert validate_beliefs(model) == []
+    ids = level_ids(model)
+    assert ids[1]["w1"] == ids[1]["w2"]
+    assert ids[0]["w1"] != ids[0]["w2"]
+
+
+def test_only_a_probabilistic_model_requires_constancy():
+    # Player 2's belief varies inside the class {w1, w2}.
+    varied = ({"w1": _W1, "w2": {"w2": F(1)}}, {"w1": {"w1": F(1)}, "w2": _BOTH})
+    prob = ProbKripkeModel(*_two_worlds(False, varied)[1:])
+    lexed = tuple({w: (dist,) for w, dist in per.items()} for per in varied)
+    lex = OrderedKripkeModel(*_two_worlds(True, lexed)[1:])
+    assert [v.kind for v in check_constancy(prob)] == ["p-constancy"] * 2
+    assert validate_beliefs(prob) == check_constancy(prob)
+    assert [v.kind for v in check_constancy(lex)] == ["lambda-constancy"] * 2
+    assert validate_beliefs(lex) == []

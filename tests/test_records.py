@@ -30,12 +30,15 @@ from egk.games import Game, MixedStrategy, optimal_pure, point_mass
 from egk.kripke import (
     FramedModel,
     IesdsInclusionReport,
+    ProbKripkeModel,
     StandardKripkeModel,
     Violation,
+    check_caution,
+    validate_beliefs,
     validate_standard,
 )
 from egk.lp import LPResult
-from egk.ordered import StructuralReport
+from egk.ordered import OrderedKripkeModel, StructuralReport, check_structural_conditions
 from generators import random_ordered_model
 
 
@@ -163,6 +166,31 @@ def test_equal_frames_stay_equal_after_one_is_validated():
         assert copied == again
         assert _hash_or_error(copied) == _hash_or_error(again)
         assert repr(copied) == repr(again)
+
+
+def _one_world_model(cls):
+    # One world, so every set prints alike however a copy rebuilt it.
+    belief = {"w": F(1)}
+    return cls(_one_world("A"), ({"w": belief}, {"w": belief}) if cls is ProbKripkeModel
+               else ({"w": (belief,)}, {"w": (belief,)}))
+
+
+@pytest.mark.parametrize("cls, check, slot", [
+    (ProbKripkeModel, check_caution, "_checked"),
+    (OrderedKripkeModel, validate_beliefs, "_checked"),
+    (OrderedKripkeModel, check_structural_conditions, "_structural"),
+], ids=["prob-checked", "ordered-checked", "ordered-structural"])
+def test_checked_models_stay_equal_to_fresh_ones(cls, check, slot):
+    model, fresh = _one_world_model(cls), _one_world_model(cls)
+    check(model)
+    assert getattr(model, slot) is not None
+    assert getattr(fresh, slot, None) is None
+    for copied in (model, copy.copy(model), copy.deepcopy(model),
+                   pickle.loads(pickle.dumps(model))):
+        assert copied == fresh
+        assert _hash_or_error(copied) == _hash_or_error(fresh)
+        assert repr(copied) == repr(fresh)
+        assert copied is model or getattr(copied, slot, None) is None
 
 
 def test_validated_frame_returns_a_fresh_list_each_call():
