@@ -247,6 +247,13 @@ def validate_standard(model: StandardKripkeModel) -> list[Violation]:
 
 
 def _frame_violations(model: StandardKripkeModel) -> tuple[Violation, ...]:
+    """Every seriality, transitivity, Euclideanness and sigma-constancy violation.
+
+    Each pair wRw1 is tested with one set inclusion, R(w1) <= R(w) for
+    transitivity and R(w) <= R(w1) for Euclideanness, and only a pair that
+    fails it is walked for its violating w2, so the violations and their
+    order are those of the walk over every triple.
+    """
     out = []
     for i in (0, 1):
         name = model.game.players[i]
@@ -256,6 +263,8 @@ def _frame_violations(model: StandardKripkeModel) -> tuple[Violation, ...]:
                 out.append(Violation("seriality", i, (w,), f"player {name}: no world accessible from {w}"))
         for w in model.worlds:
             for w1 in acc[w]:
+                if acc[w1] <= acc[w]:
+                    continue
                 for w2 in acc[w1]:
                     if w2 not in acc[w]:
                         out.append(Violation(
@@ -263,6 +272,8 @@ def _frame_violations(model: StandardKripkeModel) -> tuple[Violation, ...]:
                             f"player {name}: {w}R{w1} and {w1}R{w2} but not {w}R{w2}"))
         for w in model.worlds:
             for w1 in acc[w]:
+                if acc[w] <= acc[w1]:
+                    continue
                 for w2 in acc[w]:
                     if w2 not in acc[w1]:
                         out.append(Violation(

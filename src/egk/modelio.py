@@ -6,6 +6,12 @@ embed their game under the ``"game"`` key so a single file is
 self-contained.  All dumps preserve file order, so identical inputs produce
 byte-identical output.
 
+The worlds of one accessibility class share an access set and usually a
+belief, so the model functions read, build and write each distinct one
+once: the loader parses each distinct raw access list and belief once, the
+payload shares one list or object between the worlds that hold it, and
+:func:`dumps` encodes each shared object once per depth.
+
 The model and type layers are imported by the functions that build or read
 them, so loading a game pulls in none of them.
 """
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Mapping
 
 from .errors import FormatError, InputError
@@ -29,27 +36,25 @@ if TYPE_CHECKING:
 
 
 def parse_rational(text: Any, where: str) -> Fraction:
-    if isinstance(text, int):
+    """A JSON integer (not a boolean), or a string ``"n"`` or ``"n/d"`` of ASCII
+    digits with an optional minus on ``n``, as a ``Fraction``."""
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise FormatError(f"{where}: expected a rational string, got {text!r}")
-    parts = text.split("/")
-    try:
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
-        if len(parts) == 2:
-            num, den = int(parts[0]), int(parts[1])
-    except ValueError:
+    # ASCII digits only: int() alone would also take "1_000", " 1", "+1" and other scripts.
+    parts = text.removeprefix("-").split("/")
+    if len(parts) > 2 or not all(part.isascii() and part.isdigit() for part in parts):
         raise FormatError(f"{where}: malformed rational {text!r}")
-    if len(parts) != 2:
-        raise FormatError(f"{where}: malformed rational {text!r}")
-    if den == 0:
+    num, den = text.split("/") if len(parts) == 2 else (text, "1")
+    if int(den) == 0:
         raise FormatError(f"{where}: zero denominator in {text!r}")
-    return Fraction(num, den)
+    return Fraction(int(num), int(den))
 
 
 def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -155,11 +160,80 @@ def _player_maps(data: Mapping, key: str, game: Game, where: str, keys: str = "w
     return out
 
 
+def _labels_key(raw: Any) -> tuple | None:
+    return tuple(raw) if type(raw) is list else None
+
+
+def _dist_key(raw: Any) -> tuple | None:
+    return tuple(raw.items()) if type(raw) is dict else None
+
+
+def _levels_key(raw: Any) -> tuple | None:
+    return tuple(map(tuple, map(dict.items, raw))) if type(raw) is list else None
+
+
+def _strings(key: tuple) -> bool:
+    """Whether ``key`` holds strings alone, at any depth of tuples."""
+    return all(_strings(k) if type(k) is tuple else type(k) is str for k in key)
+
+
+def _read_once(cache: dict, key_of, read, raw: Any, where: str):
+    """``read(raw, where)``, kept in ``cache`` for every later raw value equal to ``raw``.
+
+    ``key_of(raw)`` is the raw value as a tuple, or None when it has the
+    wrong shape.  A read is kept only under a key of strings alone: ``1``,
+    ``1.0`` and ``true`` are equal in Python but read differently.  A string
+    equals no other JSON value, so a raw value that finds a kept read is
+    made of strings too.  Only a read that succeeds is kept, so an error is
+    raised at the first place that holds the bad value.
+    """
+    try:
+        key = key_of(raw)
+        value = cache.get(key)
+    except TypeError:  # an unhashable member, or a level that is not an object
+        key = value = None
+    if value is None:
+        value = read(raw, where)
+        if key is not None and _strings(key):
+            cache[key] = value
+    return value
+
+
+def _by_value(kept: dict, levels: tuple, make):
+    """``make()`` once per distinct value of ``levels``, kept in ``kept``.
+
+    Equal beliefs list the same worlds in the same order, so they are told
+    apart by their supports first and their weights second, with no
+    ``Fraction`` hashed.
+    """
+    same = kept.setdefault(tuple(map(tuple, levels)), [])
+    for held, value in same:
+        if held == levels:
+            return value
+    value = make()
+    same.append((levels, value))
+    return value
+
+
+def _access_set(raw: Any, where: str) -> frozenset:
+    return frozenset(_labels(raw, where, "world labels"))
+
+
+def _dist(raw: Any, where: str) -> dict:
+    """A JSON object of rational weights read as ``{world: Fraction}``."""
+    return {t: parse_rational(v, f"{where}.{t}") for t, v in _map(raw, where, "world").items()}
+
+
 def model_from_json(data: Mapping, game: Game | None = None, where: str = "model") -> KripkeModel:
     """Load a standard, probabilistic, or ordered model, by the keys present.
 
-    Equal beliefs (the same items in the same file order) become one shared
-    object, so the model's readers evaluate each distinct belief once.
+    Each distinct raw access list and belief is read once (see
+    :func:`_read_once`), and every world that holds it gets the one
+    frozenset or belief object.  Equal beliefs written differently (the
+    same items in the same file order, such as ``"1/2"`` and ``"2/4"``)
+    share one object too, so the model's readers evaluate each distinct
+    belief once.  Errors are raised at the first offending world in file
+    order.
     """
     from .kripke import ProbKripkeModel, StandardKripkeModel
 
@@ -168,64 +242,83 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
     worlds = tuple(_labels(_expect(data, "worlds", where), f"{where}.worlds", "world labels"))
     access_raw = _player_maps(data, "access", game, where)
     sigma_raw = _player_maps(data, "sigma", game, where)
+    sets: dict[tuple, frozenset] = {}
     access = tuple(
-        {w: frozenset(_labels(access_raw[i].get(w, []),
-                              f"{where}.access.{game.players[i]}.{w}", "world labels"))
+        {w: _read_once(sets, _labels_key, _access_set, access_raw[i].get(w, []),
+                       f"{where}.access.{game.players[i]}.{w}")
          for w in worlds}
         for i in (0, 1))
-    sigma = tuple({w: sigma_raw[i].get(w) for w in worlds} for i in (0, 1))
+    sigma = ({}, {})
     for i in (0, 1):
+        name = game.players[i]
         for w in worlds:
-            if sigma[i][w] is None:
-                raise FormatError(f"{where}.sigma: missing world {w!r} for player {game.players[i]!r}")
+            s = sigma_raw[i].get(w)
+            if s is None:
+                raise FormatError(f"{where}.sigma: missing world {w!r} for player {name!r}")
+            if s not in game.strategies[i]:
+                raise FormatError(
+                    f"{where}.sigma.{name}.{w}: unknown strategy {s!r} for player {name!r}")
+            sigma[i][w] = s
     base = _construct(where, StandardKripkeModel, game, worlds, access, sigma)
     if "p" in data and "lambda" in data:
         raise FormatError(f"{where}: both 'p' and 'lambda' present; split the file")
-    seen: dict[tuple, Any] = {}
+    seen: dict[tuple, list] = {}
+    parsed: dict[tuple, Any] = {}
     if "p" in data:
         p_raw = _player_maps(data, "p", game, where)
-        p = []
-        for i in (0, 1):
-            per = {}
-            for w in worlds:
-                spot = f"{where}.p.{game.players[i]}.{w}"
-                dist = {t: parse_rational(v, f"{spot}.{t}")
-                        for t, v in _map(p_raw[i].get(w, {}), spot, "world").items()}
-                per[w] = seen.setdefault(tuple(dist.items()), dist)
-            p.append(per)
-        return _construct(where, ProbKripkeModel, base, tuple(p))
+
+        def read_dist(raw: Any, spot: str) -> dict:
+            dist = _dist(raw, spot)
+            return _by_value(seen, (dist,), lambda: dist)
+
+        p = tuple(
+            {w: _read_once(parsed, _dist_key, read_dist, p_raw[i].get(w, {}),
+                           f"{where}.p.{game.players[i]}.{w}")
+             for w in worlds}
+            for i in (0, 1))
+        return _construct(where, ProbKripkeModel, base, p)
     if "lambda" in data:
         from .ordered import OrderedKripkeModel
 
         lam_raw = _player_maps(data, "lambda", game, where)
-        lam = []
+
+        def read_levels(raw: Any, spot: str) -> tuple:
+            levels = tuple(_dist(level, f"{spot}[{k}]")
+                           for k, level in enumerate(_list(raw, spot, "belief levels")))
+            return _by_value(seen, levels, lambda: levels)
+
+        lam = ({}, {})
         for i in (0, 1):
-            per = {}
+            name = game.players[i]
             for w in worlds:
                 if w not in lam_raw[i]:
-                    raise FormatError(f"{where}.lambda: missing world {w!r} for player {game.players[i]!r}")
-                spot = f"{where}.lambda.{game.players[i]}.{w}"
-                levels = tuple(
-                    {t: parse_rational(v, f"{spot}[{k}].{t}")
-                     for t, v in _map(level, f"{spot}[{k}]", "world").items()}
-                    for k, level in enumerate(_list(lam_raw[i][w], spot, "belief levels")))
-                per[w] = seen.setdefault(tuple(tuple(dist.items()) for dist in levels), levels)
-            lam.append(per)
-        return _construct(where, OrderedKripkeModel, base, tuple(lam))
+                    raise FormatError(f"{where}.lambda: missing world {w!r} for player {name!r}")
+                lam[i][w] = _read_once(parsed, _levels_key, read_levels, lam_raw[i][w],
+                                       f"{where}.lambda.{name}.{w}")
+        return _construct(where, OrderedKripkeModel, base, lam)
     return base
 
 
 def model_to_json(model: KripkeModel) -> dict:
+    """``model`` as a JSON payload, worlds and belief items in model order.
+
+    Worlds with equal access sets share one access list, and worlds with
+    equal beliefs (the same items in the same order) share one formatted
+    belief, so each is built once and :func:`dumps` writes each once.
+    """
     from .kripke import FramedModel, ProbKripkeModel
 
     game, worlds, access = model.game, model.worlds, model.access
+    lists: dict[frozenset, list] = {}
+    for i in (0, 1):
+        for targets in access[i].values():
+            if targets not in lists:
+                lists[targets] = [t for t in worlds if t in targets]
     out: dict = {
         "game": game_to_json(game),
         "worlds": list(worlds),
         "access": {
-            game.players[i]: {w: [t for t in worlds if t in access[i][w]]
-                              for w in worlds}
-            for i in (0, 1)
+            game.players[i]: {w: lists[access[i][w]] for w in worlds} for i in (0, 1)
         },
         "sigma": {
             game.players[i]: {w: model.sigma[i][w] for w in worlds} for i in (0, 1)
@@ -233,13 +326,18 @@ def model_to_json(model: KripkeModel) -> dict:
     }
     if isinstance(model, FramedModel):
         single = isinstance(model, ProbKripkeModel)
+        written: dict[tuple, list] = {}
+
+        def write(levels: tuple) -> Any:
+            text = [{t: format_rational(v) for t, v in level.items()} for level in levels]
+            return text[0] if single else text
+
         beliefs: dict = {}
         for i in (0, 1):
             per = {}
             for w in worlds:
-                levels = [{t: format_rational(v) for t, v in level.items()}
-                          for level in model.levels(i, w)]
-                per[w] = levels[0] if single else levels
+                levels = model.levels(i, w)
+                per[w] = _by_value(written, levels, lambda: write(levels))
             beliefs[game.players[i]] = per
         out[model.KIND] = beliefs
     return out
@@ -330,8 +428,35 @@ def event_to_json(worlds) -> dict:
     return {"worlds": list(worlds)}
 
 
-def dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def dumps(payload: Any) -> str:
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, for string keys.
+
+    Each list or dict object is encoded once per depth, and its text is
+    reused wherever the object appears again at that depth; a model's
+    payload shares access lists and beliefs between worlds.
+    """
+    memo: dict[tuple[int, int], str] = {}
+
+    def encode(value: Any, depth: int) -> str:
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if not isinstance(value, (list, tuple, dict)):
+            return json.dumps(value)
+        text = memo.get((id(value), depth))
+        if text is None:
+            step = "\n" + "  " * (depth + 1)
+            if isinstance(value, dict):
+                parts = [f"{encode_basestring_ascii(k)}: {encode(v, depth + 1)}"
+                         for k, v in value.items()]
+                ends = "{}"
+            else:
+                parts = [encode(v, depth + 1) for v in value]
+                ends = "[]"
+            inner = step + ("," + step).join(parts) + step[:-2] if parts else ""
+            text = memo[(id(value), depth)] = ends[0] + inner + ends[1]
+        return text
+
+    return encode(payload, 0) + "\n"
 
 
 _JSON_KINDS = {list: "an array", str: "a string", bool: "a boolean", int: "a number",

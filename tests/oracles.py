@@ -40,6 +40,11 @@ belief operators as separate per-world loops; the operators built on
 belief per world; the member built once per distinct source belief must
 have exactly its weights.
 
+``reference_frame_violations`` walks every (w, w1, w2) triple of each
+player's accessibility; :func:`egk.kripke.validate_standard`, which walks w2
+only for a pair that fails one set inclusion, must give exactly its
+violations, in order.
+
 ``ReferenceProbKripkeModel`` and ``ReferenceOrderedKripkeModel`` are the two
 Kripke-model constructors written out once per flavor, with
 ``reference_validate_beliefs``, ``reference_validate_levels``,
@@ -184,22 +189,36 @@ def oracle_weakly_dominated(game, r, i, s_i) -> bool:
     return False
 
 
-def kd45_violations(worlds, access) -> list[tuple[str, tuple[str, ...]]]:
-    """Triple-loop KD45 check over a single accessibility map."""
+def reference_frame_violations(model: StandardKripkeModel) -> list[Violation]:
+    """Seriality, transitivity, Euclideanness and sigma-constancy, triple by triple."""
     out = []
-    for w in worlds:
-        if not access[w]:
-            out.append(("seriality", (w,)))
-    for w in worlds:
-        for w1 in access[w]:
-            for w2 in access[w1]:
-                if w2 not in access[w]:
-                    out.append(("transitivity", (w, w1, w2)))
-    for w in worlds:
-        for w1 in access[w]:
-            for w2 in access[w]:
-                if w2 not in access[w1]:
-                    out.append(("euclideanness", (w, w1, w2)))
+    for i in (0, 1):
+        name = model.game.players[i]
+        acc = model.access[i]
+        for w in model.worlds:
+            if not acc[w]:
+                out.append(Violation("seriality", i, (w,), f"player {name}: no world accessible from {w}"))
+        for w in model.worlds:
+            for w1 in acc[w]:
+                for w2 in acc[w1]:
+                    if w2 not in acc[w]:
+                        out.append(Violation(
+                            "transitivity", i, (w, w1, w2),
+                            f"player {name}: {w}R{w1} and {w1}R{w2} but not {w}R{w2}"))
+        for w in model.worlds:
+            for w1 in acc[w]:
+                for w2 in acc[w]:
+                    if w2 not in acc[w1]:
+                        out.append(Violation(
+                            "euclideanness", i, (w, w1, w2),
+                            f"player {name}: {w}R{w1} and {w}R{w2} but not {w1}R{w2}"))
+        for w in model.worlds:
+            for w1 in acc[w]:
+                if model.sigma[i][w1] != model.sigma[i][w]:
+                    out.append(Violation(
+                        "sigma-constancy", i, (w, w1),
+                        f"player {name}: strategy at {w1} is {model.sigma[i][w1]!r}, "
+                        f"but {w1} is accessible from {w} playing {model.sigma[i][w]!r}"))
     return out
 
 

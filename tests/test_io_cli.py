@@ -38,11 +38,115 @@ def test_parse_rational():
     assert modelio.parse_rational("3/4", "x") == F(3, 4)
     assert modelio.parse_rational("2", "x") == F(2)
     assert modelio.parse_rational("-5/10", "x") == F(-1, 2)
-    for bad in ("1/0", "a", "1.5", "1/2/3", None):
-        with pytest.raises(FormatError):
+    assert modelio.parse_rational("007/014", "x") == F(1, 2)
+    assert modelio.parse_rational(-3, "x") == F(-3)
+    # int() alone reads "1_000", "٣", "3/ 4", " 1" and "+1"; JSON true is an int in Python.
+    for bad in ("1/0", "a", "1.5", "1/2/3", None, True, False, 1.0, "1_000", "\u0663",
+                "3/ 4", " 1", "1 ", "1\n", "+1", "1/-2", "--1", "", "-", "/2", "2/", "\u00b2", [], {}):
+        with pytest.raises(FormatError, match="^x: "):
             modelio.parse_rational(bad, "x")
     assert modelio.format_rational(F(4, 2)) == "2"
     assert modelio.format_rational(F(-3, 9)) == "-1/3"
+    assert modelio.format_rational(3) == "3"
+
+
+def test_cli_a_boolean_weight_exits_2_located(tmp_path, capsys):
+    data = modelio.model_to_json(myerson_prob_model(F(1, 4)))
+    data["p"]["1"]["w2"] = {"w1": True}
+    path = write(tmp_path, "bool.json", data)
+    assert cli.main(["model", "check", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}.p.1.w2.w1: expected a rational string, got True\n")
+
+
+@pytest.mark.parametrize("strategy,shown", [("Z", "'Z'"), (["A"], "['A']"), (5, "5")],
+                         ids=["string", "list", "number"])
+def test_cli_an_unknown_sigma_strategy_exits_2_at_its_node(tmp_path, capsys, strategy, shown):
+    data = modelio.model_to_json(myerson_prob_model(F(1, 4)))
+    data["sigma"]["1"]["w3"] = strategy
+    path = write(tmp_path, "sigma.json", data)
+    assert cli.main(["model", "check", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}.sigma.1.w3: unknown strategy {shown} for player '1'\n")
+
+
+@pytest.mark.parametrize("flavor", ["p", "lambda"])
+def test_a_bad_value_held_by_many_worlds_is_reported_at_the_first(flavor):
+    model = myerson_prob_model(F(1, 4)) if flavor == "p" else myerson_ordered_model()
+    data = modelio.model_to_json(model)
+    for w in ("w2", "w3", "w4"):
+        data["access"]["2"][w] = ["w1", 7]
+        data[flavor]["1"][w] = {"w1": "1/x"} if flavor == "p" else [{"w1": "1/x"}]
+    with pytest.raises(FormatError, match=r"^model\.access\.2\.w2\[1\]: expected a string label"):
+        modelio.model_from_json(data)
+    for w in ("w2", "w3", "w4"):
+        data["access"]["2"][w] = data["access"]["2"]["w1"]
+    spot = "model.p.1.w2" if flavor == "p" else r"model\.lambda\.1\.w2\[0\]"
+    with pytest.raises(FormatError, match=rf"^{spot}\.w1: malformed rational '1/x'"):
+        modelio.model_from_json(data)
+
+
+def test_worlds_with_equal_access_lists_share_one_set():
+    data = modelio.model_to_json(myerson_ordered_model())
+    data["access"]["1"]["w2"] = list(data["access"]["1"]["w1"])  # equal, not the same list
+    model = modelio.model_from_json(json.loads(json.dumps(data)))
+    assert model.access[0]["w1"] is model.access[0]["w2"]
+    assert model.access[0]["w3"] is model.access[0]["w4"]
+    assert model.access[1]["w1"] is model.access[1]["w3"]
+    assert model.access[0]["w1"] == frozenset({"w1", "w2"})
+    assert model.access[0]["w1"] is not model.access[0]["w3"]
+
+
+@pytest.mark.parametrize("flavor", ["p", "lambda"])
+@pytest.mark.parametrize("first", ["1", 1], ids=["string", "integer"])
+def test_one_and_true_and_one_point_zero_are_read_apart(flavor, first):
+    """Equal in Python, so never one parse: only ``1`` and ``"1"`` are rationals."""
+    model = myerson_prob_model(F(1, 4)) if flavor == "p" else myerson_ordered_model()
+    for later, error in [(1, None), ("1", None), (True, "expected a rational string, got True"),
+                         (1.0, "expected a rational string, got 1.0")]:
+        data = modelio.model_to_json(model)
+        for w, weight in (("w1", first), ("w2", later)):
+            dist = {"w1": weight, "w2": 0}
+            data[flavor]["1"][w] = dist if flavor == "p" else [dist]
+        if error is None:
+            loaded = modelio.model_from_json(data)
+            assert loaded.levels(0, "w1") == loaded.levels(0, "w2") == ({"w1": F(1)},)
+        else:
+            spot = "p.1.w2" if flavor == "p" else "lambda.1.w2[0]"
+            with pytest.raises(FormatError) as caught:
+                modelio.model_from_json(data)
+            assert str(caught.value) == f"model.{spot}.w1: {error}"
+
+
+_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600 ab') | st.characters(),
+               max_size=6)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, kids, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def _values_sharing_one_container(draw):
+    """A value in which one non-empty list or dict object sits at depths 1, 3, 4 and 1."""
+    shared = draw(st.lists(_JSON, min_size=1, max_size=4)
+                  | st.dictionaries(_TEXT, _JSON, min_size=1, max_size=4))
+    return {draw(_TEXT): shared,
+            "nested": [draw(_JSON), (shared, {draw(_TEXT): shared})],
+            "again": shared}
+
+
+_SHARED = ["s", {"t": [1, None, True]}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON | _values_sharing_one_container())
+@example([])
+@example({"a": {}, "b": ((),)})
+@example({"x": _SHARED, "y": [_SHARED], "z": _SHARED})
+def test_dumps_equals_json_dumps_with_indent_2(value):
+    assert modelio.dumps(value) == json.dumps(value, indent=2) + "\n"
 
 
 def test_game_roundtrip_and_errors():

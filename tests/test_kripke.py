@@ -20,7 +20,7 @@ from egk.kripke import (
 )
 
 from generators import random_game, random_prob_model
-from oracles import kd45_violations
+from oracles import reference_frame_violations
 
 
 def _tiny_model(access1, access2=None):
@@ -47,8 +47,41 @@ def test_transitivity_violation():
 def test_fixture_is_valid_and_oracle_agrees():
     model = myerson_prob_model(F(1, 4))
     assert validate_prob(model) == []
-    for i in (0, 1):
-        assert kd45_violations(model.worlds, model.access[i]) == []
+    assert reference_frame_violations(model.base) == []
+
+
+@st.composite
+def _random_frames(draw):
+    """A frame on 1-6 worlds with arbitrary accessibility and strategies: rarely KD45."""
+    game = myerson_game()
+    worlds = tuple(f"w{k}" for k in range(draw(st.integers(1, 6))))
+    subsets = st.frozensets(st.sampled_from(worlds))
+    access = tuple({w: draw(subsets) for w in worlds} for _ in (0, 1))
+    sigma = tuple({w: draw(st.sampled_from(game.strategies[i])) for w in worlds} for i in (0, 1))
+    return StandardKripkeModel(game, worlds, access, sigma)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_random_frames())
+def test_frame_violations_match_the_triple_walk(model):
+    assert validate_standard(model) == reference_frame_violations(model)
+
+
+def test_the_triple_walk_finds_every_kind_on_random_frames():
+    """The property above is not vacuous: random frames break every axiom."""
+    rng = random.Random(12)
+    game = myerson_game()
+    kinds = set()
+    for _ in range(60):
+        worlds = tuple(f"w{k}" for k in range(rng.randint(2, 5)))
+        access = tuple({w: frozenset(t for t in worlds if rng.random() < 0.5) for w in worlds}
+                       for _ in (0, 1))
+        sigma = tuple({w: rng.choice(game.strategies[i]) for w in worlds} for i in (0, 1))
+        model = StandardKripkeModel(game, worlds, access, sigma)
+        found = reference_frame_violations(model)
+        assert validate_standard(model) == found
+        kinds |= {v.kind for v in found}
+    assert kinds == {"seriality", "transitivity", "euclideanness", "sigma-constancy"}
 
 
 def test_sigma_constancy_violation():
