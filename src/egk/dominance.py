@@ -1,17 +1,16 @@
 """Dominance tests, elimination procedures, and justifying beliefs.
 
 Strict and weak dominance by mixed strategies are rational feasibility
-questions, decided by the exact simplex in :mod:`egk.lp`.  Dominator
-supports exclude the candidate strategy itself; this is without loss of
-generality and keeps the LPs small.  A strategy that is a best reply to a
-surviving pure opponent strategy (the unique one, for weak dominance) is
-undominated, and is certified so by integer comparisons on the game's
-compiled payoff rows, without an LP.
+questions, decided by the exact simplex in :mod:`egk.lp` on LPs built from
+the game's compiled integer payoff rows.  Dominator supports exclude the
+candidate strategy itself; this is without loss of generality and keeps the
+LPs small.  A strategy that is a best reply to a surviving pure opponent
+strategy (the unique one, for weak dominance) is undominated, and is
+certified so by integer comparisons on the same rows, without an LP.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputError
@@ -31,11 +30,13 @@ class Restriction(Frozen):
         return cls((tuple(game.strategies[0]), tuple(game.strategies[1])))
 
     def check(self, game: Game) -> None:
+        index = _compiled(game)[1]
         for i in (0, 1):
             if not self.sets[i]:
                 raise InputError(f"empty restriction for player {game.players[i]!r}")
             for s in self.sets[i]:
-                game.check_strategy(i, s)
+                if s not in index[i]:
+                    game.check_strategy(i, s)
 
     def remove(self, removals: dict[int, set[str]]) -> "Restriction":
         return Restriction(
@@ -57,23 +58,35 @@ class EliminationRound(NamedTuple):
     eliminations: tuple[Elimination, ...]
 
 
-def _payoff(game: Game, i: int, s_i: str, s_j: str) -> Fraction:
-    return game.payoff(i, s_i, s_j) if i == 0 else game.payoff(i, s_j, s_i)
+def _rows(
+    game: Game, r: Restriction, i: int, s_i: str
+) -> tuple[list[str], list[tuple[int, ...]], tuple[int, ...], list[int], int]:
+    """What a test of ``s_i`` within ``r`` reads from the game's compiled integer rows.
 
-
-def _pure_best_reply(game: Game, r: Restriction, i: int, s_i: str, unique: bool) -> bool:
-    """Whether ``s_i`` is a best reply within ``r`` to a surviving pure opponent strategy ``o``.
-
-    With ``unique``, every other strategy of ``r.sets[i]`` must do strictly
-    worse at ``o``.  A best reply at ``o`` is not strictly dominated within
-    ``r``: no mixture of the others earns more there.  A unique one is not
-    weakly dominated either: every mixture of the others earns less there.
+    The rivals of ``s_i`` within ``r`` and their rows, the row of ``s_i``,
+    the positions of the surviving opponent strategies (file order), and
+    ``i``'s denominator: a row holds the exact payoffs times it.
     """
-    rows, index = _compiled(game)
-    own = rows[i][s_i]
-    rivals = [rows[i][t] for t in r.sets[i] if t != s_i]
-    for o in r.sets[other(i)]:
-        k = index[other(i)][o]
+    r.check(game)
+    if s_i not in r.sets[i]:
+        raise InputError(f"strategy {s_i!r} is not in the restriction for player {game.players[i]!r}")
+    rows, index, dens = _compiled(game)
+    cands = [t for t in r.sets[i] if t != s_i]
+    cols = [index[other(i)][o] for o in r.sets[other(i)]]
+    return cands, [rows[i][t] for t in cands], rows[i][s_i], cols, dens[i]
+
+
+def _pure_best_reply(
+    rivals: list[tuple[int, ...]], own: tuple[int, ...], cols: list[int], unique: bool
+) -> bool:
+    """Whether ``own`` is a best reply among ``rivals`` to one opponent strategy of ``cols``.
+
+    With ``unique``, every rival must do strictly worse there.  A best reply
+    at a surviving ``o`` is not strictly dominated within the restriction:
+    no mixture of the others earns more there.  A unique one is not weakly
+    dominated either: every mixture of the others earns less there.
+    """
+    for k in cols:
         best = max(row[k] for row in rivals)
         if best < own[k] or (not unique and best == own[k]):
             return True
@@ -88,24 +101,17 @@ def strictly_dominated(
     Maximizes the minimum margin over the opponent's restricted strategies;
     ``s_i`` is dominated iff the optimum is positive.
     """
-    r.check(game)
-    if s_i not in r.sets[i]:
-        raise InputError(f"strategy {s_i!r} is not in the restriction for player {game.players[i]!r}")
-    cands = [t for t in r.sets[i] if t != s_i]
-    opps = r.sets[other(i)]
-    if not cands or _pure_best_reply(game, r, i, s_i, unique=False):
+    cands, rivals, own, cols, den = _rows(game, r, i, s_i)
+    if not cands or _pure_best_reply(rivals, own, cols, unique=False):
         return None
     k = len(cands)
     # Variables: dominator weights, then the free margin split as d+ - d-.
-    c = [Fraction(0)] * k + [Fraction(1), Fraction(-1)]
-    a_ub, b_ub = [], []
-    for o in opps:
-        row = [-_payoff(game, i, t, o) for t in cands] + [Fraction(1), Fraction(-1)]
-        a_ub.append(row)
-        b_ub.append(-_payoff(game, i, s_i, o))
-    a_eq = [[Fraction(1)] * k + [Fraction(0), Fraction(0)]]
-    b_eq = [Fraction(1)]
-    res = maximize(c, a_ub, b_ub, a_eq, b_eq)
+    # Every row that can carry an artificial is the exact row times ``den``,
+    # the sum-to-one row too, so every phase-1 cost scales by one factor.
+    c = [0] * k + [1, -1]
+    a_ub = [[-row[o] for row in rivals] + [den, -den] for o in cols]
+    b_ub = [-own[o] for o in cols]
+    res = maximize(c, a_ub, b_ub, [[den] * k + [0, 0]], [den])
     if res.status != OPTIMAL or res.value <= 0:
         return None
     return MixedStrategy(i, {t: w for t, w in zip(cands, res.x) if w > 0})
@@ -119,25 +125,22 @@ def weakly_dominated(
     Maximizes total slack subject to componentwise >=; weakly dominated iff
     the optimum is positive.
     """
-    r.check(game)
-    if s_i not in r.sets[i]:
-        raise InputError(f"strategy {s_i!r} is not in the restriction for player {game.players[i]!r}")
-    cands = [t for t in r.sets[i] if t != s_i]
-    opps = r.sets[other(i)]
-    if not cands or _pure_best_reply(game, r, i, s_i, unique=True):
+    cands, rivals, own, cols, den = _rows(game, r, i, s_i)
+    if not cands or _pure_best_reply(rivals, own, cols, unique=True):
         return None
     k = len(cands)
-    nm = len(opps)
-    # Variables: dominator weights, then one nonnegative margin per opponent strategy.
-    c = [Fraction(0)] * k + [Fraction(1)] * nm
+    nm = len(cols)
+    # Variables: dominator weights, then one nonnegative margin per opponent
+    # strategy; every row is the exact row times ``den``, as in the strict test.
+    c = [0] * k + [1] * nm
     a_eq, b_eq = [], []
-    for idx, o in enumerate(opps):
-        row = [_payoff(game, i, t, o) for t in cands] + [Fraction(0)] * nm
-        row[k + idx] = Fraction(-1)
+    for idx, o in enumerate(cols):
+        row = [rival[o] for rival in rivals] + [0] * nm
+        row[k + idx] = -den
         a_eq.append(row)
-        b_eq.append(_payoff(game, i, s_i, o))
-    a_eq.append([Fraction(1)] * k + [Fraction(0)] * nm)
-    b_eq.append(Fraction(1))
+        b_eq.append(own[o])
+    a_eq.append([den] * k + [0] * nm)
+    b_eq.append(den)
     res = maximize(c, a_eq=a_eq, b_eq=b_eq)
     if res.status != OPTIMAL or res.value <= 0:
         return None
@@ -154,34 +157,26 @@ def justifying_belief(
     belief must put positive weight on every restricted opponent strategy
     (exists iff ``s_i`` is not weakly dominated within ``r``).
     """
-    r.check(game)
-    if s_i not in r.sets[i]:
-        raise InputError(f"strategy {s_i!r} is not in the restriction for player {game.players[i]!r}")
+    _, rivals, own, cols, _ = _rows(game, r, i, s_i)
     j = other(i)
     opps = r.sets[j]
     nm = len(opps)
     nvars = nm + (1 if full_support else 0)
-    a_ub, b_ub = [], []
-    for t in r.sets[i]:
-        if t == s_i:
-            continue
-        row = [_payoff(game, i, t, o) - _payoff(game, i, s_i, o) for o in opps]
-        row += [Fraction(0)] * (nvars - nm)
-        a_ub.append(row)
-        b_ub.append(Fraction(0))
+    # Only the sum-to-one row can carry an artificial: the others have
+    # right-hand side 0, so scaling them changes no pivot.
+    a_ub = [[row[o] - own[o] for o in cols] + [0] * (nvars - nm) for row in rivals]
     if full_support:
         for idx in range(nm):
-            row = [Fraction(0)] * nvars
-            row[idx] = Fraction(-1)
-            row[nm] = Fraction(1)
+            row = [0] * nvars
+            row[idx] = -1
+            row[nm] = 1
             a_ub.append(row)
-            b_ub.append(Fraction(0))
-    a_eq = [[Fraction(1)] * nm + [Fraction(0)] * (nvars - nm)]
-    b_eq = [Fraction(1)]
-    c = [Fraction(0)] * nvars
+    b_ub = [0] * len(a_ub)
+    a_eq = [[1] * nm + [0] * (nvars - nm)]
+    c = [0] * nvars
     if full_support:
-        c[nm] = Fraction(1)
-    res = maximize(c, a_ub, b_ub, a_eq, b_eq)
+        c[nm] = 1
+    res = maximize(c, a_ub, b_ub, a_eq, [1])
     if res.status != OPTIMAL:
         return None
     if full_support and res.value <= 0:

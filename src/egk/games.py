@@ -33,8 +33,9 @@ class Game(Frozen):
     ``strategies`` keeps the file order of strategy labels; every
     enumeration (elimination rounds, reports, tie-breaking) follows it.
     ``payoffs`` maps each profile ``(s1, s2)`` to the payoff pair
-    ``(u1, u2)``.  ``_compiled`` holds the best-reply kernel's form of the
-    game once it is built (:func:`_compiled`).
+    ``(u1, u2)``.  ``_compiled`` holds the integer form of the game that
+    the best-reply kernel and the dominance LPs read, once it is built
+    (:func:`_compiled`).
     """
 
     __slots__ = ("players", "strategies", "payoffs", "_compiled")
@@ -173,18 +174,19 @@ def push_forward(
     return tuple(n // g for n in out)
 
 
-def _compiled(game: Game) -> tuple[tuple[dict, dict], tuple[dict, dict]]:
+def _compiled(game: Game) -> tuple[tuple[dict, dict], tuple[dict, dict], tuple[int, int]]:
     """The kernel's form of ``game``, built on first use and kept on the game.
 
     Per player: each own strategy's payoffs against the opponent's
-    strategies (file order) as integers over one common denominator, and a
-    label -> position index of the player's strategies.
+    strategies (file order) as integers over one common denominator, a
+    label -> position index of the player's strategies, and that
+    denominator.
     """
     return game._memo("_compiled", _compile)
 
 
-def _compile(game: Game) -> tuple[tuple[dict, dict], tuple[dict, dict]]:
-    rows = []
+def _compile(game: Game) -> tuple[tuple[dict, dict], tuple[dict, dict], tuple[int, int]]:
+    rows, dens = [], []
     for i in (0, 1):
         values = {
             s_i: [Fraction(game.payoff(i, *((s_i, s_j) if i == 0 else (s_j, s_i))))
@@ -194,8 +196,9 @@ def _compile(game: Game) -> tuple[tuple[dict, dict], tuple[dict, dict]]:
         den = math.lcm(*(v.denominator for row in values.values() for v in row))
         rows.append({s: tuple(v.numerator * (den // v.denominator) for v in row)
                      for s, row in values.items()})
+        dens.append(den)
     index = tuple({s: k for k, s in enumerate(game.strategies[i])} for i in (0, 1))
-    return tuple(rows), index
+    return tuple(rows), index, tuple(dens)
 
 
 def _dot(row: tuple[int, ...], weights: tuple[int, ...]) -> int:

@@ -2,21 +2,22 @@
 
 Covers exactly what the dominance and justification tests need: maximize a
 linear objective over ``{x >= 0 : A_ub x <= b_ub, A_eq x = b_eq}``.  Inputs
-and results are Fractions, so feasibility and the sign of the optimum are
-decided exactly, with no tolerance knobs.  Bland's rule makes the pivot
-sequence finite.
+are Fractions or ints and results Fractions, so feasibility and the sign of
+the optimum are exact.  Bland's rule makes the pivot sequence finite.
 
-The tableau is fraction-free (integer-preserving; Edmonds 1967, Bareiss
-1968): each constraint row is scaled once to integers, and the tableau is
-kept as Python ints ``T`` over one positive common denominator ``d``, so
-that ``T / d`` is the usual ``B^-1 [A | b]``.  Pivoting on ``p = T[rp][cp]``
-maps every other row to ``(p * T[r] - T[r][cp] * T[rp]) // d`` and sets
-``d = p``; each division is exact because the results are minors of the
-scaled constraint matrix.  Each slack and artificial keeps the unit
-coefficient in its scaled row, which rescales that variable by the row's
-scale; dividing an artificial's phase-1 cost by the same scale keeps every
-dual, so no sign of a reduced cost and no ratio changes, and the pivot
-sequence and the results are those of the plain rational tableau.
+The tableau is condensed and fraction-free (Edmonds 1967, Bareiss 1968; the
+dictionary of Avis's lrs): each row is scaled once to integers, and only the
+nonbasic columns and the right-hand side are kept, as ints ``T`` over one
+positive common denominator ``d``, so that ``T / d`` is those columns of
+``B^-1 [A | b]``.  ``nonbasic[j]`` is column ``j``'s variable.  A pivot on
+``p = T[rp][cp]`` maps every other row to ``(p * T[r] - T[r][cp] * T[rp]) // d``
+(exact: the results are minors of the scaled matrix) and sets ``d = p``; the
+leaving variable takes column ``cp``, ``-T[r][cp]`` in the other rows and
+``d`` in the pivot row.  Slacks and artificials keep their unit coefficient
+in a scaled row, and dividing an artificial's phase-1 cost by the row's
+scale keeps every dual.  Bland's rule picks the smallest variable index, and
+a leaving artificial stays a column through phase 1, so the pivots and the
+results are those of the plain rational tableau.
 """
 
 from __future__ import annotations
@@ -38,13 +39,11 @@ class LPResult(NamedTuple):
     x: tuple[Fraction, ...] | None = None
 
 
-def _fraction(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
-
-
-def _integer_row(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+def _integer_row(values: Sequence) -> tuple[int, list[int]]:
     """The LCM of the denominators of ``values``, and ``values`` times it."""
-    values = [_fraction(v) for v in values]
+    if all(type(v) is int for v in values):
+        return 1, list(values)
+    values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
     scale = lcm(*(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
@@ -57,38 +56,33 @@ def maximize(
     b_eq: Sequence[Fraction] = (),
 ) -> LPResult:
     """Maximize ``c . x`` subject to ``a_ub x <= b_ub``, ``a_eq x = b_eq``, ``x >= 0``."""
-    c = [_fraction(v) for v in c]
     n = len(c)
-
-    # Each row holds its coefficients, one slack column per inequality row
-    # (coefficient 1 in its own row, whatever the row's scale) and last the
-    # right-hand side, all integers.  A row with a negative right-hand side
-    # is negated.
+    # Variables: the n real ones, one slack per inequality row, then one
+    # artificial per row whose slack cannot start basic.  A row with a
+    # negative right-hand side is negated, and its slack, now -1, starts
+    # nonbasic.  Each row holds its nonbasic columns, then the right-hand side.
     ub, eq = list(zip(a_ub, b_ub)), list(zip(a_eq, b_eq))
-    nslack = len(ub)
+    real_cols = n + len(ub)
     scales: list[int] = []
     tab: list[list[int]] = []
     basis: list[int] = []
+    nonbasic = list(range(n))
     for r, (row, b) in enumerate(ub + eq):
         scale, ints = _integer_row([*row, b])
-        slacks = [0] * nslack
-        if r < nslack:
-            slacks[r] = 1
-        row = ints[:-1] + slacks + ints[-1:]
+        slack = n + r if r < len(ub) else -1
         if ints[-1] < 0:
-            row = [-v for v in row]
+            ints = [-v for v in ints]
+            if slack >= 0:
+                nonbasic.append(slack)
+            slack = -1
         scales.append(scale)
-        tab.append(row)
-        # Start from the slack column where it is still +1; add artificials elsewhere.
-        basis.append(n + r if r < nslack and row[n + r] == 1 else -1)
-    m = len(tab)
-    cols = real_cols = n + nslack
-    art_rows = [r for r in range(m) if basis[r] == -1]
-    for r in art_rows:
-        for rr in range(m):
-            tab[rr].insert(-1, 1 if rr == r else 0)
-        basis[r] = cols
-        cols += 1
+        tab.append(ints)
+        basis.append(slack)
+    for r, row in enumerate(tab):
+        row[-1:-1] = [-1 if s == n + r else 0 for s in nonbasic[n:]]
+    art_rows = [r for r, b in enumerate(basis) if b < 0]
+    for k, r in enumerate(art_rows):
+        basis[r] = real_cols + k
     d = 1
 
     def pivot(rp: int, cp: int) -> None:
@@ -100,27 +94,29 @@ def maximize(
                 continue
             f = row[cp]
             if f:
-                tab[r] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+                row = tab[r] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+                row[cp] = -f
             elif p != d:
                 tab[r] = [p * a // d for a in row]
+        prow[cp] = d
         if p < 0:
             for r, row in enumerate(tab):
                 tab[r] = [-v for v in row]
             p = -p
         d = p
-        basis[rp] = cp
+        nonbasic[cp], basis[rp] = basis[rp], nonbasic[cp]
 
-    def run(obj: list[int], ncols: int) -> bool:
-        """Bland's rule over the first ``ncols`` columns; False when unbounded.
+    def run(obj: list[int]) -> bool:
+        """Bland's rule on the variable costs ``obj``; False when unbounded.
 
-        The reduced cost of column j is ``obj[j] - sum(obj[basis[r]] * T[r][j]) / d``;
-        its sign is that of the integer ``obj[j] * d - sum(obj[basis[r]] * T[r][j])``.
+        Column ``j``'s reduced cost has the sign of the integer
+        ``obj[nonbasic[j]] * d - sum(obj[basis[r]] * T[r][j] for each row r)``.
         """
         while True:
             lam = [(obj[b], row) for b, row in zip(basis, tab) if obj[b]]
             enter = -1
-            for j in range(ncols):
-                red = obj[j] * d
+            for j in sorted(range(len(nonbasic)), key=nonbasic.__getitem__):
+                red = obj[nonbasic[j]] * d
                 for l, row in lam:
                     red -= l * row[j]
                 if red > 0:
@@ -130,11 +126,11 @@ def maximize(
                 return True
             # Ratio test rhs/a over rows with a > 0, compared by cross-multiplication.
             leave, best_rhs, best_a = -1, 0, 1
-            for r, row in enumerate(tab):
+            for r, (b, row) in enumerate(zip(basis, tab)):
                 a = row[enter]
                 if a > 0:
                     lhs, rhs = row[-1] * best_a, best_rhs * a
-                    if leave < 0 or lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    if leave < 0 or lhs < rhs or (lhs == rhs and b < basis[leave]):
                         leave, best_rhs, best_a = r, row[-1], a
             if leave < 0:
                 return False
@@ -145,25 +141,29 @@ def maximize(
         # with its unit coefficient in a scaled row; times a common multiple.
         art_scale = lcm(*(scales[r] for r in art_rows))
         obj1 = [0] * real_cols + [-(art_scale // scales[r]) for r in art_rows]
-        run(obj1, cols)
+        run(obj1)
         if sum(obj1[b] * row[-1] for b, row in zip(basis, tab)):
             return LPResult(INFEASIBLE)
         # Pivot leftover artificials out of the basis; drop redundant rows.
         for r in range(len(tab) - 1, -1, -1):
             if basis[r] >= real_cols:
-                cp = next((j for j in range(real_cols) if tab[r][j] != 0), None)
-                if cp is None:
+                real = [j for j, v in enumerate(nonbasic) if v < real_cols and tab[r][j]]
+                if real:
+                    pivot(r, min(real, key=nonbasic.__getitem__))
+                else:
                     tab.pop(r)
                     basis.pop(r)
-                else:
-                    pivot(r, cp)
+        # Phase 2 scans only real columns: drop the nonbasic artificials.
+        keep = [j for j, v in enumerate(nonbasic) if v < real_cols]
+        nonbasic[:] = [nonbasic[j] for j in keep]
+        tab[:] = [[row[j] for j in keep] + row[-1:] for row in tab]
 
-    obj2 = _integer_row(c)[1] + [0] * (cols - n)
-    if not run(obj2, real_cols):
+    scale, obj = _integer_row(c)
+    if not run(obj + [0] * (real_cols - n)):
         return LPResult(UNBOUNDED)
     x = [_ZERO] * n
     for b, row in zip(basis, tab):
         if b < n:
             x[b] = Fraction(row[-1], d)
-    value = sum((ci * xi for ci, xi in zip(c, x)), _ZERO)
+    value = Fraction(sum(obj[b] * row[-1] for b, row in zip(basis, tab) if b < n), scale * d)
     return LPResult(OPTIMAL, value, tuple(x))

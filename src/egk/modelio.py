@@ -160,6 +160,25 @@ def _player_maps(data: Mapping, key: str, game: Game, where: str, keys: str = "w
     return out
 
 
+def _world_maps(data: Mapping, key: str, game: Game, known: frozenset, where: str):
+    """:func:`_player_maps` for a model map keyed by world.
+
+    An entry whose world is not under ``worlds`` is an error, located at
+    the entry, rather than an entry no reader looks up.
+    """
+    maps = _player_maps(data, key, game, where)
+    for name, raw in zip(game.players, maps):
+        if not raw.keys() <= known:
+            w = next(w for w in raw if w not in known)
+            raise FormatError(f"{where}.{key}.{name}.{w}: world {w!r} is not listed under 'worlds'")
+    return maps
+
+
+def _unknown(spot: str, what: str, labels, known: frozenset) -> FormatError:
+    """The error for ``labels`` that name worlds outside ``known``, located at ``spot``."""
+    return FormatError(f"{spot}: {what} unknown worlds {sorted(set(labels) - known)}")
+
+
 def _labels_key(raw: Any) -> tuple | None:
     return tuple(raw) if type(raw) is list else None
 
@@ -233,21 +252,28 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
     same items in the same file order, such as ``"1/2"`` and ``"2/4"``)
     share one object too, so the model's readers evaluate each distinct
     belief once.  Errors are raised at the first offending world in file
-    order.
+    order; an entry for a world not under ``worlds``, and an access list or
+    belief that names one, are errors located at their node.
     """
     from .kripke import ProbKripkeModel, StandardKripkeModel
 
     if game is None:
         game = game_from_json(_expect(data, "game", where), f"{where}.game")
     worlds = tuple(_labels(_expect(data, "worlds", where), f"{where}.worlds", "world labels"))
-    access_raw = _player_maps(data, "access", game, where)
-    sigma_raw = _player_maps(data, "sigma", game, where)
+    known = frozenset(worlds)
+    access_raw = _world_maps(data, "access", game, known, where)
+    sigma_raw = _world_maps(data, "sigma", game, known, where)
     sets: dict[tuple, frozenset] = {}
-    access = tuple(
-        {w: _read_once(sets, _labels_key, _access_set, access_raw[i].get(w, []),
-                       f"{where}.access.{game.players[i]}.{w}")
-         for w in worlds}
-        for i in (0, 1))
+    access = ({}, {})
+    for i in (0, 1):
+        name = game.players[i]
+        for w in worlds:
+            spot = f"{where}.access.{name}.{w}"
+            targets = access[i][w] = _read_once(sets, _labels_key, _access_set,
+                                                access_raw[i].get(w, []), spot)
+            if not targets <= known:
+                raise _unknown(spot, f"player {name}: accessibility from {w!r} points at",
+                               targets, known)
     sigma = ({}, {})
     for i in (0, 1):
         name = game.players[i]
@@ -265,22 +291,25 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
     seen: dict[tuple, list] = {}
     parsed: dict[tuple, Any] = {}
     if "p" in data:
-        p_raw = _player_maps(data, "p", game, where)
+        p_raw = _world_maps(data, "p", game, known, where)
 
         def read_dist(raw: Any, spot: str) -> dict:
             dist = _dist(raw, spot)
             return _by_value(seen, (dist,), lambda: dist)
 
-        p = tuple(
-            {w: _read_once(parsed, _dist_key, read_dist, p_raw[i].get(w, {}),
-                           f"{where}.p.{game.players[i]}.{w}")
-             for w in worlds}
-            for i in (0, 1))
+        p = ({}, {})
+        for i in (0, 1):
+            name = game.players[i]
+            for w in worlds:
+                spot = f"{where}.p.{name}.{w}"
+                dist = p[i][w] = _read_once(parsed, _dist_key, read_dist, p_raw[i].get(w, {}), spot)
+                if not dist.keys() <= known:
+                    raise _unknown(spot, f"player {name}: belief at {w!r} weights", dist, known)
         return _construct(where, ProbKripkeModel, base, p)
     if "lambda" in data:
         from .ordered import OrderedKripkeModel
 
-        lam_raw = _player_maps(data, "lambda", game, where)
+        lam_raw = _world_maps(data, "lambda", game, known, where)
 
         def read_levels(raw: Any, spot: str) -> tuple:
             levels = tuple(_dist(level, f"{spot}[{k}]")
@@ -293,8 +322,13 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
             for w in worlds:
                 if w not in lam_raw[i]:
                     raise FormatError(f"{where}.lambda: missing world {w!r} for player {name!r}")
-                lam[i][w] = _read_once(parsed, _levels_key, read_levels, lam_raw[i][w],
-                                       f"{where}.lambda.{name}.{w}")
+                spot = f"{where}.lambda.{name}.{w}"
+                levels = lam[i][w] = _read_once(parsed, _levels_key, read_levels,
+                                                lam_raw[i][w], spot)
+                for k, level in enumerate(levels):
+                    if not level.keys() <= known:
+                        what = f"player {name}: level belief at {w!r} weights"
+                        raise _unknown(f"{spot}[{k}]", what, level, known)
         return _construct(where, OrderedKripkeModel, base, lam)
     return base
 

@@ -7,12 +7,15 @@ elimination.  For at most three dominator strategies the vertex sweep is a
 complete decision procedure, so the oracle is exact, not just a sampler.
 
 ``reference_maximize`` is the plain ``Fraction``-tableau simplex with Bland's
-rule; the fraction-free :func:`egk.lp.maximize` must return exactly its results.
+rule; the condensed fraction-free :func:`egk.lp.maximize` must return exactly
+its results.
 
-``reference_strictly_dominated`` and ``reference_weakly_dominated`` decide
-every dominance test by its LP, with no pure best-reply screen, and
-``reference_elimination`` runs DF or IESDS rounds on them; the screened tests
-in :mod:`egk.dominance` must give exactly their dominators, rounds and
+``reference_strictly_dominated``, ``reference_weakly_dominated`` and
+``reference_justifying_belief`` decide every test by its LP on ``Fraction``
+payoffs, solved by ``reference_maximize``, with no pure best-reply screen,
+and ``reference_elimination`` runs DF or IESDS rounds on them; the screened
+tests in :mod:`egk.dominance`, whose LPs are built from the game's compiled
+integer rows, must give exactly their dominators, beliefs, rounds and
 survivors.
 
 ``reference_rat``, ``reference_lrat`` and ``reference_optimal_strategies`` are
@@ -83,7 +86,7 @@ from egk.kripke import (
     weight_sum,
 )
 from egk.ordered import OrderedKripkeModel
-from egk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, maximize
+from egk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
 GRID_DENOMINATOR = 24
 
@@ -271,7 +274,7 @@ def reference_strictly_dominated(
         b_ub.append(-payoff(game, i, s_i, o))
     a_eq = [[Fraction(1)] * k + [Fraction(0), Fraction(0)]]
     b_eq = [Fraction(1)]
-    res = maximize(c, a_ub, b_ub, a_eq, b_eq)
+    res = reference_maximize(c, a_ub, b_ub, a_eq, b_eq)
     if res.status != OPTIMAL or res.value <= 0:
         return None
     return MixedStrategy(i, {t: w for t, w in zip(cands, res.x) if w > 0})
@@ -304,16 +307,62 @@ def reference_weakly_dominated(
         b_eq.append(payoff(game, i, s_i, o))
     a_eq.append([Fraction(1)] * k + [Fraction(0)] * nm)
     b_eq.append(Fraction(1))
-    res = maximize(c, a_eq=a_eq, b_eq=b_eq)
+    res = reference_maximize(c, a_eq=a_eq, b_eq=b_eq)
     if res.status != OPTIMAL or res.value <= 0:
         return None
     return MixedStrategy(i, {t: w for t, w in zip(cands, res.x) if w > 0})
 
 
+def reference_justifying_belief(
+    game: Game, r: Restriction, i: int, s_i: str, full_support: bool = False
+) -> MixedStrategy | None:
+    """An opponent belief making ``s_i`` a best response within ``r``, or None.
+
+    With ``full_support`` the belief must put positive weight on every
+    restricted opponent strategy; the LP maximizes the least weight.
+    """
+    r.check(game)
+    if s_i not in r.sets[i]:
+        raise InputError(f"strategy {s_i!r} is not in the restriction for player {game.players[i]!r}")
+    j = other(i)
+    opps = r.sets[j]
+    nm = len(opps)
+    nvars = nm + (1 if full_support else 0)
+    a_ub, b_ub = [], []
+    for t in r.sets[i]:
+        if t == s_i:
+            continue
+        row = [payoff(game, i, t, o) - payoff(game, i, s_i, o) for o in opps]
+        a_ub.append(row + [_ZERO] * (nvars - nm))
+        b_ub.append(_ZERO)
+    if full_support:
+        for idx in range(nm):
+            row = [_ZERO] * nvars
+            row[idx] = Fraction(-1)
+            row[nm] = _ONE
+            a_ub.append(row)
+            b_ub.append(_ZERO)
+    a_eq = [[_ONE] * nm + [_ZERO] * (nvars - nm)]
+    c = [_ZERO] * nvars
+    if full_support:
+        c[nm] = _ONE
+    res = reference_maximize(c, a_ub, b_ub, a_eq, [_ONE])
+    if res.status != OPTIMAL or (full_support and res.value <= 0):
+        return None
+    return MixedStrategy(j, {o: w for o, w in zip(opps, res.x[:nm]) if w > 0})
+
+
 def reference_elimination(
-    game: Game, procedure: str
+    game: Game, procedure: str, decide=None
 ) -> tuple[Restriction, tuple[EliminationRound, ...]]:
-    """``"df"`` (one weak round, then strict rounds) or ``"iesds"`` on the LP-only tests."""
+    """``"df"`` (one weak round, then strict rounds) or ``"iesds"`` on the LP-only tests.
+
+    ``decide(test, r, i, s)`` runs each test; by default it calls
+    ``test(game, r, i, s)``, and a caller may pass one that keeps answers.
+    """
+    if decide is None:
+        def decide(test, r, i, s):
+            return test(game, r, i, s)
     r = Restriction.full(game)
     rounds = []
     phases = ["weak"] if procedure == "df" else []
@@ -323,7 +372,7 @@ def reference_elimination(
         elims = []
         for i in (0, 1):
             for s in r.sets[i]:
-                dom = test(game, r, i, s)
+                dom = decide(test, r, i, s)
                 if dom is not None:
                     elims.append(Elimination(i, s, dom))
         if elims:

@@ -23,6 +23,7 @@ from oracles import (
     oracle_strictly_dominated,
     oracle_weakly_dominated,
     reference_elimination,
+    reference_justifying_belief,
     reference_strictly_dominated,
     reference_weakly_dominated,
     verify_dominator,
@@ -244,6 +245,25 @@ def _along(r, rounds):
         yield r
 
 
+def _travelers_dilemma(claims: int, reward: int = 2, scale=(1, 1), shift=(0, 0)) -> Game:
+    """Claims 2..claims+1, player i's payoffs rescaled and shifted.
+
+    Player i's payoff is ``scale[i]`` times the dilemma's plus ``shift[i]``
+    times the opponent's claim.  A positive rescale and a shift that depends
+    only on the opponent's strategy keep every dominance relation, so the
+    game takes claims - 1 rounds under DF and IESDS whatever the two.
+    """
+    labels = tuple(f"c{v}" for v in range(2, claims + 2))
+
+    def u(i: int, x: int, y: int) -> F:
+        base = x if x == y else (x + reward if x < y else y - reward)
+        return F(scale[i] * base + shift[i] * y)
+
+    payoffs = {(a, b): (u(0, int(a[1:]), int(b[1:])), u(1, int(b[1:]), int(a[1:])))
+               for a in labels for b in labels}
+    return Game(("1", "2"), (labels, labels), payoffs)
+
+
 @settings(max_examples=120, deadline=None)
 @given(_games_with_restrictions())
 # A tied best reply can be weakly dominated: (1, 1) beats (1, 0) weakly.
@@ -252,32 +272,50 @@ def _along(r, rounds):
 # B is the unique best reply to D only, which the restriction removes.
 @example((_game(("A", "B"), ("C", "D"), [[(1, 0), (0, 0)], [(0, 0), (1, 0)]]),
           Restriction((("A", "B"), ("C",)))))
+# Player 2's payoffs over the denominators 2 and 10: the weak test of c0
+# (first game) and the strict test of c0 (second) find another dominator if
+# the sum-to-one row is not scaled by that denominator like the margin rows,
+# since phase 1 then weights the artificials unevenly.
+@example((_game(("r0", "r1"), ("c0", "c1", "c2"),
+                [[("2/3", 0), ("-2/5", 1), ("-3/5", "3/2")],
+                 [("-1/3", "-3/2"), ("3/2", 1), (-1, "1/2")]]),
+          Restriction((("r0", "r1"), ("c0", "c1", "c2")))))
+@example((_game(("r0", "r1", "r2"), ("c0", "c1", "c2", "c3"),
+                [[("-3/5", -3), ("-2/3", "-2/5"), (-1, 0), ("1/5", -1)],
+                 [("-3/5", "3/5"), ("1/5", "-1/2"), ("-1/3", 1), ("-1/2", 1)],
+                 [(0, "-2/5"), ("2/5", "-2/5"), (-1, "3/5"), (1, "-3/5")]]),
+          Restriction((("r0", "r1", "r2"), ("c0", "c1", "c2", "c3")))))
+# Fractional payoffs over the denominators 6 and 35, all positive, so each
+# LP on the full 8 x 8 game runs phase 1 on 9 artificials; 7 rounds.
+@example((_travelers_dilemma(8, scale=(F(3, 2), F(2, 5)), shift=(F(1, 3), F(1, 7))),
+          Restriction((("c2", "c5", "c9"), ("c3", "c4")))))
 def test_screened_tests_match_the_lp_only_references(case):
     game, sub = case
+    answers = {}
+
+    def reference(test, r, i, s, *args):
+        # The rounds and the loop below ask for many of the same reference LPs.
+        key = (test, r, i, s, args)
+        if key not in answers:
+            answers[key] = test(game, r, i, s, *args)
+        return answers[key]
+
     df = dekel_fudenberg(game)
     ie = iesds(game)
-    assert df == reference_elimination(game, "df")
-    assert ie == reference_elimination(game, "iesds")
+    assert df == reference_elimination(game, "df", reference)
+    assert ie == reference_elimination(game, "iesds", reference)
     full = Restriction.full(game)
     restrictions = {sub, *_along(full, df[1]), *_along(full, ie[1])}
     for r in restrictions:
         for i in (0, 1):
             for s in r.sets[i]:
                 assert strictly_dominated(game, r, i, s) == \
-                    reference_strictly_dominated(game, r, i, s)
+                    reference(reference_strictly_dominated, r, i, s)
                 assert weakly_dominated(game, r, i, s) == \
-                    reference_weakly_dominated(game, r, i, s)
-
-
-def _travelers_dilemma(claims: int, reward: int = 2) -> Game:
-    labels = tuple(f"c{v}" for v in range(2, claims + 2))
-
-    def u(x: int, y: int) -> int:
-        return x if x == y else (x + reward if x < y else y - reward)
-
-    payoffs = {(a, b): (F(u(int(a[1:]), int(b[1:]))), F(u(int(b[1:]), int(a[1:]))))
-               for a in labels for b in labels}
-    return Game(("1", "2"), (labels, labels), payoffs)
+                    reference(reference_weakly_dominated, r, i, s)
+                for full_support in (False, True):
+                    assert justifying_belief(game, r, i, s, full_support) == \
+                        reference_justifying_belief(game, r, i, s, full_support)
 
 
 def _planted_game(n: int) -> Game:

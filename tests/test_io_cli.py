@@ -70,6 +70,43 @@ def test_cli_an_unknown_sigma_strategy_exits_2_at_its_node(tmp_path, capsys, str
         f"error: {path}.sigma.1.w3: unknown strategy {shown} for player '1'\n")
 
 
+@pytest.mark.parametrize("flavor,node,value,message", [
+    ("p", ("access", "1", "w1"), ["w1", "zz"],
+     "access.1.w1: player 1: accessibility from 'w1' points at unknown worlds ['zz']"),
+    ("p", ("p", "1", "w1"), {"w1": "1/2", "zz": "1/2"},
+     "p.1.w1: player 1: belief at 'w1' weights unknown worlds ['zz']"),
+    ("lambda", ("lambda", "2", "w3"), [{"w1": "1"}, {"zz": "1", "yy": "0"}],
+     "lambda.2.w3[1]: player 2: level belief at 'w3' weights unknown worlds ['yy', 'zz']"),
+], ids=["access", "p", "lambda"])
+def test_an_unknown_world_in_an_access_list_or_a_belief_exits_2_at_its_node(
+        flavor, node, value, message, tmp_path, capsys):
+    model = myerson_prob_model(F(1, 4)) if flavor == "p" else myerson_ordered_model()
+    path = write(tmp_path, "case.json", _replace(modelio.model_to_json(model), node, value))
+    assert cli.main(["model", "check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}.{message}\n"
+
+
+@pytest.mark.parametrize("flavor,key,player,value", [
+    ("p", "access", "1", 5),
+    ("p", "sigma", "1", 7),
+    ("p", "p", "2", "junk"),
+    ("lambda", "lambda", "2", [{"w1": "1"}]),
+], ids=["access", "sigma", "p", "lambda"])
+def test_an_entry_for_a_world_not_under_worlds_exits_2_at_its_node(
+        flavor, key, player, value, tmp_path, capsys):
+    model = myerson_prob_model(F(1, 4)) if flavor == "p" else myerson_ordered_model()
+    data = modelio.model_to_json(model)
+    data[key][player]["ghost"] = value
+    path = write(tmp_path, "case.json", data)
+    assert cli.main(["model", "check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}.{key}.{player}.ghost: world 'ghost' is not listed under 'worlds'\n")
+
+
 @pytest.mark.parametrize("flavor", ["p", "lambda"])
 def test_a_bad_value_held_by_many_worlds_is_reported_at_the_first(flavor):
     model = myerson_prob_model(F(1, 4)) if flavor == "p" else myerson_ordered_model()
