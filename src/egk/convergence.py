@@ -17,7 +17,6 @@ from .errors import InputError
 from .frozen import Frozen
 from .kripke import (
     ProbKripkeModel,
-    belief_groups,
     check_caution,
     check_constancy,
     level_ids,
@@ -66,12 +65,12 @@ def _require_hypotheses(model: OrderedKripkeModel) -> None:
     # A level without positive weight (zero weights are dropped when the
     # model is built) has nothing to scale, so no member can be built.
     for i in (0, 1):
-        for w in model.worlds:
-            for k, level in enumerate(model.lam[i][w]):
+        for levels, holders in model.groups(i):
+            for k, level in enumerate(levels):
                 if not level:
                     raise InputError(
                         f"empty belief level: player {model.game.players[i]}: "
-                        f"level {k + 1} at {w} gives no world positive weight")
+                        f"level {k + 1} at {holders[0]} gives no world positive weight")
     caution = check_caution(model)
     if caution:
         raise InputError(f"ordered model is not cautious: {caution[0]}")
@@ -161,7 +160,7 @@ def _check_output(
     """Reject a member that is not a valid, cautious model meeting the eps bound.
 
     Worlds that share a member belief share their source levels, so the
-    off-primary bound is checked once per belief.
+    off-primary bound is checked once per kept belief group.
     """
     for v in validate_beliefs(out):
         # Belief constancy can only fail where the source levels already
@@ -172,7 +171,7 @@ def _check_output(
     if check_caution(out):
         raise InputError("built model lost caution")
     for i in (0, 1):
-        for dist, holders in belief_groups(out.worlds, out.p[i]):
+        for dist, holders in out.groups(i):
             level1 = source.lam[i][holders[0]][0]
             for w1, weight in dist.items():
                 if w1 not in level1 and weight > eps:

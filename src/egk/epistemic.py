@@ -10,6 +10,7 @@ deem an eliminated opponent type possible.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple
@@ -45,9 +46,10 @@ class _TypeModel(Frozen):
 
     A flavor reads a belief entry as levels and stores them back
     (``_as_levels``, ``_from_levels``); ``_WHERE`` locates a level.
+    ``_optimal`` holds every type's :func:`optimal_strategies` once found.
     """
 
-    __slots__ = ("game", "types", "beliefs")
+    __slots__ = ("game", "types", "beliefs", "_optimal")
     game: Game
     types: tuple[tuple[str, ...], tuple[str, ...]]
     beliefs: tuple[Mapping, Mapping]
@@ -141,11 +143,12 @@ def strategy_marginal(model: EpistemicModel, i: int, t: str, k: int = 0) -> Mixe
 
 
 def optimal_strategies(model: EpistemicModel, i: int, t: str) -> frozenset[str]:
-    """Strategies not lexicographically beaten under ``t``'s belief levels."""
-    j = other(i)
-    levels = tuple(push_forward(model.game, j, dist, _pair_strategy)
-                   for dist in model.levels(i, t))
-    return lex_best_replies(model.game, i, levels)
+    """Strategies not beaten lexicographically under ``t``'s levels; found for all types once."""
+    model.check_type(i, t)
+    return model._memo("_optimal", lambda m: tuple(
+        {u: lex_best_replies(m.game, k, tuple(push_forward(m.game, other(k), dist, _pair_strategy)
+                                              for dist in m.levels(k, u)))
+         for u in m.types[k]} for k in (0, 1)))[i][t]
 
 
 def _mistakes_at_most(model: EpistemicModel, i: int, t: str, bound: Fraction) -> bool:
@@ -351,49 +354,53 @@ def types_from_kripke(
     over (opponent strategy, opponent class) pairs, computed as the coarsest
     such partition.  The belief of a type totals the world-belief weight of
     each class on each strategy, so it is independent of the representative.
+    Each belief group is summed as integers over its common denominator;
+    a signature is reduced by the gcd, so equal distributions share it.
     """
-    from .kripke import per_belief
-
     worlds = model.worlds
+    # Per player: each group's common denominator, integer weights and holders.
+    scaled = [[(den := math.lcm(*(v.denominator for v in dist.values())),
+                [(w1, v.numerator * (den // v.denominator)) for w1, v in dist.items()], holders)
+               for dist, holders in model.groups(i)] for i in (0, 1)]
+
     classes = [{w: 0 for w in worlds}, {w: 0 for w in worlds}]
+
+    def totals(i: int, weights) -> dict:
+        out: dict = {}
+        for w1, n in weights:
+            k = (model.sigma[other(i)][w1], classes[other(i)][w1])
+            out[k] = out.get(k, 0) + n
+        return out
+
     while True:
         changed = False
         for i in (0, 1):
-            j = other(i)
-            sig_ids: dict[tuple, int] = {}
-
-            def signature(dist) -> int:
-                agg: dict[tuple[str, int], Fraction] = {}
-                for w1, v in dist.items():
-                    key = (model.sigma[j][w1], classes[j][w1])
-                    agg[key] = agg.get(key, Fraction(0)) + v
-                return sig_ids.setdefault(tuple(sorted(agg.items())), len(sig_ids))
-
-            sig = per_belief(worlds, model.p[i], signature)
             relabel: dict[tuple, int] = {}  # first occurrence fixes the class id
-            new = {w: relabel.setdefault((classes[i][w], sig[w]), len(relabel)) for w in worlds}
+            new = {}
+            for den, weights, holders in scaled[i]:
+                agg = totals(i, weights)
+                g = math.gcd(den, *agg.values())
+                key = (classes[i][holders[0]], tuple(sorted((k, n // g) for k, n in agg.items())),
+                       den // g)
+                new.update(dict.fromkeys(holders, relabel.setdefault(key, len(relabel))))
             if new != classes[i]:
                 classes[i] = new
                 changed = True
         if not changed:
             break
 
-    # Class ids count up in order of first world, so they number the types.
+    # Class ids count up in order of first world, so they number the types,
+    # and the holders of one group always share a class.
     labels = [tuple(f"t{i + 1}_{cid + 1}" for cid in range(len(set(classes[i].values()))))
               for i in (0, 1)]
     beliefs = []
     for i in (0, 1):
-        j = other(i)
         per = {}
-        for w in worlds:
-            label = labels[i][classes[i][w]]
-            if label in per:  # the first world of a class stands for it
-                continue
-            dist: dict[Pair, Fraction] = {}
-            for w1, v in model.p[i][w].items():
-                pair = (model.sigma[j][w1], labels[j][classes[j][w1]])
-                dist[pair] = dist.get(pair, Fraction(0)) + v
-            per[label] = dist
+        for den, weights, holders in scaled[i]:
+            label = labels[i][classes[i][holders[0]]]
+            if label not in per:  # the class's first group holds its first world
+                per[label] = {(s_j, labels[other(i)][c]): Fraction(n, den)
+                              for (s_j, c), n in totals(i, weights).items()}
         beliefs.append(per)
     tmodel = ProbEpistemicModel(model.game, (labels[0], labels[1]), (beliefs[0], beliefs[1]))
     world_types = {

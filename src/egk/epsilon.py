@@ -83,12 +83,14 @@ def upper_access(model: ProbKripkeModel, i: int, w: str, eps: Fraction) -> froze
 
 
 def _above(dist, eps: Fraction) -> frozenset[str]:
-    return frozenset(w1 for w1, v in dist.items() if v > eps)
+    """Worlds weighted strictly above ``eps``, by integer cross-multiplication."""
+    n, d = eps.numerator, eps.denominator
+    return frozenset(w1 for w1, v in dist.items() if v.numerator * d > n * v.denominator)
 
 
 def _upper_view(model: ProbKripkeModel, i: int, eps: Fraction) -> Callable[[str], frozenset[str]]:
-    """Player ``i``'s worlds weighted strictly above an already checked ``eps``."""
-    return per_belief(model.worlds, model.p[i], lambda dist: _above(dist, eps)).__getitem__
+    """Player ``i``'s worlds weighted strictly above an already checked ``eps``, once per group."""
+    return per_belief(model.groups(i), lambda dist: _above(dist, eps)).__getitem__
 
 
 def upper_belief(

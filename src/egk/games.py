@@ -1,14 +1,15 @@
 """Finite two-player strategic-form games with exact rational payoffs.
 
-Every payoff, probability and derived utility in this package is a
-`fractions.Fraction`; no floating point is used anywhere, so set-valued
-results (survivor sets, belief events) are exact.
+Every payoff, probability and utility is exact: a `fractions.Fraction`, or
+integers over one common denominator in the best-reply kernel, never a
+float, so set-valued results (survivor sets, belief events) are exact.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import InputError
@@ -202,7 +203,7 @@ def _compile(game: Game) -> tuple[tuple[dict, dict], tuple[dict, dict], tuple[in
 
 
 def _dot(row: tuple[int, ...], weights: tuple[int, ...]) -> int:
-    return sum(u * w for u, w in zip(row, weights))
+    return sum(map(mul, row, weights))
 
 
 def lex_values(game: Game, i: int, s_i: str, levels: Sequence[tuple[int, ...]]) -> tuple[int, ...]:

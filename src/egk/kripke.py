@@ -5,8 +5,8 @@ belief is the one-level case of an ordered one.  Accessibility is expected
 to be KD45 (serial, transitive, Euclidean) and a player's own strategy
 constant on accessibility classes; ``validate_standard`` and
 ``validate_prob`` report violations as data rather than raising, so a model
-checker can surface every defect at once.  Each model's checks are found
-once and kept on it; the belief checks all read one pass per player.
+checker can surface every defect at once.  A model keeps its belief groups
+and its checks; the belief checks all read one pass per player and group.
 """
 
 from __future__ import annotations
@@ -95,10 +95,11 @@ class FramedModel(Frozen):
     (``_as_levels``, ``_from_levels``), its name in files and violation
     kinds (``KIND``), the wording of its messages (``_TEXT``), and whether
     beliefs must be constant on R_i classes (``_REQUIRE_CONSTANCY``).
-    ``_checked`` holds the belief checks once found (:func:`_checks`).
+    ``_groups`` holds each player's :meth:`groups`, kept by the constructor,
+    and ``_checked`` the belief checks once found (:func:`_checks`).
     """
 
-    __slots__ = ("base", "_checked")
+    __slots__ = ("base", "_groups", "_checked")
     base: StandardKripkeModel
 
     @property
@@ -130,15 +131,16 @@ class FramedModel(Frozen):
         """``beliefs`` checked against the frame, with exact weights and no zeros.
 
         Worlds that share a belief object keep sharing the cleaned one, so
-        each distinct belief is checked and converted once.
+        each distinct belief is checked and converted once; its groups are kept.
         """
         wset = set(base.worlds)
-        cleaned = []
+        cleaned, kept = [], []
         for i in (0, 1):
             if set(beliefs[i]) != wset:
                 raise InputError(self._TEXT["cover"].format(name=base.game.players[i]))
             per = dict.fromkeys(beliefs[i])
-            for belief, holders in belief_groups(beliefs[i], beliefs[i]):
+            kept.append([])
+            for belief, holders in belief_groups(base.worlds, beliefs[i]):
                 levels = self._as_levels(belief)
                 if not levels:
                     raise InputError(self._TEXT["empty"].format(w=holders[0]))
@@ -150,9 +152,11 @@ class FramedModel(Frozen):
                             self._TEXT["unknown"].format(w=holders[0], bad=sorted(bad)))
                     fixed.append(exact_weights(dist))
                 clean = self._from_levels(fixed)
+                kept[i].append((clean, holders))
                 for w in holders:
                     per[w] = clean
             cleaned.append(per)
+        object.__setattr__(self, "_groups", tuple(kept))
         return tuple(cleaned)
 
     def beliefs(self, i: int) -> Mapping:
@@ -162,6 +166,10 @@ class FramedModel(Frozen):
     def levels(self, i: int, w: str) -> tuple[Mapping[str, Fraction], ...]:
         """Player ``i``'s belief at ``w`` as levels, primary first."""
         return self._as_levels(self.beliefs(i)[w])
+
+    def groups(self, i: int) -> list[tuple[B, list[str]]]:
+        """Player ``i``'s stored beliefs grouped as :func:`belief_groups` does; read only."""
+        return self._groups[i]
 
 
 class ProbKripkeModel(FramedModel):
@@ -202,22 +210,15 @@ def belief_groups(worlds: Iterable[str], beliefs: Mapping[str, B]) -> list[tuple
     """
     groups: dict[int, tuple[B, list[str]]] = {}
     for w in worlds:
-        belief = beliefs[w]
-        group = groups.get(id(belief))
-        if group is None:
-            groups[id(belief)] = (belief, [w])
-        else:
-            group[1].append(w)
+        groups.setdefault(id(beliefs[w]), (beliefs[w], []))[1].append(w)
     return list(groups.values())
 
 
-def per_belief(worlds: Iterable[str], beliefs: Mapping[str, B], f: Callable[[B], R]) -> dict[str, R]:
-    """``f`` of each world's belief, evaluated once per distinct belief object."""
+def per_belief(groups: Iterable[tuple[B, list[str]]], f: Callable[[B], R]) -> dict[str, R]:
+    """``f`` of each world's belief, evaluated once per group of :func:`belief_groups`."""
     out = {}
-    for belief, holders in belief_groups(worlds, beliefs):
-        value = f(belief)
-        for w in holders:
-            out[w] = value
+    for belief, holders in groups:
+        out.update(dict.fromkeys(holders, f(belief)))
     return out
 
 
@@ -249,10 +250,10 @@ def validate_standard(model: StandardKripkeModel) -> list[Violation]:
 def _frame_violations(model: StandardKripkeModel) -> tuple[Violation, ...]:
     """Every seriality, transitivity, Euclideanness and sigma-constancy violation.
 
-    Each pair wRw1 is tested with one set inclusion, R(w1) <= R(w) for
-    transitivity and R(w) <= R(w1) for Euclideanness, and only a pair that
-    fails it is walked for its violating w2, so the violations and their
-    order are those of the walk over every triple.
+    Each pair wRw1 with two set objects is tested with one inclusion, R(w1)
+    <= R(w) for transitivity and R(w) <= R(w1) for Euclideanness, and only a
+    pair that fails it is walked for its violating w2, so the violations and
+    their order are those of the walk over every triple.
     """
     out = []
     for i in (0, 1):
@@ -263,7 +264,7 @@ def _frame_violations(model: StandardKripkeModel) -> tuple[Violation, ...]:
                 out.append(Violation("seriality", i, (w,), f"player {name}: no world accessible from {w}"))
         for w in model.worlds:
             for w1 in acc[w]:
-                if acc[w1] <= acc[w]:
+                if acc[w1] is acc[w] or acc[w1] <= acc[w]:
                     continue
                 for w2 in acc[w1]:
                     if w2 not in acc[w]:
@@ -272,7 +273,7 @@ def _frame_violations(model: StandardKripkeModel) -> tuple[Violation, ...]:
                             f"player {name}: {w}R{w1} and {w1}R{w2} but not {w}R{w2}"))
         for w in model.worlds:
             for w1 in acc[w]:
-                if acc[w] <= acc[w1]:
+                if acc[w] is acc[w1] or acc[w] <= acc[w1]:
                     continue
                 for w2 in acc[w]:
                     if w2 not in acc[w1]:
@@ -348,51 +349,61 @@ def _checks(model: FramedModel, i: int) -> _BeliefChecks:
 
 
 def _check_beliefs(model: FramedModel, i: int) -> _BeliefChecks:
-    """One pass over player ``i``'s distinct beliefs, then one over the worlds.
+    """One pass over player ``i``'s kept belief groups, then one over the worlds.
 
-    Per belief object: each level's negative weights and exact sum, the
-    pairs of equal levels, the opponent strategies no level weights, and
-    an id keyed by the levels' value, the canonical key sorted ``(world,
+    Per belief object: the opponent strategies no level weights, and an id
+    keyed by the levels' value, the canonical key sorted ``(world,
     numerator, denominator)`` per level, so worlds with equal but distinct
-    belief objects share it.  Support depends on the world's own access
-    set, so it stays per world, and constancy compares ids.
+    belief objects share it.  Per (belief, access set) object pair: each
+    level's negative weights, exact sum and support, then the pairs of
+    equal levels.  Per (access set object, id) pair: the accessible worlds
+    whose id differs.  Violations are still listed world by world.
     """
     j = other(i)
     acc = model.access[i]
+    beliefs = model.beliefs(i)
     strategy_of = model.sigma[j]
     strategies = model.game.strategies[j]
     ids: dict[tuple, int] = {}
 
     def measure(belief):
         levels = model._as_levels(belief)
-        weights = [(dist, [(t, v) for t, v in dist.items() if v.numerator < 0], weight_sum(dist))
-                   for dist in levels]
-        repeats = [(k + 1, k2 + 1) for k in range(len(levels)) for k2 in range(k + 1, len(levels))
-                   if levels[k] == levels[k2]]
         seen = {strategy_of[w1] for dist in levels for w1 in dist}
-        unweighted = [s_j for s_j in strategies if s_j not in seen]
         key = tuple(tuple(sorted((t, v.numerator, v.denominator) for t, v in dist.items()))
                     for dist in levels)
-        return weights, repeats, unweighted, ids.setdefault(key, len(ids))
+        return levels, [s_j for s_j in strategies if s_j not in seen], ids.setdefault(key, len(ids))
 
-    measured = per_belief(model.worlds, model.beliefs(i), measure)
-    belief_id = {w: found[3] for w, found in measured.items()}
+    def problems(levels, a) -> list[tuple[str, str | None, dict]]:
+        out = []
+        for k, dist in enumerate(levels, 1):
+            out += [("negative", t, {"k": k, "v": v}) for t, v in dist.items() if v.numerator < 0]
+            if (total := weight_sum(dist)) != 1:
+                out.append(("sum", None, {"k": k, "total": total}))
+            out += [("support", t, {"k": k}) for t in sorted(set(dist) - a)]
+        return out + [("injectivity", None, {"k": k + 1, "k2": k2 + 1}) for k in range(len(levels))
+                      for k2 in range(k + 1, len(levels)) if levels[k] == levels[k2]]
+
+    measured = per_belief(model.groups(i), measure)
+    belief_id = {w: m[2] for w, m in measured.items()}
+    per_pair: dict[tuple[int, int], list] = {}
+    differing: dict[tuple[int, int], list] = {}
     levels, constancy, caution = [], [], []
     for w in model.worlds:
-        weights, repeats, unweighted, _ = measured[w]
-        for k, (dist, negative, total) in enumerate(weights, 1):
-            for t, v in negative:
-                levels.append(_violation(model, "negative", i, (w, t), k=k, w=w, t=t, v=v))
-            if total != 1:
-                levels.append(_violation(model, "sum", i, (w,), k=k, w=w, total=total))
-            for t in sorted(set(dist) - acc[w]):
-                levels.append(_violation(model, "support", i, (w, t), k=k, w=w, t=t))
-        for k, k2 in repeats:
-            levels.append(_violation(model, "injectivity", i, (w,), k=k, k2=k2, w=w))
-        constancy += [_violation(model, "constancy", i, (w, w1), w=w, w1=w1)
-                      for w1 in acc[w] if belief_id[w1] != belief_id[w]]
-        caution += [Violation("caution", i, (w, s_j), model._TEXT["caution"].format(
-                        name=model.game.players[i], w=w, s=s_j)) for s_j in unweighted]
+        held, unweighted, bid = measured[w]
+        a = acc[w]
+        pair, cls = (id(beliefs[w]), id(a)), (id(a), bid)
+        if pair not in per_pair:
+            per_pair[pair] = problems(held, a)
+        if cls not in differing:
+            differing[cls] = [w1 for w1 in a if belief_id[w1] != bid]
+        for kind, t, fields in per_pair[pair]:
+            where = (w,) if t is None else (w, t)
+            levels.append(_violation(model, kind, i, where, w=w, t=t, **fields))
+        for w1 in differing[cls]:
+            constancy.append(_violation(model, "constancy", i, (w, w1), w=w, w1=w1))
+        for s_j in unweighted:
+            caution.append(Violation("caution", i, (w, s_j), model._TEXT["caution"].format(
+                name=model.game.players[i], w=w, s=s_j)))
     return _BeliefChecks(tuple(levels), tuple(constancy), tuple(caution), belief_id)
 
 
@@ -444,25 +455,23 @@ def rat(model: ProbKripkeModel) -> tuple[tuple[EventSet, EventSet], EventSet]:
 def best_reply_worlds(model: FramedModel, i: int) -> EventSet:
     """Worlds where player ``i``'s strategy is a lexicographic best reply to their belief.
 
-    The push-forward of each level is taken once per distinct belief
-    object, and best replies are memoized on it, so worlds with equal
-    beliefs, such as the members of an R_i class, cost one evaluation.
+    The push-forward of each level is taken once per kept belief group,
+    and best replies are memoized on it, so worlds with equal beliefs,
+    such as the members of an R_i class, cost one evaluation.
     """
     game = model.game
     j = other(i)
     strategy_of = model.sigma[j].__getitem__
+    own = model.sigma[i]
     memo: dict[tuple, frozenset[str]] = {}
-
-    def best_replies(belief) -> frozenset[str]:
+    out = []
+    for belief, holders in model.groups(i):
         key = tuple(push_forward(game, j, dist, strategy_of) for dist in model._as_levels(belief))
         best = memo.get(key)
         if best is None:
             best = memo[key] = lex_best_replies(game, i, key)
-        return best
-
-    best_at = per_belief(model.worlds, model.beliefs(i), best_replies)
-    own = model.sigma[i]
-    return frozenset(w for w in model.worlds if own[w] in best_at[w])
+        out += [w for w in holders if own[w] in best]
+    return frozenset(out)
 
 
 class IesdsInclusionReport(NamedTuple):

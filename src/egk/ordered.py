@@ -107,25 +107,25 @@ def check_structural_conditions(model: OrderedKripkeModel) -> StructuralReport:
 
 
 def _structural_report(model: OrderedKripkeModel) -> StructuralReport:
-    out = []
+    out = []  # each (levels, access set) object pair's overlaps and unweighted worlds found once
     for i in (0, 1):
         name = model.game.players[i]
+        found: dict[tuple[int, int], tuple[list, list]] = {}
         for w in model.worlds:
-            levels = model.lam[i][w]
-            for k in range(len(levels)):
-                for k2 in range(k + 1, len(levels)):
-                    overlap = set(levels[k]) & set(levels[k2])
-                    for t in sorted(overlap):
-                        out.append(Violation(
-                            "disjoint-supports", i, (w, t),
-                            f"player {name}: levels {k + 1} and {k2 + 1} at {w} both weight {t}"))
-            covered = set()
-            for dist in levels:
-                covered |= set(dist)
-            for w1 in sorted(model.access[i][w] - covered):
-                out.append(Violation(
-                    "surjection", i, (w, w1),
-                    f"player {name}: {w1} is accessible from {w} but no level weights it"))
+            levels, acc = model.lam[i][w], model.access[i][w]
+            pair = (id(levels), id(acc))
+            if pair not in found:
+                found[pair] = ([(k, k2, t) for k in range(len(levels))
+                                for k2 in range(k + 1, len(levels))
+                                for t in sorted(set(levels[k]) & set(levels[k2]))],
+                               sorted(acc.difference(*levels)))
+            overlaps, unweighted = found[pair]
+            out += [Violation("disjoint-supports", i, (w, t),
+                              f"player {name}: levels {k + 1} and {k2 + 1} at {w} both weight {t}")
+                    for k, k2, t in overlaps]
+            out += [Violation("surjection", i, (w, w1),
+                              f"player {name}: {w1} is accessible from {w} but no level weights it")
+                    for w1 in unweighted]
     kinds = {v.kind for v in out}
     return StructuralReport(
         "disjoint-supports" not in kinds, "surjection" not in kinds, tuple(out))

@@ -43,6 +43,13 @@ belief operators as separate per-world loops; the operators built on
 belief per world; the member built once per distinct source belief must
 have exactly its weights.
 
+``reference_types_from_kripke`` quotients a probabilistic Kripke model by
+summing every world's belief in ``Fraction``s, and
+``reference_eps_permissible`` runs the eps-permissibility fixed point on the
+reference predicates; the quotient summed once per kept belief group in
+integers must give exactly their labels, beliefs, world types and
+permissible strategies.
+
 ``reference_frame_violations`` walks every (w, w1, w2) triple of each
 player's accessibility; :func:`egk.kripke.validate_standard`, which walks w2
 only for a pair that fails one set inclusion, must give exactly its
@@ -54,7 +61,8 @@ Kripke-model constructors written out once per flavor, with
 ``reference_check_lambda_constancy``, ``reference_check_caution`` and
 ``reference_check_prob_caution`` as separate checks over them; the models
 built on one belief core in :mod:`egk.kripke` must give exactly their
-errors, cleaned beliefs and violations, in order.
+errors, cleaned beliefs and violations, in order, and the belief groups
+each model keeps must be those of ``reference_belief_groups``.
 """
 
 from __future__ import annotations
@@ -80,9 +88,7 @@ from egk.kripke import (
     ProbKripkeModel,
     StandardKripkeModel,
     Violation,
-    belief_groups,
     exact_weights,
-    per_belief,
     weight_sum,
 )
 from egk.ordered import OrderedKripkeModel
@@ -447,14 +453,15 @@ def reference_maximize(
 
     def pivot(rp: int, cp: int) -> None:
         pv = tab[rp][cp]
-        tab[rp] = [v / pv for v in tab[rp]]
+        # Zero entries of the pivot row are skipped: they leave every entry as it is.
+        tab[rp] = [v / pv if v else v for v in tab[rp]]
         rhs[rp] /= pv
         prow = tab[rp]
         for r in range(len(tab)):
             if r != rp:
                 f = tab[r][cp]
                 if f != 0:
-                    tab[r] = [a - f * b for a, b in zip(tab[r], prow)]
+                    tab[r] = [a - f * b if b else a for a, b in zip(tab[r], prow)]
                     rhs[r] -= f * rhs[rp]
         basis[rp] = cp
 
@@ -468,7 +475,7 @@ def reference_maximize(
                     continue
                 red = obj[j]
                 for r, l in enumerate(lam):
-                    if l != 0:
+                    if l != 0 and tab[r][j]:
                         red -= l * tab[r][j]
                 if red > 0:
                     enter = j
@@ -841,6 +848,24 @@ def reference_build_member(
     return out
 
 
+def reference_belief_groups(worlds, beliefs):
+    """Each distinct belief object with its worlds, in order of first world, by a walk over ``worlds``."""
+    groups = {}
+    for w in worlds:
+        groups.setdefault(id(beliefs[w]), (beliefs[w], []))[1].append(w)
+    return list(groups.values())
+
+
+def _per_belief(worlds, beliefs, f):
+    """``f`` of each world's belief, evaluated once per distinct belief object."""
+    out = {}
+    for belief, holders in reference_belief_groups(worlds, beliefs):
+        value = f(belief)
+        for w in holders:
+            out[w] = value
+    return out
+
+
 class _ReferenceFramed:
     """The frame's fields, read through ``base`` as on the package's models."""
 
@@ -875,7 +900,7 @@ class ReferenceProbKripkeModel(_ReferenceFramed):
                 raise InputError(f"belief map of player {base.game.players[i]!r} does not cover the worlds")
             # Worlds that share a belief object keep sharing the cleaned one.
             per = dict.fromkeys(p[i])
-            for dist, holders in belief_groups(p[i], p[i]):
+            for dist, holders in reference_belief_groups(base.worlds, p[i]):
                 bad = set(dist) - wset
                 if bad:
                     raise InputError(f"belief at {holders[0]!r} weights unknown worlds {sorted(bad)}")
@@ -900,7 +925,7 @@ class ReferenceOrderedKripkeModel(_ReferenceFramed):
                 raise InputError(f"belief levels of player {base.game.players[i]!r} do not cover the worlds")
             # Worlds that share a level sequence object keep sharing the cleaned one.
             per = dict.fromkeys(lam[i])
-            for levels, holders in belief_groups(lam[i], lam[i]):
+            for levels, holders in reference_belief_groups(base.worlds, lam[i]):
                 if not levels:
                     raise InputError(f"world {holders[0]!r} has an empty level sequence")
                 fixed = []
@@ -918,7 +943,7 @@ class ReferenceOrderedKripkeModel(_ReferenceFramed):
 
 def _reference_belief_ids(worlds, beliefs, levels) -> dict[str, int]:
     ids: dict[tuple, int] = {}
-    return per_belief(worlds, beliefs, lambda belief: ids.setdefault(tuple(
+    return _per_belief(worlds, beliefs, lambda belief: ids.setdefault(tuple(
         tuple(sorted((t, v.numerator, v.denominator) for t, v in dist.items()))
         for dist in levels(belief)), len(ids)))
 
@@ -937,7 +962,7 @@ def reference_validate_beliefs(model) -> list[Violation]:
     for i in (0, 1):
         name = model.game.players[i]
         p = model.p[i]
-        measure = per_belief(model.worlds, p, lambda dist: (
+        measure = _per_belief(model.worlds, p, lambda dist: (
             [(t, v) for t, v in dist.items() if v.numerator < 0], weight_sum(dist)))
         for w in model.worlds:
             negative, total = measure[w]
@@ -1056,7 +1081,7 @@ def reference_check_prob_caution(model) -> list[Violation]:
             seen = {strategy_of[w1] for w1 in dist}
             return [s_j for s_j in strategies if s_j not in seen]
 
-        missing = per_belief(model.worlds, model.p[i], unweighted)
+        missing = _per_belief(model.worlds, model.p[i], unweighted)
         for w in model.worlds:
             for s_j in missing[w]:
                 out.append(Violation(
@@ -1064,3 +1089,73 @@ def reference_check_prob_caution(model) -> list[Violation]:
                     f"player {name}: belief at {w} gives no weight to a world "
                     f"where the opponent plays {s_j!r}"))
     return out
+
+
+def reference_types_from_kripke(model):
+    """The type quotient with every belief summed world by world in ``Fraction``s."""
+    from egk.epistemic import ProbEpistemicModel
+
+    worlds = model.worlds
+    classes = [{w: 0 for w in worlds}, {w: 0 for w in worlds}]
+    while True:
+        changed = False
+        for i in (0, 1):
+            j = other(i)
+            sig_ids: dict[tuple, int] = {}
+
+            def signature(dist) -> int:
+                agg: dict[tuple[str, int], Fraction] = {}
+                for w1, v in dist.items():
+                    key = (model.sigma[j][w1], classes[j][w1])
+                    agg[key] = agg.get(key, Fraction(0)) + v
+                return sig_ids.setdefault(tuple(sorted(agg.items())), len(sig_ids))
+
+            sig = _per_belief(worlds, model.p[i], signature)
+            relabel: dict[tuple, int] = {}
+            new = {w: relabel.setdefault((classes[i][w], sig[w]), len(relabel)) for w in worlds}
+            if new != classes[i]:
+                classes[i] = new
+                changed = True
+        if not changed:
+            break
+
+    labels = [tuple(f"t{i + 1}_{cid + 1}" for cid in range(len(set(classes[i].values()))))
+              for i in (0, 1)]
+    beliefs = []
+    for i in (0, 1):
+        j = other(i)
+        per = {}
+        for w in worlds:
+            label = labels[i][classes[i][w]]
+            if label in per:
+                continue
+            dist: dict[Pair, Fraction] = {}
+            for w1, v in model.p[i][w].items():
+                pair = (model.sigma[j][w1], labels[j][classes[j][w1]])
+                dist[pair] = dist.get(pair, Fraction(0)) + v
+            per[label] = dist
+        beliefs.append(per)
+    tmodel = ProbEpistemicModel(model.game, (labels[0], labels[1]), (beliefs[0], beliefs[1]))
+    world_types = {
+        w: (labels[0][classes[0][w]], labels[1][classes[1][w]]) for w in worlds}
+    return tmodel, world_types
+
+
+def reference_eps_permissible(model, eps: Fraction):
+    """Strategies optimal for a type that survives common full belief in caution and eps-trembling.
+
+    Each predicate and each type's optimal strategies are the reference loops above.
+    """
+    alive = [{t for t in model.types[i]
+              if reference_type_caution(model, i, t) and reference_eps_trembling(model, i, t, eps)}
+             for i in (0, 1)]
+    changed = True
+    while changed:
+        changed = False
+        for i in (0, 1):
+            for t in sorted(alive[i]):
+                if not _deems_possible(model, i, t) <= alive[other(i)]:
+                    alive[i].discard(t)
+                    changed = True
+    return tuple(frozenset().union(*(reference_optimal_strategies(model, i, t) for t in alive[i]))
+                 for i in (0, 1))

@@ -34,7 +34,7 @@ from egk.fixtures import (
     myerson_prob_types,
 )
 from egk.games import Game
-from egk.kripke import validate_prob
+from egk.kripke import ProbKripkeModel, StandardKripkeModel, validate_prob
 from egk.ordered import (
     check_caution,
     check_lambda_constancy,
@@ -47,10 +47,12 @@ from generators import random_game
 from oracles import (
     ReferenceLexEpistemicModel,
     ReferenceProbEpistemicModel,
+    reference_eps_permissible,
     reference_eps_trembling,
     reference_optimal_strategies,
     reference_primary_belief_in_rationality,
     reference_type_caution,
+    reference_types_from_kripke,
 )
 
 
@@ -325,6 +327,67 @@ def test_types_from_kripke_quotient_is_representative_independent():
                 pair = (model.sigma[j][w1], world_types[w1][j])
                 dist[pair] = dist.get(pair, F(0)) + v
             assert dist == dict(extracted.beliefs[i][world_types[w][i]])
+
+
+@st.composite
+def quotient_models(draw):
+    """Probabilistic models whose worlds have copies, with beliefs written over other denominators.
+
+    A copy plays its original's strategies and holds its original's belief:
+    the one object, an equal copy, or one that splits each weight between a
+    world and its copies by drawn integer ratios, which changes the belief's
+    common denominator but not what it gives each (strategy, class) pair.
+    Some worlds hold a belief of their own.
+    """
+    game = draw(st.sampled_from((myerson_game(), random_game(random.Random(3), 3, 3))))
+    originals = [f"w{n}" for n in range(1, draw(st.integers(1, 4)) + 1)]
+    copies = {w: [w] + [f"{w}_{k}" for k in range(draw(st.integers(0, 2)))] for w in originals}
+    worlds = tuple(w for o in originals for w in copies[o])
+    origin = {w: o for o in originals for w in copies[o]}
+    sigma = tuple({o: draw(st.sampled_from(game.strategies[i])) for o in originals}
+                  for i in (0, 1))
+    weights = st.integers(1, 4)
+
+    def dist_over(targets):
+        counts = {t: draw(weights) for t in targets}
+        return {t: F(n, sum(counts.values())) for t, n in counts.items()}
+
+    def split(dist):
+        out = {}
+        for t, v in dist.items():
+            parts = {c: draw(weights) for c in copies[origin[t]] if c == t or draw(st.booleans())}
+            out.update({c: v * n / sum(parts.values()) for c, n in parts.items()})
+        return out
+
+    p = []
+    for _ in (0, 1):
+        held = {o: dist_over(draw(st.lists(st.sampled_from(originals), min_size=1, max_size=3,
+                                           unique=True))) for o in originals}
+        per = {}
+        for w in worlds:
+            how = draw(st.sampled_from(("same", "equal", "split", "own")))
+            belief = held[origin[w]]
+            per[w] = {"same": belief, "equal": dict(belief), "split": split(belief),
+                      "own": dist_over([draw(st.sampled_from(worlds))])}[how]
+        p.append(per)
+    everywhere = frozenset(worlds)
+    base = StandardKripkeModel(game, worlds, ({w: everywhere for w in worlds},) * 2,
+                               tuple({w: sigma[i][origin[w]] for w in worlds} for i in (0, 1)))
+    return ProbKripkeModel(base, tuple(p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(quotient_models(), st.sampled_from((F(1, 10), F(1, 4), F(1, 2))))
+def test_type_quotient_matches_the_fraction_reference(model, eps):
+    got, world_types = types_from_kripke(model)
+    want, want_world_types = reference_types_from_kripke(model)
+    assert got.types == want.types
+    for i in (0, 1):
+        assert list(got.beliefs[i]) == list(want.beliefs[i])
+        for t, dist in got.beliefs[i].items():
+            assert list(dist.items()) == list(want.beliefs[i][t].items())
+    assert world_types == want_world_types
+    assert eps_permissible(got, eps) == reference_eps_permissible(want, eps)
 
 
 def test_round_trip_prob_types_to_kripke_and_back():

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from egk import kripke, ordered
 from egk.convergence import EpsilonSchedule, build_epsilon_model, verify_convergence
-from egk.epsilon import check_prob_caution
+from egk.epistemic import types_from_kripke
+from egk.epsilon import check_prob_caution, upper_common_belief
 from egk.errors import InputError
 from egk.fixtures import myerson_game, myerson_ordered_model
 from egk.kripke import (
@@ -44,6 +45,7 @@ from generators import random_game
 from oracles import (
     ReferenceOrderedKripkeModel,
     ReferenceProbKripkeModel,
+    reference_belief_groups,
     reference_check_caution,
     reference_check_lambda_constancy,
     reference_check_prob_caution,
@@ -103,7 +105,9 @@ def wild_models(draw):
     Each player's worlds fall into classes that hold one belief object
     each; some worlds take another class's object (one belief shared by
     different access sets) or one of their own (a belief that varies
-    inside a class), and some belief maps miss a world or name an extra one.
+    inside a class), and some belief maps miss a world or name an extra one
+    or list the worlds in reverse.  A world holds its class's one access
+    set object or an equal one of its own.
     """
     lex = draw(st.booleans())
     game = draw(st.sampled_from(GAMES))
@@ -114,7 +118,9 @@ def wild_models(draw):
     for _ in (0, 1):
         cls = {w: draw(st.integers(0, 1)) for w in worlds}
         members = {c: [w for w in worlds if cls[w] == c] for c in set(cls.values())}
-        access.append({w: frozenset(members[cls[w]]) for w in worlds})
+        shared = {c: frozenset(m) for c, m in members.items()}
+        access.append({w: shared[cls[w]] if draw(st.booleans()) else frozenset(members[cls[w]])
+                       for w in worlds})
         held = {c: draw(_belief(lex, list(worlds) if draw(_SOMETIMES) else m))
                 for c, m in members.items()}
         per = {}
@@ -124,6 +130,8 @@ def wild_models(draw):
                 per[w] = held[draw(st.sampled_from(sorted(held)))]
             elif draw(_RARELY):
                 per[w] = draw(_belief(lex, list(worlds)))
+        if draw(_SOMETIMES):
+            per = dict(reversed(per.items()))
         if draw(_RARELY):
             if draw(st.booleans()):
                 del per[worlds[0]]
@@ -145,6 +153,7 @@ def _two_worlds(lex, beliefs):
 
 _W1 = {"w1": F(1)}
 _BOTH = {"w1": F(1, 2), "w2": F(1, 2)}
+_SHARED = frozenset({"w1", "w2"})
 
 
 @settings(max_examples=400, deadline=None)
@@ -158,6 +167,11 @@ _BOTH = {"w1": F(1, 2), "w2": F(1, 2)}
 @example(_two_worlds(False, ({"w1": _W1, "w2": _W1}, {"w1": _BOTH, "w2": _BOTH})))
 # player 2's belief varies inside the class {w1, w2}
 @example(_two_worlds(False, ({"w1": _W1, "w2": {"w2": F(1)}}, {"w1": _BOTH, "w2": {"w1": F(1)}})))
+# one access set object held at w1 and w2, whose beliefs differ: constancy fails at each
+@example((False, StandardKripkeModel(GAMES[0], ("w1", "w2"),
+                                     ({"w1": _SHARED, "w2": _SHARED}, {"w1": _SHARED, "w2": _SHARED}),
+                                     ({"w1": "A", "w2": "A"}, {"w1": "C", "w2": "D"})),
+          ({"w2": {"w2": F(1)}, "w1": _W1}, {"w1": _BOTH, "w2": _BOTH})))
 # player 2 sees the opponent's B only at level 2 of w1
 @example(_two_worlds(True, ({"w1": [_W1], "w2": [{"w2": F(1)}]},
                                 {"w1": [{"w1": F(1)}, {"w2": F(1)}], "w2": [_BOTH]})))
@@ -173,6 +187,8 @@ def test_belief_core_matches_the_flavors_written_apart(case):
     stored, ref_stored = (model.lam, ref.lam) if lex else (model.p, ref.p)
     assert stored == ref_stored
     for i in (0, 1):
+        assert [(id(belief), holders) for belief, holders in model.groups(i)] == [
+            (id(belief), holders) for belief, holders in reference_belief_groups(base.worlds, stored[i])]
         for w in base.worlds:
             assert model.levels(i, w) == (ref_stored[i][w] if lex else (ref_stored[i][w],))
             for w2 in base.worlds:
@@ -228,6 +244,32 @@ def test_each_model_is_checked_once(monkeypatch):
     assert len(models) == 5
     assert passes == Counter({(id(model), i): 1 for model in models for i in (0, 1)})
     assert reports == Counter({id(source): 1})
+
+
+def test_each_model_is_grouped_once(monkeypatch):
+    walks = []
+    belief_groups = kripke.belief_groups
+
+    def counted_walk(worlds, beliefs):
+        walks.append(worlds)
+        return belief_groups(worlds, beliefs)
+
+    monkeypatch.setattr(kripke, "belief_groups", counted_walk)
+    source = myerson_ordered_model()
+    models = [source]
+    assert validate_ordered(source) == [] and check_caution(source) == []
+    lrat(source)
+    verify_convergence(source, EpsilonSchedule(F(1, 2), 3),
+                       on_member=lambda n, member: models.append(member))
+    built = build_epsilon_model(source, F(1, 16))
+    models.append(built)
+    validate_prob(built)
+    rat(built)
+    upper_common_belief(built, F(1, 16), source.worlds)
+    types_from_kripke(built)
+    # Each constructor walks each player's worlds once; every reader uses the kept groups.
+    assert len(models) == 5
+    assert walks == [source.worlds] * (2 * len(models))
 
 
 def _scribble(answer):
