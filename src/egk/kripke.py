@@ -139,7 +139,7 @@ class FramedModel(Frozen):
             if set(beliefs[i]) != wset:
                 raise InputError(self._TEXT["cover"].format(name=base.game.players[i]))
             per = dict.fromkeys(beliefs[i])
-            kept.append([])
+            groups = []
             for belief, holders in belief_groups(base.worlds, beliefs[i]):
                 levels = self._as_levels(belief)
                 if not levels:
@@ -152,10 +152,11 @@ class FramedModel(Frozen):
                             self._TEXT["unknown"].format(w=holders[0], bad=sorted(bad)))
                     fixed.append(exact_weights(dist))
                 clean = self._from_levels(fixed)
-                kept[i].append((clean, holders))
+                groups.append((clean, tuple(holders)))
                 for w in holders:
                     per[w] = clean
             cleaned.append(per)
+            kept.append(tuple(groups))
         object.__setattr__(self, "_groups", tuple(kept))
         return tuple(cleaned)
 
@@ -167,8 +168,8 @@ class FramedModel(Frozen):
         """Player ``i``'s belief at ``w`` as levels, primary first."""
         return self._as_levels(self.beliefs(i)[w])
 
-    def groups(self, i: int) -> list[tuple[B, list[str]]]:
-        """Player ``i``'s stored beliefs grouped as :func:`belief_groups` does; read only."""
+    def groups(self, i: int) -> tuple[tuple[B, tuple[str, ...]], ...]:
+        """Player ``i``'s stored beliefs grouped as :func:`belief_groups` does, as tuples."""
         return self._groups[i]
 
 
@@ -214,7 +215,7 @@ def belief_groups(worlds: Iterable[str], beliefs: Mapping[str, B]) -> list[tuple
     return list(groups.values())
 
 
-def per_belief(groups: Iterable[tuple[B, list[str]]], f: Callable[[B], R]) -> dict[str, R]:
+def per_belief(groups: Iterable[tuple[B, Iterable[str]]], f: Callable[[B], R]) -> dict[str, R]:
     """``f`` of each world's belief, evaluated once per group of :func:`belief_groups`."""
     out = {}
     for belief, holders in groups:
@@ -250,10 +251,10 @@ def validate_standard(model: StandardKripkeModel) -> list[Violation]:
 def _frame_violations(model: StandardKripkeModel) -> tuple[Violation, ...]:
     """Every seriality, transitivity, Euclideanness and sigma-constancy violation.
 
-    Each pair wRw1 with two set objects is tested with one inclusion, R(w1)
-    <= R(w) for transitivity and R(w) <= R(w1) for Euclideanness, and only a
-    pair that fails it is walked for its violating w2, so the violations and
-    their order are those of the walk over every triple.
+    Each pair wRw1 is tested with one set inclusion, R(w1) <= R(w) for
+    transitivity and R(w) <= R(w1) for Euclideanness, and only a pair that
+    fails it is walked for its violating w2, so the violations and their
+    order are those of the walk over every triple.
     """
     out = []
     for i in (0, 1):
@@ -264,7 +265,7 @@ def _frame_violations(model: StandardKripkeModel) -> tuple[Violation, ...]:
                 out.append(Violation("seriality", i, (w,), f"player {name}: no world accessible from {w}"))
         for w in model.worlds:
             for w1 in acc[w]:
-                if acc[w1] is acc[w] or acc[w1] <= acc[w]:
+                if acc[w1] <= acc[w]:
                     continue
                 for w2 in acc[w1]:
                     if w2 not in acc[w]:
@@ -273,7 +274,7 @@ def _frame_violations(model: StandardKripkeModel) -> tuple[Violation, ...]:
                             f"player {name}: {w}R{w1} and {w1}R{w2} but not {w}R{w2}"))
         for w in model.worlds:
             for w1 in acc[w]:
-                if acc[w] is acc[w1] or acc[w] <= acc[w1]:
+                if acc[w] <= acc[w1]:
                     continue
                 for w2 in acc[w]:
                     if w2 not in acc[w1]:

@@ -188,7 +188,7 @@ def test_belief_core_matches_the_flavors_written_apart(case):
     assert stored == ref_stored
     for i in (0, 1):
         assert [(id(belief), holders) for belief, holders in model.groups(i)] == [
-            (id(belief), holders) for belief, holders in reference_belief_groups(base.worlds, stored[i])]
+            (id(belief), tuple(holders)) for belief, holders in reference_belief_groups(base.worlds, stored[i])]
         for w in base.worlds:
             assert model.levels(i, w) == (ref_stored[i][w] if lex else (ref_stored[i][w],))
             for w2 in base.worlds:
