@@ -19,7 +19,7 @@ from .kripke import (
     ProbKripkeModel,
     check_caution,
     check_constancy,
-    level_ids,
+    per_belief,
     rat,
     validate_beliefs,
     validate_standard,
@@ -125,20 +125,12 @@ def build_epsilon_model(
 def _build_member(model: OrderedKripkeModel, eps: Fraction, scheme: str) -> ProbKripkeModel:
     """Build and check one family member; the source-only checks are the caller's.
 
-    Worlds with equal levels in the source (its ``level_ids``) get one
-    belief, built once and shared, so every reader of the member evaluates
-    it once.
+    Each of the source's kept belief groups gets one belief, built once and
+    shared by its worlds, so every reader of the member evaluates it once.
     """
-    ids = level_ids(model)
-    p: list[dict[str, dict[str, Fraction]]] = [{}, {}]
-    for i in (0, 1):
-        built: dict[int, dict[str, Fraction]] = {}
-        for w in model.worlds:
-            dist = built.get(ids[i][w])
-            if dist is None:
-                dist = built[ids[i][w]] = _member_belief(model.lam[i][w], eps, scheme)
-            p[i][w] = dist
-    out = ProbKripkeModel(model.base, (p[0], p[1]))
+    p = tuple(per_belief(model.groups(i), lambda levels: _member_belief(levels, eps, scheme))
+              for i in (0, 1))
+    out = ProbKripkeModel(model.base, p)
     _check_output(model, out, eps, not check_constancy(model))
     return out
 

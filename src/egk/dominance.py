@@ -202,28 +202,23 @@ def _eliminate_round(
     return r.remove(removals), EliminationRound(phase, tuple(elims))
 
 
-def dekel_fudenberg(game: Game) -> tuple[Restriction, tuple[EliminationRound, ...]]:
-    """One round of maximal weak elimination, then iterated strict elimination."""
-    r = Restriction.full(game)
-    rounds = []
-    r, rnd = _eliminate_round(game, r, "weak")
-    if rnd is not None:
-        rounds.append(rnd)
+def _strict_rounds(
+    game: Game, r: Restriction, rounds: list[EliminationRound]
+) -> tuple[Restriction, tuple[EliminationRound, ...]]:
+    """Strict elimination from ``r`` until a round removes nothing, appended to ``rounds``."""
     while True:
         r, rnd = _eliminate_round(game, r, "strict")
         if rnd is None:
-            break
+            return r, tuple(rounds)
         rounds.append(rnd)
-    return r, tuple(rounds)
+
+
+def dekel_fudenberg(game: Game) -> tuple[Restriction, tuple[EliminationRound, ...]]:
+    """One round of maximal weak elimination, then iterated strict elimination."""
+    r, rnd = _eliminate_round(game, Restriction.full(game), "weak")
+    return _strict_rounds(game, r, [] if rnd is None else [rnd])
 
 
 def iesds(game: Game) -> tuple[Restriction, tuple[EliminationRound, ...]]:
     """Iterated simultaneous elimination of strictly dominated strategies."""
-    r = Restriction.full(game)
-    rounds = []
-    while True:
-        r, rnd = _eliminate_round(game, r, "strict")
-        if rnd is None:
-            break
-        rounds.append(rnd)
-    return r, tuple(rounds)
+    return _strict_rounds(game, Restriction.full(game), [])

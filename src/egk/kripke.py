@@ -131,14 +131,15 @@ class FramedModel(Frozen):
         """``beliefs`` checked against the frame, with exact weights and no zeros.
 
         Worlds that share a belief object keep sharing the cleaned one, so
-        each distinct belief is checked and converted once; its groups are kept.
+        each distinct belief is checked and converted once; its groups are
+        kept, and each stored map lists the worlds in ``worlds`` order.
         """
         wset = set(base.worlds)
         cleaned, kept = [], []
         for i in (0, 1):
             if set(beliefs[i]) != wset:
                 raise InputError(self._TEXT["cover"].format(name=base.game.players[i]))
-            per = dict.fromkeys(beliefs[i])
+            per = dict.fromkeys(base.worlds)
             groups = []
             for belief, holders in belief_groups(base.worlds, beliefs[i]):
                 levels = self._as_levels(belief)
@@ -522,27 +523,17 @@ def iesds_witness_model(game: Game, profile: tuple[str, str]) -> tuple[ProbKripk
     def label(s1: str, s2: str) -> str:
         return f"{s1},{s2}"
 
-    worlds = tuple(label(s1, s2) for s1 in survivors.sets[0] for s2 in survivors.sets[1])
-    sigma0 = {}
-    sigma1 = {}
-    for s1 in survivors.sets[0]:
-        for s2 in survivors.sets[1]:
-            sigma0[label(s1, s2)] = s1
-            sigma1[label(s1, s2)] = s2
-    access: list[dict[str, frozenset[str]]] = [{}, {}]
-    p: list[dict[str, dict[str, Fraction]]] = [{}, {}]
+    worlds: list[str] = []
+    sigma, access, p = ({}, {}), ({}, {}), ({}, {})
     for s1 in survivors.sets[0]:
         for s2 in survivors.sets[1]:
             w = label(s1, s2)
+            worlds.append(w)
             own = (s1, s2)
             for i in (0, 1):
-                bel = beliefs[i][own[i]]
-                targets = {}
-                for sj, v in bel.weights.items():
-                    tw = label(own[i], sj) if i == 0 else label(sj, own[i])
-                    targets[tw] = v
-                access[i][w] = frozenset(targets)
-                p[i][w] = targets
-    base = StandardKripkeModel(game, worlds, (access[0], access[1]), (sigma0, sigma1))
-    model = ProbKripkeModel(base, (p[0], p[1]))
-    return model, label(*profile)
+                sigma[i][w] = own[i]
+                p[i][w] = {label(own[0], sj) if i == 0 else label(sj, own[1]): v
+                           for sj, v in beliefs[i][own[i]].weights.items()}
+                access[i][w] = frozenset(p[i][w])
+    base = StandardKripkeModel(game, tuple(worlds), access, sigma)
+    return ProbKripkeModel(base, p), label(*profile)

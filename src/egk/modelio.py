@@ -47,17 +47,27 @@ def parse_rational(text: Any, where: str) -> Fraction:
     if len(parts) > 2 or not all(part.isascii() and part.isdigit() for part in parts):
         raise FormatError(f"{where}: malformed rational {text!r}")
     num, den = text.split("/") if len(parts) == 2 else (text, "1")
-    if int(den) == 0:
+    try:
+        num, den = int(num), int(den)
+    except ValueError:  # past sys.get_int_max_str_digits(); Decimal has no limit
+        from decimal import Decimal
+
+        num, den = int(Decimal(num)), int(Decimal(den))
+    if den == 0:
         raise FormatError(f"{where}: zero denominator in {text!r}")
-    return Fraction(int(num), int(den))
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:
     if type(value) is not Fraction:
         value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    num, den = value.numerator, value.denominator
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # past sys.get_int_max_str_digits(); Decimal has no limit
+        from decimal import Decimal
+
+        return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
 
 
 def _expect(data: Mapping, key: str, where: str):
@@ -179,42 +189,18 @@ def _unknown(spot: str, what: str, labels, known: frozenset) -> FormatError:
     return FormatError(f"{spot}: {what} unknown worlds {sorted(set(labels) - known)}")
 
 
-def _labels_key(raw: Any) -> tuple | None:
-    return tuple(raw) if type(raw) is list else None
+def _read_once(cache: dict, read, raw: Any, where: str):
+    """``read(raw, where)``, kept in ``cache`` for every later raw value spelt as ``raw``.
 
-
-def _dist_key(raw: Any) -> tuple | None:
-    return tuple(raw.items()) if type(raw) is dict else None
-
-
-def _levels_key(raw: Any) -> tuple | None:
-    return tuple(map(tuple, map(dict.items, raw))) if type(raw) is list else None
-
-
-def _strings(key: tuple) -> bool:
-    """Whether ``key`` holds strings alone, at any depth of tuples."""
-    return all(_strings(k) if type(k) is tuple else type(k) is str for k in key)
-
-
-def _read_once(cache: dict, key_of, read, raw: Any, where: str):
-    """``read(raw, where)``, kept in ``cache`` for every later raw value equal to ``raw``.
-
-    ``key_of(raw)`` is the raw value as a tuple, or None when it has the
-    wrong shape.  A read is kept only under a key of strings alone: ``1``,
-    ``1.0`` and ``true`` are equal in Python but read differently.  A string
-    equals no other JSON value, so a raw value that finds a kept read is
-    made of strings too.  Only a read that succeeds is kept, so an error is
-    raised at the first place that holds the bad value.
+    The key is ``repr(raw)``, which keeps item order and tells ``1``,
+    ``1.0``, ``true`` and ``"1"`` apart, so only a value written the same
+    way finds a kept read.  Only a read that succeeds is kept, so an error
+    is raised at the first place that holds the bad value.
     """
-    try:
-        key = key_of(raw)
-        value = cache.get(key)
-    except TypeError:  # an unhashable member, or a level that is not an object
-        key = value = None
+    key = repr(raw)
+    value = cache.get(key)
     if value is None:
-        value = read(raw, where)
-        if key is not None and _strings(key):
-            cache[key] = value
+        value = cache[key] = read(raw, where)
     return value
 
 
@@ -243,17 +229,21 @@ def _dist(raw: Any, where: str) -> dict:
     return {t: parse_rational(v, f"{where}.{t}") for t, v in _map(raw, where, "world").items()}
 
 
+def _levels(raw: Any, where: str) -> tuple:
+    """A JSON list of belief levels read as a tuple of :func:`_dist` maps."""
+    return tuple(_dist(level, f"{where}[{k}]")
+                 for k, level in enumerate(_list(raw, where, "belief levels")))
+
+
 def model_from_json(data: Mapping, game: Game | None = None, where: str = "model") -> KripkeModel:
     """Load a standard, probabilistic, or ordered model, by the keys present.
 
     Each distinct raw access list and belief is read once (see
     :func:`_read_once`), and every world that holds it gets the one
-    frozenset or belief object.  Equal beliefs written differently (the
-    same items in the same file order, such as ``"1/2"`` and ``"2/4"``)
-    share one object too, so the model's readers evaluate each distinct
-    belief once.  Errors are raised at the first offending world in file
-    order; an entry for a world not under ``worlds``, and an access list or
-    belief that names one, are errors located at their node.
+    frozenset or belief object, so the model's readers evaluate it once.
+    Errors are raised at the first offending world in file order; an entry
+    for a world not under ``worlds``, and an access list or belief that
+    names one, are errors located at their node.
     """
     from .kripke import ProbKripkeModel, StandardKripkeModel
 
@@ -263,14 +253,13 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
     known = frozenset(worlds)
     access_raw = _world_maps(data, "access", game, known, where)
     sigma_raw = _world_maps(data, "sigma", game, known, where)
-    sets: dict[tuple, frozenset] = {}
+    sets: dict[str, frozenset] = {}
     access = ({}, {})
     for i in (0, 1):
         name = game.players[i]
         for w in worlds:
             spot = f"{where}.access.{name}.{w}"
-            targets = access[i][w] = _read_once(sets, _labels_key, _access_set,
-                                                access_raw[i].get(w, []), spot)
+            targets = access[i][w] = _read_once(sets, _access_set, access_raw[i].get(w, []), spot)
             if not targets <= known:
                 raise _unknown(spot, f"player {name}: accessibility from {w!r} points at",
                                targets, known)
@@ -288,21 +277,15 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
     base = _construct(where, StandardKripkeModel, game, worlds, access, sigma)
     if "p" in data and "lambda" in data:
         raise FormatError(f"{where}: both 'p' and 'lambda' present; split the file")
-    seen: dict[tuple, list] = {}
-    parsed: dict[tuple, Any] = {}
+    parsed: dict[str, Any] = {}
     if "p" in data:
         p_raw = _world_maps(data, "p", game, known, where)
-
-        def read_dist(raw: Any, spot: str) -> dict:
-            dist = _dist(raw, spot)
-            return _by_value(seen, (dist,), lambda: dist)
-
         p = ({}, {})
         for i in (0, 1):
             name = game.players[i]
             for w in worlds:
                 spot = f"{where}.p.{name}.{w}"
-                dist = p[i][w] = _read_once(parsed, _dist_key, read_dist, p_raw[i].get(w, {}), spot)
+                dist = p[i][w] = _read_once(parsed, _dist, p_raw[i].get(w, {}), spot)
                 if not dist.keys() <= known:
                     raise _unknown(spot, f"player {name}: belief at {w!r} weights", dist, known)
         return _construct(where, ProbKripkeModel, base, p)
@@ -310,12 +293,6 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
         from .ordered import OrderedKripkeModel
 
         lam_raw = _world_maps(data, "lambda", game, known, where)
-
-        def read_levels(raw: Any, spot: str) -> tuple:
-            levels = tuple(_dist(level, f"{spot}[{k}]")
-                           for k, level in enumerate(_list(raw, spot, "belief levels")))
-            return _by_value(seen, levels, lambda: levels)
-
         lam = ({}, {})
         for i in (0, 1):
             name = game.players[i]
@@ -323,8 +300,7 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
                 if w not in lam_raw[i]:
                     raise FormatError(f"{where}.lambda: missing world {w!r} for player {name!r}")
                 spot = f"{where}.lambda.{name}.{w}"
-                levels = lam[i][w] = _read_once(parsed, _levels_key, read_levels,
-                                                lam_raw[i][w], spot)
+                levels = lam[i][w] = _read_once(parsed, _levels, lam_raw[i][w], spot)
                 for k, level in enumerate(levels):
                     if not level.keys() <= known:
                         what = f"player {name}: level belief at {w!r} weights"
@@ -506,7 +482,7 @@ def load_file(path: str) -> dict:
         raise FormatError(f"{path}: no such file")
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, undecodable bytes, or an integer past the digit limit
         raise FormatError(f"{path}: invalid JSON ({exc})")
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object, got {_JSON_KINDS[type(data)]}")

@@ -63,6 +63,11 @@ Kripke-model constructors written out once per flavor, with
 built on one belief core in :mod:`egk.kripke` must give exactly their
 errors, cleaned beliefs and violations, in order, and the belief groups
 each model keeps must be those of ``reference_belief_groups``.
+
+``reference_model_from_json`` is the model file loader with no parse cache:
+every world's access list and belief is parsed on its own.  The loader,
+which parses each distinct raw spelling once, must give exactly its model,
+item order and ``FormatError`` text.
 """
 
 from __future__ import annotations
@@ -71,7 +76,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
+from unittest import mock
 
+from egk import modelio
 from egk.convergence import _check_output, _level_masses
 from egk.dominance import Elimination, EliminationRound, Restriction
 from egk.epistemic import LexEpistemicModel, Pair
@@ -846,6 +853,12 @@ def reference_build_member(
     out = ProbKripkeModel(model.base, (p[0], p[1]))
     _check_output(model, out, eps, lam_constant)
     return out
+
+
+def reference_model_from_json(data):
+    """``modelio.model_from_json`` with every access list and belief read at its own world."""
+    with mock.patch.object(modelio, "_read_once", lambda cache, read, raw, where: read(raw, where)):
+        return modelio.model_from_json(data)
 
 
 def reference_belief_groups(worlds, beliefs):

@@ -449,3 +449,30 @@ def test_member_built_per_belief_matches_the_per_world_build(kind, seed, scheme,
     # sharing must not change a result, a violation or its order.
     for shared in [member] + _invalid_shared_variants(member):
         assert _readings(shared, eps) == _readings(_deep_copied(shared), eps)
+
+
+def _respelt(weight: str) -> str:
+    """``weight`` written with numerator and denominator doubled: another spelling, one value."""
+    num, _, den = weight.partition("/")
+    return f"{2 * int(num)}/{2 * int(den or 1)}"
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(SCHEMES))
+def test_member_holds_one_belief_per_source_group(seed, scheme):
+    rng = random.Random(seed)
+    data = modelio.model_to_json(random_ordered_model(rng, random_game(rng)))
+    # One world's levels respelt: equal in value to its class's, yet parsed
+    # on their own, so the loaded source keeps them as a group of their own.
+    name = rng.choice(data["game"]["players"])
+    w = rng.choice(data["worlds"])
+    data["lambda"][name][w] = [{t: _respelt(v) for t, v in level.items()}
+                               for level in data["lambda"][name][w]]
+    source = modelio.model_from_json(data)
+    eps = EpsilonSchedule(F(1, 2), 2).values()[-1]
+    member = build_epsilon_model(source, eps, scheme)
+    for i in (0, 1):
+        assert [holders for _, holders in member.groups(i)] == \
+            [holders for _, holders in source.groups(i)]
+    reference = reference_build_member(source, eps, scheme, not check_lambda_constancy(source))
+    assert member.p == reference.p

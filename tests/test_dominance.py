@@ -264,7 +264,7 @@ def _travelers_dilemma(claims: int, reward: int = 2, scale=(1, 1), shift=(0, 0))
     return Game(("1", "2"), (labels, labels), payoffs)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(_games_with_restrictions())
 # A tied best reply can be weakly dominated: (1, 1) beats (1, 0) weakly.
 @example((_game(("A", "B"), ("C", "D"), [[(1, 0), (1, 0)], [(1, 0), (0, 0)]]),

@@ -26,6 +26,12 @@ from egk.fixtures import (
 from egk.kripke import ProbKripkeModel, rat, validate_beliefs
 from egk.ordered import OrderedKripkeModel, level_ids, lrat
 from generators import random_game, random_ordered_model
+from oracles import reference_model_from_json
+
+
+# Digits in a number past Python's int/str conversion limit (4,300 by default,
+# sys.get_int_max_str_digits); egk's rationals have no length limit.
+_LONG = 5000
 
 
 def write(tmp_path, name, payload):
@@ -48,6 +54,58 @@ def test_parse_rational():
     assert modelio.format_rational(F(4, 2)) == "2"
     assert modelio.format_rational(F(-3, 9)) == "-1/3"
     assert modelio.format_rational(3) == "3"
+    # Past the digit limit, where int() and str() refuse a Python integer.
+    long = 7 * (10 ** _LONG - 1) // 9
+    for text, value in (("7" * _LONG, F(long)), (f"-1/{'7' * _LONG}", F(-1, long))):
+        assert modelio.parse_rational(text, "x") == value
+        assert modelio.format_rational(value) == text
+
+
+def test_cli_game_with_a_payoff_past_the_digit_limit(tmp_path, capsys):
+    data = modelio.game_to_json(myerson_game())
+    reports = []
+    for payoff in ("7", "7" * _LONG):
+        data["payoffs"]["A,C"][0] = payoff
+        assert cli.main(["game", "analyze", write(tmp_path, "game.json", data), "--json"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("raw", [b"7" * _LONG, b"\xff{}"], ids=["long-integer", "not-utf-8"])
+def test_cli_what_json_refuses_besides_syntax_is_invalid_json(raw, tmp_path, capsys):
+    # json.load raises a ValueError that is not a JSONDecodeError for both.
+    data = modelio.game_to_json(myerson_game())
+    data["payoffs"]["A,C"][0] = "RAW"
+    path = tmp_path / "game.json"
+    path.write_bytes(json.dumps(data).encode().replace(b'"RAW"', raw))
+    assert cli.main(["game", "analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON (")
+
+
+def test_cli_model_check_with_an_eps_past_the_digit_limit(capsys):
+    path = str(_ROOT / "fixtures" / "myerson_prob.json")
+    reports = []
+    for digits in (4000, _LONG):
+        assert cli.main(["model", "check", path, "--eps", "1/" + "3" * digits, "--json"]) == 1
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1] and reports[0]["violations"]
+
+
+def test_cli_converge_past_the_digit_limit_reads_its_family_back(tmp_path, capsys):
+    path = str(_ROOT / "fixtures" / "myerson_ordered.json")
+    ratio = "1/" + "7" * 900
+    family = tmp_path / "family"
+    assert cli.main(["converge", path, "--schedule", f"geometric:{ratio},5", "--json",
+                     "--emit-family", str(family)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    schedule = convergence.EpsilonSchedule(modelio.parse_rational(ratio, "ratio"), 5)
+    assert [modelio.parse_rational(row["eps"], "eps") for row in report["rows"]] == \
+        list(schedule.values())
+    member = family / "model_04.json"
+    assert max(map(len, re.findall(r"[0-9]+", member.read_text()))) > 4300
+    source = modelio.model_from_json(modelio.load_file(path))
+    assert modelio.model_from_json(modelio.load_file(str(member))) == \
+        convergence.build_epsilon_model(source, schedule.values()[-1])
 
 
 def test_cli_a_boolean_weight_exits_2_located(tmp_path, capsys):
@@ -255,6 +313,84 @@ def test_loaded_worlds_with_equal_beliefs_share_one_object():
             assert rat(alone) == rat(model)
             assert validate_beliefs(alone) == validate_beliefs(model)
     assert shared
+
+
+# Weight spellings equal in Python (1, 1.0, True) or as rationals ("1", "2/4"),
+# so a parse cache that keys them too loosely shows; _BAD_WEIGHTS are malformed.
+_WEIGHTS = (1, "1", "1/2", "2/4", "0")
+_BAD_WEIGHTS = (1.0, True, "1/0", "x", None)
+_MISSING = object()
+
+
+def _reordered(raw):
+    """``raw`` with its items, or each level's items, in reverse order."""
+    if isinstance(raw, dict):
+        return dict(reversed(raw.items()))
+    if raw and isinstance(raw[0], dict):
+        return [_reordered(level) for level in raw]
+    return raw[::-1]
+
+
+@st.composite
+def _respelt_model_files(draw):
+    """The Myerson model's frame over three worlds, each world's access list and
+    belief drawn, with repeats, from a small pool of raw spellings: drawn values
+    and their items reordered, and in half the pools also their ``repr`` as a
+    string and malformed values."""
+    # Repeats in a sampled tuple make its usual values come up more often.
+    labels = st.sampled_from(("w1", "w2", "w3") * 3 + ("zz",))
+    dists = st.dictionaries(labels, st.sampled_from(_WEIGHTS * 3 + _BAD_WEIGHTS),
+                            min_size=1, max_size=3)
+    kind = draw(st.sampled_from(("p", "lambda")))
+
+    def pool(values, malformed):
+        drawn = draw(st.lists(values, min_size=1, max_size=3))
+        usual = drawn + [_reordered(v) for v in drawn]
+        if not draw(st.booleans()):
+            return usual
+        return usual + [repr(v) for v in drawn] + list(malformed)
+
+    # A missing access list reads as [], a missing belief is an error.
+    pools = {"access": pool(st.lists(labels, max_size=3), ([1], "w1", None)) + [_MISSING],
+             kind: pool(dists if kind == "p" else st.lists(dists, min_size=1, max_size=3),
+                        ([], 1, None, _MISSING) + (({"w1": 1},) if kind == "lambda" else ()))}
+    data = modelio.model_to_json(myerson_prob_model(F(1, 4)).base)
+    data["worlds"] = ["w1", "w2", "w3"]
+    data["sigma"] = {name: {w: s for w, s in per.items() if w in data["worlds"]}
+                     for name, per in data["sigma"].items()}
+    for key, values in pools.items():
+        data[key] = {name: {} for name in data["game"]["players"]}
+        for per in data[key].values():
+            for w in data["worlds"]:
+                raw = draw(st.sampled_from(values))
+                if raw is not _MISSING:
+                    per[w] = raw
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(_respelt_model_files())
+def test_parse_cache_matches_a_per_world_parse(data):
+    try:
+        expected = reference_model_from_json(data)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            modelio.model_from_json(data)
+        assert str(got.value) == str(exc)
+        return
+    model = modelio.model_from_json(data)
+    assert model == expected
+    assert modelio.dumps(modelio.model_to_json(model)) == \
+        modelio.dumps(modelio.model_to_json(expected))
+    # Two worlds hold one parsed object exactly when their raw values are spelt alike.
+    beliefs = model.lam if isinstance(model, OrderedKripkeModel) else model.p
+    for key, held in (("access", model.access), (model.KIND, beliefs)):
+        default = [] if key == "access" else {}
+        for i, name in enumerate(model.game.players):
+            spelt = {w: repr(data[key][name].get(w, default)) for w in model.worlds}
+            for w in model.worlds:
+                for w2 in model.worlds:
+                    assert (held[i][w] is held[i][w2]) == (spelt[w] == spelt[w2]), (key, i, w, w2)
 
 
 def test_types_roundtrips():
