@@ -131,6 +131,13 @@ def _cmd_model_check(args) -> tuple[int, dict]:
 
     model = _load_model(args.file, args.game)
     players = model.game.players
+    for option, given in (("--eps", args.eps is not None),
+                          ("--trembling-reading", args.trembling_reading is not None),
+                          ("--show-upper", args.show_upper)):
+        if given and not isinstance(model, kripke.ProbKripkeModel):
+            raise InputError(f"{option} needs a probabilistic model")
+        if given and args.eps is None:
+            raise InputError(f"{option} needs --eps")
     violations = []
     advisories = []
     upper = None
@@ -144,7 +151,8 @@ def _cmd_model_check(args) -> tuple[int, dict]:
         if args.eps is not None:
             eps = parse_rational(args.eps, "--eps")
             try:
-                violations += epsilon.check_trembling(model, eps, args.trembling_reading)
+                violations += epsilon.check_trembling(
+                    model, eps, args.trembling_reading or "belief")
             except InputError:
                 # The belief reading needs rationality, which beliefs that are
                 # not probabilities leave undefined; those are listed already.
@@ -199,6 +207,10 @@ def _cmd_model_operators(args) -> tuple[int, dict]:
     op = args.op
     if op in ("b", "b1", "beps") and not args.player:
         raise InputError(f"operator {op!r} needs --player")
+    if op in ("cb", "cb1", "cbeps") and args.player is not None:
+        raise InputError(f"operator {op!r} takes no --player")
+    if op in ("b", "cb", "b1", "cb1") and args.eps is not None:
+        raise InputError(f"operator {op!r} takes no --eps")
     game = model.game
     if op in ("b", "cb"):
         from . import kripke
@@ -278,6 +290,8 @@ def _cmd_types_analyze(args) -> tuple[int, dict]:
     props = [epistemic.caution_property(model)]
     eps = None
     if lex:
+        if args.eps is not None:
+            raise InputError("--eps needs a probabilistic type model")
         props.append(epistemic.primary_rationality_property(model))
     else:
         eps = parse_rational(args.eps, "--eps") if args.eps is not None else Fraction(1, 4)
@@ -360,9 +374,14 @@ def _parse_schedule(text: str) -> EpsilonSchedule:
     if len(parts) != 2:
         raise InputError(f"malformed schedule {text!r}; expected geometric:RATIO,COUNT")
     ratio = parse_rational(parts[0], "--schedule ratio")
+    # ASCII digits and an optional minus, as in parse_rational: int() alone
+    # would also take "1_0", " 3", "+2" and other scripts' digits.
+    digits = parts[1].removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise InputError(f"malformed schedule count {parts[1]!r}")
     try:
         count = int(parts[1])
-    except ValueError:
+    except ValueError:  # past sys.get_int_max_str_digits()
         raise InputError(f"malformed schedule count {parts[1]!r}")
     return EpsilonSchedule(ratio, count)
 
@@ -454,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--game", help="game file overriding the embedded game")
     check.add_argument("--eps", help="also check the trembling bound at this threshold")
     # epsilon.TREMBLING_READINGS, spelled out so that parsing imports no model layer.
-    check.add_argument("--trembling-reading", choices=("belief", "pointwise"),
-                       default="belief")
+    # No default, so that an explicit reading without --eps can be refused; None is belief.
+    check.add_argument("--trembling-reading", choices=("belief", "pointwise"))
     check.add_argument("--show-upper", action="store_true",
                        help="with --eps, print accessibility above the threshold")
     check.set_defaults(build=_cmd_model_check, text=_text_model_check)

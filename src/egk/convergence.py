@@ -240,16 +240,16 @@ def verify_convergence(
     _, lrat_event = lrat(model)
     limit = common_level1_belief(model, lrat_event)
 
+    # The tail after m intersects the events from m + 1 on: one pass from the last event back.
     tails = []
-    count = len(eps_values)
-    for m in range(-1, count - 1):
-        tail = frozenset(model.worlds)
-        for n in range(m + 1, count):
-            tail &= events[n]
-        tails.append((m, model.order(tail)))
+    tail = frozenset(model.worlds)
+    for n in reversed(range(len(events))):
+        tail &= events[n]
+        tails.append((n - 1, model.order(tail)))
+    tails.reverse()
     stabilized = tails[-1][1]
-    stab_index = next(m for m, t in tails if all(
-        t2 == stabilized for m2, t2 in tails if m2 >= m))
+    # Tails grow with m, so every tail from the first equal to the last is the last.
+    stab_index = next(m for m, t in tails if t == stabilized)
     return ConvergenceReport(
         rows=tuple(rows),
         cb1_lrat=model.order(limit),

@@ -36,36 +36,29 @@ def check_trembling(
         raise InputError(f"trembling bound must lie in (0, 1), got {eps}")
     if reading not in TREMBLING_READINGS:
         raise InputError(f"unknown trembling reading {reading!r}")
+    rational = rat(model)[0] if reading == "belief" else None
     out = []
-    if reading == "belief":
-        (rat0, rat1), _ = rat(model)
-        rational = (rat0, rat1)
-        for i in (0, 1):
-            j = other(i)
-            name = model.game.players[i]
-            for w in model.worlds:
-                for w1, v in model.p[i][w].items():
-                    if w1 not in rational[j] and v > eps:
-                        out.append(Violation(
-                            "trembling", i, (w, w1),
-                            f"player {name}: weight {v} at {w} on {w1}, where the opponent's "
-                            f"strategy {model.sigma[j][w1]!r} is not optimal"))
-    else:
-        for i in (0, 1):
-            j = other(i)
-            name = model.game.players[i]
-            replies: dict[str, frozenset[str]] = {}
-            for w in model.worlds:
-                for w1, v in model.p[i][w].items():
-                    own = model.sigma[i][w1]
-                    opp = model.sigma[j][w1]
+    for i in (0, 1):
+        j = other(i)
+        name = model.game.players[i]
+        replies: dict[str, frozenset[str]] = {}
+        for w in model.worlds:
+            for w1, v in model.p[i][w].items():
+                if v <= eps:
+                    continue
+                own, opp = model.sigma[i][w1], model.sigma[j][w1]
+                if reading == "belief":
+                    if w1 in rational[j]:
+                        continue
+                    why = f"the opponent's strategy {opp!r} is not optimal"
+                else:
                     if opp not in replies:
                         replies[opp] = optimal_pure(model.game, i, point_mass(j, opp))
-                    if own not in replies[opp] and v > eps:
-                        out.append(Violation(
-                            "trembling", i, (w, w1),
-                            f"player {name}: weight {v} at {w} on {w1}, where {own!r} is not a "
-                            f"best reply to {opp!r}"))
+                    if own in replies[opp]:
+                        continue
+                    why = f"{own!r} is not a best reply to {opp!r}"
+                out.append(Violation("trembling", i, (w, w1),
+                                     f"player {name}: weight {v} at {w} on {w1}, where {why}"))
     return out
 
 

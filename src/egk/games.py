@@ -15,11 +15,6 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 from .errors import InputError
 from .frozen import Frozen
 
-# Outcomes of lexicographic comparison.
-GREATER = 1
-EQUAL = 0
-LESS = -1
-
 
 def other(i: int) -> int:
     """The opponent of player ``i``; players are indexed 0 and 1."""
@@ -117,18 +112,6 @@ def expected_utility(game: Game, i: int, s_i: str, mix_j: MixedStrategy) -> Frac
     return total
 
 
-def lex_compare(u: Sequence[Fraction], v: Sequence[Fraction]) -> int:
-    """Lexicographic comparison; GREATER/EQUAL/LESS, first difference decides."""
-    if len(u) != len(v):
-        raise InputError(f"vector lengths differ: {len(u)} vs {len(v)}")
-    for a, b in zip(u, v):
-        if a > b:
-            return GREATER
-        if a < b:
-            return LESS
-    return EQUAL
-
-
 def optimal_pure(game: Game, i: int, mix_j: MixedStrategy) -> frozenset[str]:
     """Strategies of ``i`` maximizing expected utility against ``mix_j``."""
     j = other(i)
@@ -204,18 +187,6 @@ def _compile(game: Game) -> tuple[tuple[dict, dict], tuple[dict, dict], tuple[in
 
 def _dot(row: tuple[int, ...], weights: tuple[int, ...]) -> int:
     return sum(map(mul, row, weights))
-
-
-def lex_values(game: Game, i: int, s_i: str, levels: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    """Level-wise utilities of ``s_i`` against push-forwards, positively rescaled.
-
-    Each level's values share one positive factor, so the vectors of two
-    strategies of ``i`` against the same levels compare as their exact
-    expected-utility vectors do.
-    """
-    game.check_strategy(i, s_i)
-    row = _compiled(game)[0][i][s_i]
-    return tuple(_dot(row, weights) for weights in levels)
 
 
 def lex_best_replies(game: Game, i: int, levels: Sequence[tuple[int, ...]]) -> frozenset[str]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Iterable, Mapping, NamedTuple
 
-from .games import lex_compare, lex_values, other, push_forward
 from .kripke import (
     EventSet,
     FramedModel,
@@ -59,17 +58,6 @@ class OrderedKripkeModel(FramedModel):
 def validate_ordered(model: OrderedKripkeModel) -> list[Violation]:
     """Standard axioms plus measure, support, and injectivity of the levels."""
     return validate_standard(model.base) + validate_beliefs(model)
-
-
-def lex_prefers(model: OrderedKripkeModel, i: int, w: str, s_i: str, s_i2: str) -> int:
-    """Lexicographic preference at ``w``: GREATER, EQUAL (indifferent) or LESS."""
-    game = model.game
-    game.check_strategy(i, s_i)
-    game.check_strategy(i, s_i2)
-    j = other(i)
-    strategy_of = model.sigma[j].__getitem__
-    levels = [push_forward(game, j, dist, strategy_of) for dist in model.lam[i][w]]
-    return lex_compare(lex_values(game, i, s_i, levels), lex_values(game, i, s_i2, levels))
 
 
 def lrat(model: OrderedKripkeModel) -> tuple[tuple[EventSet, EventSet], EventSet]:

@@ -39,6 +39,14 @@ beliefs, predicate values and errors.
 belief operators as separate per-world loops; the operators built on
 :func:`egk.kripke.box` must give exactly their results and errors.
 
+``reference_check_trembling`` keeps one loop per trembling reading, each
+testing every supported world before its weight; the one loop of
+:func:`egk.epsilon.check_trembling`, which skips a weight at most eps first,
+must give exactly its violations, in order.  ``reference_tails`` intersects
+every tail of a convergence report from scratch and finds the stabilization
+index by comparing every later tail; ``verify_convergence``'s one reverse
+pass must give exactly its tails and index.
+
 ``reference_build_member`` builds a family member world by world, one new
 belief per world; the member built once per distinct source belief must
 have exactly its weights.
@@ -83,19 +91,13 @@ from egk.convergence import _check_output, _level_masses
 from egk.dominance import Elimination, EliminationRound, Restriction
 from egk.epistemic import LexEpistemicModel, Pair
 from egk.errors import InputError
-from egk.games import (
-    GREATER,
-    Game,
-    MixedStrategy,
-    expected_utility,
-    lex_compare,
-    other,
-)
+from egk.games import Game, MixedStrategy, expected_utility, optimal_pure, other, point_mass
 from egk.kripke import (
     ProbKripkeModel,
     StandardKripkeModel,
     Violation,
     exact_weights,
+    rat,
     weight_sum,
 )
 from egk.ordered import OrderedKripkeModel
@@ -589,7 +591,7 @@ def reference_lrat(model):
         for w in model.worlds:
             vec = _lex_vector(model, i, w, model.sigma[i][w])
             beaten = any(
-                lex_compare(_lex_vector(model, i, w, s), vec) == GREATER
+                _lex_vector(model, i, w, s) > vec
                 for s in model.game.strategies[i]
             )
             if not beaten:
@@ -761,7 +763,7 @@ def reference_optimal_strategies(model, i: int, t: str) -> frozenset[str]:
     vectors = {s: _utility_vector(model, i, t, s) for s in model.game.strategies[i]}
     out = set()
     for s, vec in vectors.items():
-        if not any(lex_compare(v2, vec) == GREATER for v2 in vectors.values()):
+        if not any(v2 > vec for v2 in vectors.values()):
             out.add(s)
     return frozenset(out)
 
@@ -832,6 +834,64 @@ def reference_upper_common_belief(model, eps: Fraction, event):
         if union <= ev:
             out.add(w)
     return frozenset(out)
+
+
+def reference_check_trembling(
+    model: ProbKripkeModel, eps: Fraction, reading: str = "belief"
+) -> list[Violation]:
+    """Worlds carrying a non-optimal strategy may weigh at most ``eps``, one loop per reading."""
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise InputError(f"trembling bound must lie in (0, 1), got {eps}")
+    if reading not in ("belief", "pointwise"):
+        raise InputError(f"unknown trembling reading {reading!r}")
+    out = []
+    if reading == "belief":
+        (rat0, rat1), _ = rat(model)
+        rational = (rat0, rat1)
+        for i in (0, 1):
+            j = other(i)
+            name = model.game.players[i]
+            for w in model.worlds:
+                for w1, v in model.p[i][w].items():
+                    if w1 not in rational[j] and v > eps:
+                        out.append(Violation(
+                            "trembling", i, (w, w1),
+                            f"player {name}: weight {v} at {w} on {w1}, where the opponent's "
+                            f"strategy {model.sigma[j][w1]!r} is not optimal"))
+    else:
+        for i in (0, 1):
+            j = other(i)
+            name = model.game.players[i]
+            replies: dict[str, frozenset[str]] = {}
+            for w in model.worlds:
+                for w1, v in model.p[i][w].items():
+                    own = model.sigma[i][w1]
+                    opp = model.sigma[j][w1]
+                    if opp not in replies:
+                        replies[opp] = optimal_pure(model.game, i, point_mass(j, opp))
+                    if own not in replies[opp] and v > eps:
+                        out.append(Violation(
+                            "trembling", i, (w, w1),
+                            f"player {name}: weight {v} at {w} on {w1}, where {own!r} is not a "
+                            f"best reply to {opp!r}"))
+    return out
+
+
+def reference_tails(model, rows) -> tuple[tuple, int]:
+    """Every tail of the rows' upper common beliefs intersected on its own, and the stabilization index."""
+    events = [frozenset(row.upper_cb) for row in rows]
+    count = len(events)
+    tails = []
+    for m in range(-1, count - 1):
+        tail = frozenset(model.worlds)
+        for n in range(m + 1, count):
+            tail &= events[n]
+        tails.append((m, model.order(tail)))
+    stabilized = tails[-1][1]
+    stab_index = next(m for m, t in tails if all(
+        t2 == stabilized for m2, t2 in tails if m2 >= m))
+    return tuple(tails), stab_index
 
 
 def reference_build_member(

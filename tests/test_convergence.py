@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from egk import cli, modelio
 from egk.convergence import (
@@ -22,7 +22,7 @@ from egk.kripke import ProbKripkeModel, StandardKripkeModel, rat, validate_belie
 from egk.ordered import OrderedKripkeModel, check_lambda_constancy
 
 from generators import _random_dist, random_game, random_ordered_model
-from oracles import reference_build_member
+from oracles import reference_build_member, reference_tails
 
 ONE = F(1)
 
@@ -476,3 +476,21 @@ def test_member_holds_one_belief_per_source_group(seed, scheme):
             [holders for _, holders in source.groups(i)]
     reference = reference_build_member(source, eps, scheme, not check_lambda_constancy(source))
     assert member.p == reference.p
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("class-constant", "wild")), st.integers(0, 10**6),
+       st.fractions(min_value=F(1, 10), max_value=F(7, 10), max_denominator=10),
+       st.integers(1, 6), st.sampled_from(SCHEMES))
+# Upper common belief mostly shrinks as eps falls, so a tail that differs from
+# the last one is rare in random draws; these sources have one.
+@example("class-constant", 11, F(7, 10), 4, "perfect")
+@example("class-constant", 63, F(7, 10), 2, "proper")
+@example("wild", 129, F(7, 10), 6, "perfect")
+def test_tails_in_one_pass_match_the_quadratic_tails(kind, seed, ratio, count, scheme):
+    rng = random.Random(seed)
+    model = (random_ordered_model(rng, random_game(rng)) if kind == "class-constant"
+             else _wild_ordered_model(rng))
+    report = verify_convergence(model, EpsilonSchedule(ratio, count), scheme)
+    assert (report.tails, report.stabilization_index) == reference_tails(model, report.rows)
+    assert report.stabilized == report.tails[-1][1]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from egk.epsilon import (
+    TREMBLING_READINGS,
     check_prob_caution,
     check_trembling,
     upper_access,
@@ -17,6 +18,7 @@ from egk.games import Game
 from egk.kripke import ProbKripkeModel, StandardKripkeModel, rat
 
 from generators import random_game, random_prob_model
+from oracles import reference_check_trembling
 
 
 def test_fixture_is_cautious():
@@ -82,6 +84,20 @@ def test_trembling_readings_differ_on_the_fixture():
     assert check_trembling(model, F(1, 4), "pointwise") != []
     with pytest.raises(InputError):
         check_trembling(model, F(1, 4), "strict")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(TREMBLING_READINGS),
+       st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda e: 0 < e < 1),
+       st.booleans())
+def test_one_trembling_loop_matches_the_loop_per_reading(seed, reading, drawn, at_weight):
+    # At a drawn weight the bound is tight: a weight equal to eps is no violation.
+    rng = random.Random(seed)
+    model = random_prob_model(rng, random_game(rng))
+    weights = sorted({v for i in (0, 1) for dist in model.p[i].values()
+                      for v in dist.values() if v < 1})
+    eps = rng.choice(weights) if at_weight and weights else drawn
+    assert check_trembling(model, eps, reading) == reference_check_trembling(model, eps, reading)
 
 
 def test_upper_operator_sets_on_fixture():

@@ -5,19 +5,8 @@ from hypothesis import given, strategies as st
 
 from egk.errors import InputError
 from egk.fixtures import myerson_game
-from egk.games import (
-    EQUAL,
-    GREATER,
-    LESS,
-    Game,
-    MixedStrategy,
-    expected_utility,
-    lex_compare,
-    point_mass,
-)
+from egk.games import Game, MixedStrategy, expected_utility, point_mass
 from oracles import lex_utility_vector
-
-rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
 
 def test_expected_utility_half_half():
@@ -73,37 +62,6 @@ def test_lex_utility_vector_values():
 def test_lex_utility_vector_rejects_empty():
     with pytest.raises(InputError):
         lex_utility_vector(myerson_game(), 0, "A", ())
-
-
-def test_lex_compare_examples():
-    assert lex_compare((F(1), F(0)), (F(0), F(0))) == GREATER
-    assert lex_compare((F(0), F(0)), (F(0), F(0))) == EQUAL
-    assert lex_compare((F(1), F(0)), (F(1), F(1))) == LESS
-    with pytest.raises(InputError):
-        lex_compare((F(1),), (F(1), F(2)))
-
-
-@given(st.lists(rationals, min_size=1, max_size=4), st.lists(rationals, min_size=1, max_size=4))
-def test_lex_compare_totality_and_antisymmetry(u, v):
-    n = min(len(u), len(v))
-    u, v = u[:n], v[:n]
-    forward, backward = lex_compare(u, v), lex_compare(v, u)
-    assert forward in (GREATER, EQUAL, LESS)
-    assert forward == -backward
-
-
-@given(st.lists(rationals, min_size=2, max_size=2),
-       st.lists(rationals, min_size=2, max_size=2),
-       st.lists(rationals, min_size=2, max_size=2))
-def test_lex_compare_transitive(u, v, w):
-    if lex_compare(u, v) != LESS and lex_compare(v, w) != LESS:
-        assert lex_compare(u, w) != LESS
-
-
-@given(rationals, rationals)
-def test_lex_compare_length_one_matches_fractions(a, b):
-    expected = GREATER if a > b else LESS if a < b else EQUAL
-    assert lex_compare((a,), (b,)) == expected
 
 
 def test_mixed_strategy_validation():

@@ -804,6 +804,59 @@ def test_cli_operator_preconditions_exit_2(model, args, worlds, message, tmp_pat
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("count", ["1_0", "\u0663", " 3", "+2", "3 ", "x", "9" * _LONG],
+                         ids=["underscore", "arabic-indic", "space", "plus", "trailing-space",
+                              "letter", "past-digit-limit"])
+def test_malformed_schedule_counts_exit_2(count, capsys):
+    assert cli.main(["converge", _ORDERED, "--schedule", f"geometric:1/2,{count}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed schedule count {count!r}\n"
+
+
+_LEX_TYPES = str(_ROOT / "fixtures" / "myerson_lex_types.json")
+
+
+@pytest.mark.parametrize("command,message", [
+    pytest.param(["types", "analyze", _LEX_TYPES, "--eps", "abc"],
+                 "--eps needs a probabilistic type model", id="types-lex-eps"),
+    pytest.param(["model", "check", _ORDERED, "--eps", "abc", "--show-upper"],
+                 "--eps needs a probabilistic model", id="check-ordered-eps"),
+    pytest.param(["model", "check", _ORDERED, "--trembling-reading", "belief"],
+                 "--trembling-reading needs a probabilistic model", id="check-ordered-reading"),
+    pytest.param(["model", "check", _ORDERED, "--show-upper"],
+                 "--show-upper needs a probabilistic model", id="check-ordered-show-upper"),
+    pytest.param(["model", "check", _PROB, "--show-upper", "--trembling-reading", "pointwise"],
+                 "--trembling-reading needs --eps", id="check-prob-reading-show-upper"),
+    pytest.param(["model", "check", _PROB, "--trembling-reading", "belief"],
+                 "--trembling-reading needs --eps", id="check-prob-reading"),
+    pytest.param(["model", "check", _PROB, "--show-upper"],
+                 "--show-upper needs --eps", id="check-prob-show-upper"),
+    pytest.param(["model", "operators", _PROB, "--op", "cb", "--eps", "abc", "--player", "9"],
+                 "operator 'cb' takes no --player", id="cb-player"),
+    pytest.param(["model", "operators", _ORDERED, "--op", "cb1", "--player", "1"],
+                 "operator 'cb1' takes no --player", id="cb1-player"),
+    pytest.param(["model", "operators", _PROB, "--op", "cbeps", "--eps", "1/4", "--player", "1"],
+                 "operator 'cbeps' takes no --player", id="cbeps-player"),
+    pytest.param(["model", "operators", _PROB, "--op", "b", "--player", "1", "--eps", "1/4"],
+                 "operator 'b' takes no --eps", id="b-eps"),
+    pytest.param(["model", "operators", _PROB, "--op", "cb", "--eps", "1/4"],
+                 "operator 'cb' takes no --eps", id="cb-eps"),
+    pytest.param(["model", "operators", _ORDERED, "--op", "b1", "--player", "1", "--eps", "1/4"],
+                 "operator 'b1' takes no --eps", id="b1-eps"),
+    pytest.param(["model", "operators", _ORDERED, "--op", "cb1", "--eps", "1/4"],
+                 "operator 'cb1' takes no --eps", id="cb1-eps"),
+])
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+def test_options_a_command_does_not_use_exit_2(command, message, flag, tmp_path, capsys):
+    event = write(tmp_path, "event.json", {"worlds": ["w1"]})
+    argv = [*command, "--event", event] if command[1] == "operators" else command
+    assert cli.main([*argv, *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def _json_kind(value) -> str:
     return {list: "an array", str: "a string", int: "a number", type(None): "null"}[type(value)]
 

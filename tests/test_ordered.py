@@ -1,13 +1,11 @@
 import random
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from egk.dominance import dekel_fudenberg
-from egk.errors import InputError
 from egk.fixtures import myerson_game, myerson_ordered_model
-from egk.games import EQUAL, GREATER, Game, LESS
+from egk.games import Game
 from egk.kripke import StandardKripkeModel, belief, common_belief
 from egk.ordered import (
     OrderedKripkeModel,
@@ -17,7 +15,6 @@ from egk.ordered import (
     common_level1_belief,
     level1_access,
     level1_belief,
-    lex_prefers,
     lrat,
     validate_ordered,
 )
@@ -72,26 +69,6 @@ def test_caution_vacuous_for_single_strategy_opponent():
     lam = ({"u": ({"u": ONE},)}, {"u": ({"u": ONE},)})
     model = OrderedKripkeModel(StandardKripkeModel(game, worlds, access, sigma), lam)
     assert check_caution(model) == [] or all(v.player == 1 for v in check_caution(model))
-
-
-def test_lex_prefers_on_fixture():
-    model = myerson_ordered_model()
-    for w in model.worlds:
-        assert lex_prefers(model, 0, w, "A", "B") == GREATER
-        assert lex_prefers(model, 0, w, "B", "A") == LESS
-        assert lex_prefers(model, 0, w, "A", "A") == EQUAL
-    with pytest.raises(InputError):
-        lex_prefers(model, 0, "w1", "A", "Z")
-
-
-def test_lex_prefers_single_level_tie():
-    game = myerson_game()
-    worlds = ("u",)
-    access = ({"u": frozenset(worlds)},) * 2
-    sigma = ({"u": "A"}, {"u": "D"})
-    lam = ({"u": ({"u": ONE},)}, {"u": ({"u": ONE},)})
-    model = OrderedKripkeModel(StandardKripkeModel(game, worlds, access, sigma), lam)
-    assert lex_prefers(model, 0, "u", "A", "B") == EQUAL
 
 
 def test_lrat_trivial_game():
@@ -169,25 +146,6 @@ def test_level1_operator_laws(seed):
         assert belief(model.base, i, e) <= level1_belief(model, i, e)
     assert common_level1_belief(model, e) == (
         level1_belief(model, 0, e) & level1_belief(model, 1, e))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**6))
-def test_lex_preference_is_total_preorder(seed):
-    rng = random.Random(seed)
-    game = random_game(rng)
-    model = random_ordered_model(rng, game)
-    w = rng.choice(model.worlds)
-    i = rng.randint(0, 1)
-    strategies = game.strategies[i]
-    for a in strategies:
-        assert lex_prefers(model, i, w, a, a) == EQUAL
-        for b in strategies:
-            assert lex_prefers(model, i, w, a, b) == -lex_prefers(model, i, w, b, a)
-            for c in strategies:
-                if (lex_prefers(model, i, w, a, b) != LESS
-                        and lex_prefers(model, i, w, b, c) != LESS):
-                    assert lex_prefers(model, i, w, a, c) != LESS
 
 
 @settings(max_examples=30, deadline=None)
