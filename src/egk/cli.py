@@ -297,8 +297,8 @@ def _cmd_types_analyze(args) -> tuple[int, dict]:
         eps = parse_rational(args.eps, "--eps") if args.eps is not None else Fraction(1, 4)
         props.append(epistemic.trembling_property(model, eps))
     alive = epistemic.common_full_belief(model, epistemic.conjoin(*props))
-    strategies = (epistemic.permissible(model) if lex
-                  else epistemic.eps_permissible(model, eps))
+    # The permissible (or eps-permissible) strategies, from the survivors above.
+    strategies = epistemic.optimal_for_types(model, alive)
     return 0, {
         "flavor": "lexicographic" if lex else "probabilistic",
         "properties": {

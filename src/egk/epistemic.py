@@ -225,16 +225,22 @@ def common_full_belief(
     return frozenset(alive[0]), frozenset(alive[1])
 
 
+def optimal_for_types(
+    model: EpistemicModel, alive: tuple[frozenset[str], frozenset[str]]
+) -> tuple[frozenset[str], frozenset[str]]:
+    """Per player, the strategies optimal for some type in ``alive``."""
+    return tuple(
+        frozenset().union(*(optimal_strategies(model, i, t) for t in alive[i]))
+        for i in (0, 1)
+    )
+
+
 def _permissible_under(
     model: EpistemicModel, rationality: TypeProperty
 ) -> tuple[frozenset[str], frozenset[str]]:
     """Strategies optimal for a type surviving common full belief in caution and ``rationality``."""
-    alive = common_full_belief(model, conjoin(caution_property(model), rationality))
-    return tuple(
-        frozenset().union(*(optimal_strategies(model, i, t) for t in alive[i]))
-        if alive[i] else frozenset()
-        for i in (0, 1)
-    )
+    return optimal_for_types(
+        model, common_full_belief(model, conjoin(caution_property(model), rationality)))
 
 
 def permissible(model: LexEpistemicModel) -> tuple[frozenset[str], frozenset[str]]:

@@ -132,7 +132,9 @@ class FramedModel(Frozen):
 
         Worlds that share a belief object keep sharing the cleaned one, so
         each distinct belief is checked and converted once; its groups are
-        kept, and each stored map lists the worlds in ``worlds`` order.
+        kept.  Each player's map lists the worlds in ``worlds`` order, but a
+        belief keeps its items in the order given: ``{"w2": ..., "w1": ...}``
+        keeps ``w2`` first, and ``modelio.model_to_json`` writes it so.
         """
         wset = set(base.worlds)
         cleaned, kept = [], []

@@ -2,28 +2,26 @@
 
 Covers exactly what the dominance and justification tests need: maximize a
 linear objective over ``{x >= 0 : A_ub x <= b_ub, A_eq x = b_eq}``.  Inputs
-are Fractions or ints and results Fractions, so feasibility and the sign of
-the optimum are exact.  Bland's rule makes the pivot sequence finite.
+are ints (anything else is a ``TypeError``) and results Fractions, so
+feasibility and the sign of the optimum are exact.  Bland's rule makes the
+pivot sequence finite.
 
 The tableau is condensed and fraction-free (Edmonds 1967, Bareiss 1968; the
-dictionary of Avis's lrs): each row is scaled once to integers, and only the
-nonbasic columns and the right-hand side are kept, as ints ``T`` over one
-positive common denominator ``d``, so that ``T / d`` is those columns of
-``B^-1 [A | b]``.  ``nonbasic[j]`` is column ``j``'s variable.  A pivot on
-``p = T[rp][cp]`` maps every other row to ``(p * T[r] - T[r][cp] * T[rp]) // d``
-(exact: the results are minors of the scaled matrix) and sets ``d = p``; the
-leaving variable takes column ``cp``, ``-T[r][cp]`` in the other rows and
-``d`` in the pivot row.  Slacks and artificials keep their unit coefficient
-in a scaled row, and dividing an artificial's phase-1 cost by the row's
-scale keeps every dual.  Bland's rule picks the smallest variable index, and
-a leaving artificial stays a column through phase 1, so the pivots and the
-results are those of the plain rational tableau.
+dictionary of Avis's lrs): only the nonbasic columns and the right-hand side
+are kept, as ints ``T`` over one positive common denominator ``d``, so that
+``T / d`` is those columns of ``B^-1 [A | b]``.  ``nonbasic[j]`` is column
+``j``'s variable.  A pivot on ``p = T[rp][cp]`` maps every other row to
+``(p * T[r] - T[r][cp] * T[rp]) // d`` (exact: the results are minors of
+``[A | b]``) and sets ``d = p``; the leaving variable takes column ``cp``,
+``-T[r][cp]`` in the other rows and ``d`` in the pivot row.  Bland's rule
+picks the smallest variable index, and a leaving artificial stays a column
+through phase 1, so the pivots and the results are those of the plain
+rational tableau.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple, Sequence
 
 OPTIMAL = "optimal"
@@ -39,43 +37,40 @@ class LPResult(NamedTuple):
     x: tuple[Fraction, ...] | None = None
 
 
-def _integer_row(values: Sequence) -> tuple[int, list[int]]:
-    """The LCM of the denominators of ``values``, and ``values`` times it."""
-    if all(type(v) is int for v in values):
-        return 1, list(values)
-    values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
-    scale = lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+def _ints(values: Sequence[int]) -> list[int]:
+    """``values`` as a new list; every one must be an ``int`` (not a ``bool``)."""
+    if not all(type(v) is int for v in values):
+        raise TypeError("maximize takes int coefficients")
+    return list(values)
 
 
 def maximize(
-    c: Sequence[Fraction],
-    a_ub: Sequence[Sequence[Fraction]] = (),
-    b_ub: Sequence[Fraction] = (),
-    a_eq: Sequence[Sequence[Fraction]] = (),
-    b_eq: Sequence[Fraction] = (),
+    c: Sequence[int],
+    a_ub: Sequence[Sequence[int]] = (),
+    b_ub: Sequence[int] = (),
+    a_eq: Sequence[Sequence[int]] = (),
+    b_eq: Sequence[int] = (),
 ) -> LPResult:
     """Maximize ``c . x`` subject to ``a_ub x <= b_ub``, ``a_eq x = b_eq``, ``x >= 0``."""
-    n = len(c)
+    obj = _ints(c)
+    n = len(obj)
     # Variables: the n real ones, one slack per inequality row, then one
     # artificial per row whose slack cannot start basic.  A row with a
     # negative right-hand side is negated, and its slack, now -1, starts
     # nonbasic.  Each row holds its nonbasic columns, then the right-hand side.
     ub, eq = list(zip(a_ub, b_ub)), list(zip(a_eq, b_eq))
     real_cols = n + len(ub)
-    scales: list[int] = []
     tab: list[list[int]] = []
     basis: list[int] = []
     nonbasic = list(range(n))
     for r, (row, b) in enumerate(ub + eq):
-        scale, ints = _integer_row([*row, b])
+        ints = _ints([*row, b])
         slack = n + r if r < len(ub) else -1
         if ints[-1] < 0:
             ints = [-v for v in ints]
             if slack >= 0:
                 nonbasic.append(slack)
             slack = -1
-        scales.append(scale)
         tab.append(ints)
         basis.append(slack)
     for r, row in enumerate(tab):
@@ -137,10 +132,7 @@ def maximize(
             pivot(leave, enter)
 
     if art_rows:
-        # Each artificial costs -1 in the unscaled problem, and so -1/scale
-        # with its unit coefficient in a scaled row; times a common multiple.
-        art_scale = lcm(*(scales[r] for r in art_rows))
-        obj1 = [0] * real_cols + [-(art_scale // scales[r]) for r in art_rows]
+        obj1 = [0] * real_cols + [-1] * len(art_rows)
         run(obj1)
         if sum(obj1[b] * row[-1] for b, row in zip(basis, tab)):
             return LPResult(INFEASIBLE)
@@ -158,12 +150,11 @@ def maximize(
         nonbasic[:] = [nonbasic[j] for j in keep]
         tab[:] = [[row[j] for j in keep] + row[-1:] for row in tab]
 
-    scale, obj = _integer_row(c)
     if not run(obj + [0] * (real_cols - n)):
         return LPResult(UNBOUNDED)
     x = [_ZERO] * n
     for b, row in zip(basis, tab):
         if b < n:
             x[b] = Fraction(row[-1], d)
-    value = Fraction(sum(obj[b] * row[-1] for b, row in zip(basis, tab) if b < n), scale * d)
+    value = Fraction(sum(obj[b] * row[-1] for b, row in zip(basis, tab) if b < n), d)
     return LPResult(OPTIMAL, value, tuple(x))

@@ -76,6 +76,13 @@ def _expect(data: Mapping, key: str, where: str):
     return data[key]
 
 
+def _only(data: Mapping, where: str, keys: tuple[str, ...]) -> None:
+    """Refuse a key of the object ``data`` that is not one of ``keys``, at its node."""
+    for key in data:
+        if key not in keys:
+            raise FormatError(f"{where}.{key}: unknown key {key!r}")
+
+
 def _list(value: Any, where: str, what: str) -> list:
     """``value`` itself, which must be a JSON list (a string is not one)."""
     if not isinstance(value, list):
@@ -108,6 +115,7 @@ def _construct(where: str, cls, *args):
 
 def game_from_json(data: Mapping, where: str = "game") -> Game:
     _map(data, where, "'players', 'strategies' and 'payoffs'")
+    _only(data, where, ("players", "strategies", "payoffs"))
     players = _labels(_expect(data, "players", where), f"{where}.players", "player names")
     strategies = _list(_expect(data, "strategies", where), f"{where}.strategies",
                        "strategy lists")
@@ -167,6 +175,9 @@ def _player_maps(data: Mapping, key: str, game: Game, where: str, keys: str = "w
         if name not in raw:
             raise FormatError(f"{where}.{key}: missing player {name!r}")
         out.append(_map(raw[name], f"{where}.{key}.{name}", keys))
+    for name in raw:
+        if name not in game.players:
+            raise FormatError(f"{where}.{key}.{name}: unknown player {name!r}")
     return out
 
 
@@ -247,6 +258,7 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
     """
     from .kripke import ProbKripkeModel, StandardKripkeModel
 
+    _only(data, where, ("game", "worlds", "access", "sigma", "p", "lambda"))
     if game is None:
         game = game_from_json(_expect(data, "game", where), f"{where}.game")
     worlds = tuple(_labels(_expect(data, "worlds", where), f"{where}.worlds", "world labels"))
@@ -371,6 +383,9 @@ def types_from_json(data: Mapping, game: Game | None = None, where: str = "types
     """Load a type model; a belief given as a list of levels is lexicographic."""
     from .epistemic import LexEpistemicModel, ProbEpistemicModel
 
+    # "world_types" is the world-to-types map that `model to-types` adds; no
+    # reader needs it, so a written file reads back.
+    _only(data, where, ("game", "types", "beliefs", "world_types"))
     if game is None:
         game = game_from_json(_expect(data, "game", where), f"{where}.game")
     types_raw = _list(_expect(data, "types", where), f"{where}.types", "type lists")
@@ -379,6 +394,11 @@ def types_from_json(data: Mapping, game: Game | None = None, where: str = "types
     types = tuple(
         tuple(_labels(types_raw[i], f"{where}.types[{i}]", "type labels")) for i in (0, 1))
     beliefs_raw = _player_maps(data, "beliefs", game, where, "type")
+    for i, name in enumerate(game.players):
+        for t in beliefs_raw[i]:
+            if t not in types[i]:
+                raise FormatError(
+                    f"{where}.beliefs.{name}.{t}: type {t!r} is not listed under 'types'")
     lex = None
     parsed = []
     for i in (0, 1):
@@ -431,6 +451,7 @@ def types_to_json(model: TypeModel) -> dict:
 
 
 def event_from_json(data: Mapping, where: str = "event") -> tuple[str, ...]:
+    _only(data, where, ("worlds",))
     return tuple(_labels(_expect(data, "worlds", where), f"{where}.worlds", "world labels"))
 
 
@@ -473,16 +494,32 @@ _JSON_KINDS = {list: "an array", str: "a string", bool: "a boolean", int: "a num
                float: "a number", type(None): "null"}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict; a repeated key is a ``ValueError``."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return data
+
+
 def load_file(path: str) -> dict:
-    """The JSON object in ``path``; every file egk reads is one."""
+    """The JSON object in the UTF-8 file ``path``; every file egk reads is one.
+
+    A key repeated within one object is an error: ``json`` alone keeps its
+    last value.
+    """
     try:
-        with open(path) as handle:
-            data = json.load(handle)
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file")
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}")
-    except ValueError as exc:  # bad syntax, undecodable bytes, or an integer past the digit limit
+    except ValueError as exc:  # bad syntax or bytes, a repeated key, an int past the digit limit
         raise FormatError(f"{path}: invalid JSON ({exc})")
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object, got {_JSON_KINDS[type(data)]}")
@@ -490,9 +527,9 @@ def load_file(path: str) -> dict:
 
 
 def write_file(path: str, text: str) -> None:
-    """Write ``text`` to ``path``; an unwritable path is an ``InputError``."""
+    """Write ``text`` to ``path`` as UTF-8; an unwritable path is an ``InputError``."""
     try:
-        with open(path, "w") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}")

@@ -3,8 +3,11 @@ import contextlib
 import copy
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from fractions import Fraction as F
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from egk import cli, convergence, epsilon, modelio
+from egk import cli, convergence, epistemic, epsilon, modelio
 from egk.epistemic import ProbEpistemicModel, df_witness_types
 from egk.errors import FormatError, InputError
 from egk.fixtures import (
@@ -1109,3 +1112,130 @@ def test_one_node_edits_exit_cleanly(edit):
         assert file in message or (
             name == "event" and message.startswith("error: event contains unknown worlds")), \
             message
+
+
+# ---------------------------------------------------------------------------
+# Document keys: each object holds each key once, and only the keys its kind reads.
+
+
+def _fixture(name):
+    return json.loads((_FIXTURES / name).read_text(encoding="utf-8"))
+
+
+# (document kind, compact JSON text, the text that gains a repeated key in
+# front of it, what it gains, the repeated key)
+_REPEATED_KEYS = [
+    ("game", json.dumps(_fixture("myerson_game.json")), '"A,D": [', '"A,C": ["0", "0"], ', "A,C"),
+    ("model", json.dumps(_fixture("myerson_prob.json")), '"w1": "A"', '"w1": "B", ', "w1"),
+    ("types", json.dumps(_fixture("myerson_prob_types.json")), '"t1": {', '"t1": {}, ', "t1"),
+    ("event", '{"worlds": ["w1"]}', '"worlds"', '"worlds": ["w1", "w2"], ', "worlds"),
+]
+
+
+def _reading(kind, path):
+    """The command that reads a document of ``kind`` at ``path``."""
+    return {
+        "game": ["game", "analyze", path],
+        "model": ["model", "check", path],
+        "types": ["types", "analyze", path],
+        "event": ["model", "operators", _PROB, "--op", "cb", "--event", path],
+    }[kind]
+
+
+@pytest.mark.parametrize("kind,text,anchor,repeat,key", _REPEATED_KEYS,
+                         ids=[case[0] for case in _REPEATED_KEYS])
+def test_a_repeated_key_exits_2(kind, text, anchor, repeat, key, tmp_path, capsys):
+    # json alone keeps the last value: the game's second "A,C" cell made
+    # every strategy survive, with exit 0.
+    assert anchor in text
+    path = tmp_path / "input.json"
+    path.write_text(text.replace(anchor, repeat + anchor, 1), encoding="utf-8")
+    assert _run(capsys, _reading(kind, str(path))) == (
+        2, "", f"error: {path}: invalid JSON (duplicate key {key!r})\n")
+
+
+def _renamed(doc, old, new):
+    doc = copy.deepcopy(doc)
+    doc[new] = doc.pop(old)
+    return doc
+
+
+def _unknown_key_cases():
+    """(kind, document, the command's extra words, the error's node and complaint)."""
+    game = _fixture("myerson_game.json")
+    prob = _fixture("myerson_prob.json")
+    ordered = _fixture("myerson_ordered.json")
+    types = _fixture("myerson_prob_types.json")
+    cases = [
+        ("game", _replace(game, ("comment",), "x"), [], "comment: unknown key 'comment'"),
+        ("model", _renamed(ordered, "lambda", "lamda"), [], "lamda: unknown key 'lamda'"),
+        ("operators", _renamed(ordered, "lambda", "lamda"), [], "lamda: unknown key 'lamda'"),
+        ("model", _replace(prob, ("game", "comment"), "x"), [],
+         "game.comment: unknown key 'comment'"),
+        ("model", _replace(prob, ("p", "3"), {}), [], "p.3: unknown player '3'"),
+        ("model", _replace(prob, ("access", "3"), {}), [], "access.3: unknown player '3'"),
+        ("model", _replace(prob, ("sigma", "3"), {}), [], "sigma.3: unknown player '3'"),
+        ("model", _replace(ordered, ("lambda", "3"), {}), [], "lambda.3: unknown player '3'"),
+        ("types", _replace(types, ("belief",), {}), [], "belief: unknown key 'belief'"),
+        ("types", _replace(types, ("beliefs", "3"), {}), [], "beliefs.3: unknown player '3'"),
+        # Weights summing to 1/2, for a type no list holds.
+        ("types", _replace(types, ("beliefs", "1", "t9"), {"C,t2": "1/2"}), ["--eps", "1/4"],
+         "beliefs.1.t9: type 't9' is not listed under 'types'"),
+        ("event", {"worlds": ["w1"], "world": []}, [], "world: unknown key 'world'"),
+    ]
+    return [pytest.param(*case, id=f"{case[0]}.{case[3].split(':')[0]}") for case in cases]
+
+
+@pytest.mark.parametrize("kind,doc,extra,message", _unknown_key_cases())
+def test_unknown_keys_and_unlisted_types_exit_2_at_their_node(
+        kind, doc, extra, message, tmp_path, capsys):
+    path = write(tmp_path, "input.json", doc)
+    if kind == "operators":
+        argv = ["model", "operators", path, "--op", "cb",
+                "--event", write(tmp_path, "event.json", {"worlds": ["w1"]})]
+    else:
+        argv = _reading(kind, path)
+    assert _run(capsys, [*argv, *extra]) == (2, "", f"error: {path}.{message}\n")
+
+
+# The locale that decodes files as ASCII unless egk names UTF-8 itself.
+_ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def test_files_are_utf_8_under_an_ascii_locale(tmp_path):
+    model = tmp_path / "model.json"
+    text = (_FIXTURES / "myerson_prob.json").read_text(encoding="utf-8")
+    model.write_text(text.replace('"w1"', '"w\u00e91"'), encoding="utf-8")
+    runs = []
+    for name, extra in (("default", {}), ("ascii", _ASCII_LOCALE)):
+        env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"), **extra)
+        dot = tmp_path / f"{name}.dot"
+        results = [
+            subprocess.run([sys.executable, "-m", "egk.cli", *argv], cwd=tmp_path, env=env,
+                           capture_output=True)
+            for argv in (["model", "check", str(model)],
+                         ["export", "dot", str(model), "--out", str(dot)],
+                         ["model", "rat", str(model), "--json"])]
+        for proc in results:
+            assert (proc.returncode, proc.stderr) == (0, b""), proc.args
+        assert "w\u00e91".encode() in dot.read_bytes()
+        runs.append(([(proc.stdout, proc.stderr) for proc in results], dot.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    [_LEX_TYPES],
+    [str(_FIXTURES / "myerson_prob_types.json"), "--eps", "1/3"],
+], ids=["lex", "prob"])
+def test_types_analyze_computes_common_full_belief_once(argv, monkeypatch, capsys):
+    calls = []
+    real = epistemic.common_full_belief
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(epistemic, "common_full_belief", counting)
+    assert cli.main(["types", "analyze", *argv]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

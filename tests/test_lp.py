@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from egk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, maximize
@@ -8,7 +9,7 @@ from oracles import reference_maximize
 
 def test_basic_bounded_maximum():
     # max x + y  s.t. x + 2y <= 4, 3x + y <= 6
-    res = maximize([F(1), F(1)], [[F(1), F(2)], [F(3), F(1)]], [F(4), F(6)])
+    res = maximize([1, 1], [[1, 2], [3, 1]], [4, 6])
     assert res.status == OPTIMAL
     assert res.value == F(14, 5)
     assert res.x == (F(8, 5), F(6, 5))
@@ -16,68 +17,72 @@ def test_basic_bounded_maximum():
 
 def test_equality_constraints():
     # max 2x + 3y on the segment x + y = 1
-    res = maximize([F(2), F(3)], a_eq=[[F(1), F(1)]], b_eq=[F(1)])
+    res = maximize([2, 3], a_eq=[[1, 1]], b_eq=[1])
     assert res.status == OPTIMAL
     assert res.value == F(3)
     assert res.x == (F(0), F(1))
 
 
 def test_infeasible():
-    res = maximize([F(1)], [[F(1)]], [F(-1)], [[F(1)]], [F(5)])
+    res = maximize([1], [[1]], [-1], [[1]], [5])
     assert res.status == INFEASIBLE
 
 
 def test_unbounded():
-    res = maximize([F(1), F(0)], [[F(-1), F(1)]], [F(0)])
+    res = maximize([1, 0], [[-1, 1]], [0])
     assert res.status == UNBOUNDED
 
 
 def test_negative_rhs_is_normalized():
     # x >= 2 written as -x <= -2, maximize -x
-    res = maximize([F(-1)], [[F(-1)]], [F(-2)])
+    res = maximize([-1], [[-1]], [-2])
     assert res.status == OPTIMAL
     assert res.value == F(-2)
 
 
 def test_degenerate_ties_terminate():
     # Several redundant constraints through the optimum; Bland must not cycle.
-    res = maximize(
-        [F(1), F(1)],
-        [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)], [F(2), F(2)]],
-        [F(1), F(1), F(2), F(4)],
-    )
+    res = maximize([1, 1], [[1, 0], [0, 1], [1, 1], [2, 2]], [1, 1, 2, 4])
     assert res.status == OPTIMAL
     assert res.value == F(2)
 
 
 def test_redundant_equalities():
-    res = maximize(
-        [F(1), F(2)],
-        a_eq=[[F(1), F(1)], [F(2), F(2)]],
-        b_eq=[F(1), F(2)],
-    )
+    res = maximize([1, 2], a_eq=[[1, 1], [2, 2]], b_eq=[1, 2])
     assert res.status == OPTIMAL
     assert res.value == F(2)
 
 
 def test_exactness_with_awkward_fractions():
-    res = maximize(
-        [F(1, 3), F(1, 7)],
-        [[F(2, 5), F(3, 11)], [F(1, 2), F(1, 13)]],
-        [F(7, 9), F(5, 8)],
-    )
+    # max x/3 + y/7  s.t. 2x/5 + 3y/11 <= 7/9, x/2 + y/13 <= 5/8, each row
+    # times the LCM of its denominators (21, 495 and 104).
+    res = maximize([7, 3], [[198, 135], [52, 8]], [385, 65])
     assert res.status == OPTIMAL
     lhs1 = F(2, 5) * res.x[0] + F(3, 11) * res.x[1]
     lhs2 = F(1, 2) * res.x[0] + F(1, 13) * res.x[1]
     assert lhs1 <= F(7, 9) and lhs2 <= F(5, 8)
-    assert res.value == F(1, 3) * res.x[0] + F(1, 7) * res.x[1]
+    assert res.value == 7 * res.x[0] + 3 * res.x[1]
+    assert res.x[0].denominator > 1 and res.x[1].denominator > 1
 
 
-# Small numerators over mixed denominators; negative values give negative
-# right-hand sides, and the many equal values give degenerate ratio ties.
-_values = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3, 5, 6]))
+@pytest.mark.parametrize("bad", [F(1, 2), F(1), 0.5, True], ids=repr)
+@pytest.mark.parametrize("spot", ["c", "a_ub", "b_ub", "a_eq", "b_eq"])
+def test_non_int_coefficients_raise_type_error(bad, spot):
+    lp = {"c": [1, 1], "a_ub": [[1, 2]], "b_ub": [4], "a_eq": [[1, 1]], "b_eq": [1]}
+    if spot.startswith("a_"):
+        lp[spot][0][1] = bad
+    else:
+        lp[spot][0] = bad
+    with pytest.raises(TypeError, match="^maximize takes int coefficients$"):
+        maximize(**lp)
+
+
+# Small values; negative values give negative right-hand sides, and the many
+# equal values give degenerate ratio ties.  The wider range stands for rows
+# scaled to integers, as the dominance tests build them.
+_values = st.one_of(st.integers(-3, 3), st.integers(-30, 30))
 # Zero right-hand sides make degenerate vertices, where ratio tests tie.
-_rhs = st.one_of(st.just(F(0)), _values)
+_rhs = st.one_of(st.just(0), _values)
 
 
 @st.composite
@@ -85,7 +90,7 @@ def _lps(draw):
     n = draw(st.integers(1, 4))
     vectors = st.lists(_values, min_size=n, max_size=n)
     # A zero objective asks for any feasible point, so the pivot path alone picks x.
-    c = draw(st.one_of(st.just([F(0)] * n), vectors))
+    c = draw(st.one_of(st.just([0] * n), vectors))
     a_ub = draw(st.lists(vectors, max_size=4))
     b_ub = draw(st.lists(_rhs, min_size=len(a_ub), max_size=len(a_ub)))
     a_eq = draw(st.lists(vectors, max_size=3))
@@ -93,14 +98,14 @@ def _lps(draw):
     if a_eq and draw(st.booleans()):
         # A multiple of an equality: redundant, or contradictory when shifted.
         k = draw(st.integers(0, len(a_eq) - 1))
-        s = draw(st.sampled_from([F(1), F(-2), F(1, 3)]))
-        shift = draw(st.sampled_from([F(0), F(1, 2)]))
+        s = draw(st.sampled_from([1, -2, 3]))
+        shift = draw(st.sampled_from([0, 1]))
         a_eq.append([s * v for v in a_eq[k]])
         b_eq.append(s * b_eq[k] + shift)
     if a_ub and draw(st.booleans()):
         # A positive multiple of an inequality: a tie in every ratio test it enters.
         k = draw(st.integers(0, len(a_ub) - 1))
-        s = draw(st.sampled_from([F(1), F(2), F(3, 2)]))
+        s = draw(st.sampled_from([1, 2, 3]))
         a_ub.append([s * v for v in a_ub[k]])
         b_ub.append(s * b_ub[k])
     if draw(st.booleans()):
@@ -111,7 +116,7 @@ def _lps(draw):
         for row in a_ub:
             row[j] = -abs(row[j])
         for row in a_eq:
-            row[j] = F(0)
+            row[j] = 0
     return c, a_ub, b_ub, a_eq, b_eq
 
 
@@ -119,32 +124,35 @@ def _lps(draw):
 # out of the basis; the second is unbounded after it, which a tableau left
 # with a negative common denominator reports as optimal.
 _NEGATIVE_PIVOT_LP = (
-    [F(-2), F(0), F(0)],
+    [-2, 0, 0],
     [],
     [],
-    [[F(1), F(-2), F(-1)], [F(-1), F(2), F(0)], [F(2), F(-2), F(1)]],
-    [F(-1), F(1), F(-1)],
+    [[1, -2, -1], [-1, 2, 0], [2, -2, 1]],
+    [-1, 1, -1],
 )
-_NEGATIVE_PIVOT_UNBOUNDED_LP = ([F(0), F(1)], [], [], [[F(-1), F(0)]], [F(0)])
+_NEGATIVE_PIVOT_UNBOUNDED_LP = ([0, 1], [], [], [[-1, 0]], [0])
 
-# Equalities at different scales: the phase-1 costs must weight each
-# artificial by its row's scale, or phase 1 takes another path.
+# Rows at different scales: the rational rows (1/2, -2, -2 | 0) and
+# (-1, 1/2, 2 | 0) times 2.  The callers scale their rows by one
+# denominator, so that phase 1 weights every artificial alike; the scale
+# examples of test_screened_tests_match_the_lp_only_references in
+# tests/test_dominance.py pin that rule.
 _MIXED_SCALE_LP = (
-    [F(1), F(0), F(-1)],
-    [[F(1, 2), F(-2), F(-2)]],
-    [F(0)],
-    [[F(-1), F(1, 2), F(2)], [F(2), F(1), F(0)]],
-    [F(0), F(2)],
+    [1, 0, -1],
+    [[1, -4, -4]],
+    [0],
+    [[-2, 1, 4], [2, 1, 0]],
+    [0, 2],
 )
 
 # Degenerate: the ratio test ties, and only the lowest-basis-index
 # tie-break reaches the reference's feasible point.
 _RATIO_TIE_LP = (
-    [F(0), F(0), F(0)],
-    [[F(1), F(1, 2), F(-1)]],
-    [F(0)],
-    [[F(0), F(1), F(-1)], [F(-1), F(0), F(1)]],
-    [F(0), F(2)],
+    [0, 0, 0],
+    [[2, 1, -2]],
+    [0],
+    [[0, 1, -1], [-1, 0, 1]],
+    [0, 2],
 )
 
 
