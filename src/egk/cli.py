@@ -14,6 +14,8 @@ runs in its own body: a command loads only what it executes.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 from fractions import Fraction
@@ -544,11 +546,20 @@ def main(argv=None) -> int:
     try:
         code, report = args.build(args)
         if args.json:
-            sys.stdout.write(modelio.dumps(report))
+            out = modelio.dumps(report)
         else:
-            args.text(args, report)
+            # Rendered whole first, so a stdout that cannot encode it gets nothing.
+            with contextlib.redirect_stdout(io.StringIO()) as text:
+                args.text(args, report)
+            out = text.getvalue()
     except EgkError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        sys.stdout.write(out)
+    except UnicodeEncodeError:
+        print(f"error: standard output's encoding {sys.stdout.encoding!r} cannot write this "
+              f"output; use --json, or --out where the command has it", file=sys.stderr)
         return 2
     return code
 

@@ -10,6 +10,7 @@ times every shallower-level weight.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -89,17 +90,21 @@ def _require_hypotheses(model: OrderedKripkeModel) -> None:
             raise InputError(f"ordered model is invalid: {v}")
 
 
-def _level_masses(levels, eps: Fraction, scheme: str) -> list[Fraction]:
-    """Unnormalized per-level masses, scaled so that off-level-1 mass <= eps."""
+def _level_masses(levels, eps: Fraction, scheme: str) -> list[int]:
+    """Integer numerators of the per-level masses, scaled so that off-level-1 mass <= eps.
+
+    Under ``perfect`` with eps = a/b, level k gets a^k * b^(K-1-k).  The tail
+    shrink below never fires there: its bound is 1/(1 - eps^(K-1)) > 1.
+    """
     k = len(levels)
     if scheme == "perfect":
-        masses = [eps ** idx for idx in range(k)]
-    else:
-        masses = [Fraction(1)]
-        for idx in range(1, k):
-            lo_prev = min(levels[idx - 1].values())
-            hi_here = max(levels[idx].values())
-            masses.append(masses[-1] * eps * lo_prev / hi_here)
+        a, b = eps.numerator, eps.denominator
+        return [a ** idx * b ** (k - 1 - idx) for idx in range(k)]
+    masses = [Fraction(1)]
+    for idx in range(1, k):
+        lo_prev = min(levels[idx - 1].values())
+        hi_here = max(levels[idx].values())
+        masses.append(masses[-1] * eps * lo_prev / hi_here)
     tail = sum(masses[1:], Fraction(0))
     if tail > 0:
         # Shrinking the tail preserves within-level proportions and the
@@ -107,7 +112,8 @@ def _level_masses(levels, eps: Fraction, scheme: str) -> list[Fraction]:
         bound = eps * masses[0] / ((1 - eps) * tail)
         if bound < 1:
             masses = [masses[0]] + [m * bound for m in masses[1:]]
-    return masses
+    den = math.lcm(*(m.denominator for m in masses))
+    return [m.numerator * (den // m.denominator) for m in masses]
 
 
 def build_epsilon_model(
@@ -136,13 +142,14 @@ def _build_member(model: OrderedKripkeModel, eps: Fraction, scheme: str) -> Prob
 
 
 def _member_belief(levels, eps: Fraction, scheme: str) -> dict[str, Fraction]:
+    """Each weight as one ``Fraction`` of integers over the belief's one denominator."""
     masses = _level_masses(levels, eps, scheme)
-    total = sum(masses, Fraction(0))
+    den = math.lcm(*(v.denominator for level in levels for v in level.values()))
+    total = sum(masses) * den
     dist: dict[str, Fraction] = {}
     for mass, level in zip(masses, levels):
-        scale = mass / total
         for w1, v in level.items():
-            dist[w1] = scale * v
+            dist[w1] = Fraction(mass * v.numerator * (den // v.denominator), total)
     return dist
 
 
@@ -162,11 +169,12 @@ def _check_output(
         raise InputError(f"built model is invalid: {v}")
     if check_caution(out):
         raise InputError("built model lost caution")
+    n, d = eps.numerator, eps.denominator
     for i in (0, 1):
         for dist, holders in out.groups(i):
             level1 = source.lam[i][holders[0]][0]
             for w1, weight in dist.items():
-                if w1 not in level1 and weight > eps:
+                if w1 not in level1 and weight.numerator * d > n * weight.denominator:
                     raise InputError(
                         f"weight {weight} on off-primary world {w1} exceeds eps {eps}")
 

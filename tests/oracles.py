@@ -48,8 +48,10 @@ index by comparing every later tail; ``verify_convergence``'s one reverse
 pass must give exactly its tails and index.
 
 ``reference_build_member`` builds a family member world by world, one new
-belief per world; the member built once per distinct source belief must
-have exactly its weights.
+belief per world, each weight a ``Fraction`` product of the level's mass
+from ``reference_level_masses`` (the mass chain and tail shrink, in
+``Fraction``s) and the level weight; the member built once per distinct
+source belief from integer numerators must have exactly its weights.
 
 ``reference_types_from_kripke`` quotients a probabilistic Kripke model by
 summing every world's belief in ``Fraction``s, and
@@ -87,7 +89,7 @@ from typing import Mapping, Sequence
 from unittest import mock
 
 from egk import modelio
-from egk.convergence import _check_output, _level_masses
+from egk.convergence import _check_output
 from egk.dominance import Elimination, EliminationRound, Restriction
 from egk.epistemic import LexEpistemicModel, Pair
 from egk.errors import InputError
@@ -894,6 +896,30 @@ def reference_tails(model, rows) -> tuple[tuple, int]:
     return tuple(tails), stab_index
 
 
+def reference_level_masses(levels, eps: Fraction, scheme: str) -> list[Fraction]:
+    """Unnormalized per-level ``Fraction`` masses, scaled so that off-level-1 mass <= eps."""
+    k = len(levels)
+    if scheme == "perfect":
+        masses = [eps ** idx for idx in range(k)]
+    else:
+        masses = [_ONE]
+        for idx in range(1, k):
+            lo_prev = min(levels[idx - 1].values())
+            hi_here = max(levels[idx].values())
+            masses.append(masses[-1] * eps * lo_prev / hi_here)
+    tail = sum(masses[1:], _ZERO)
+    if tail > 0:
+        bound = reference_tail_bound(masses, eps)
+        if bound < 1:
+            masses = [masses[0]] + [m * bound for m in masses[1:]]
+    return masses
+
+
+def reference_tail_bound(masses: Sequence[Fraction], eps: Fraction) -> Fraction:
+    """The factor that brings the mass below level 1 down to eps of the whole."""
+    return eps * masses[0] / ((1 - eps) * sum(masses[1:], _ZERO))
+
+
 def reference_build_member(
     model: OrderedKripkeModel, eps: Fraction, scheme: str, lam_constant: bool
 ) -> ProbKripkeModel:
@@ -902,8 +928,8 @@ def reference_build_member(
     for i in (0, 1):
         for w in model.worlds:
             levels = model.lam[i][w]
-            masses = _level_masses(levels, eps, scheme)
-            total = sum(masses, Fraction(0))
+            masses = reference_level_masses(levels, eps, scheme)
+            total = sum(masses, _ZERO)
             dist: dict[str, Fraction] = {}
             for mass, level in zip(masses, levels):
                 scale = mass / total

@@ -8,6 +8,8 @@ from egk import cli, modelio
 from egk.convergence import (
     SCHEMES,
     EpsilonSchedule,
+    _check_output,
+    _level_masses,
     build_epsilon_model,
     check_limit_conditions,
     check_proper_ratio,
@@ -22,7 +24,12 @@ from egk.kripke import ProbKripkeModel, StandardKripkeModel, rat, validate_belie
 from egk.ordered import OrderedKripkeModel, check_lambda_constancy
 
 from generators import _random_dist, random_game, random_ordered_model
-from oracles import reference_build_member, reference_tails
+from oracles import (
+    reference_build_member,
+    reference_level_masses,
+    reference_tail_bound,
+    reference_tails,
+)
 
 ONE = F(1)
 
@@ -55,6 +62,19 @@ def test_build_weights_on_fixture():
             assert set(built.p[i][w]) == set(reference.p[i][w])
             assert set(built.p[i][w]) <= model.access[i][w]
     assert check_prob_caution(built) == []
+
+
+def test_member_check_bounds_off_primary_weights_strictly():
+    # Built at 2/9, the fixture's member puts 2/11 on each off-primary world:
+    # a bound of 2/11 holds, and 3/17, just below it, does not.
+    model = myerson_ordered_model()
+    built = build_epsilon_model(model, F(2, 9))
+    assert built.p[0]["w1"] == {"w1": F(9, 11), "w2": F(2, 11)}
+    lam_constant = not check_lambda_constancy(model)
+    _check_output(model, built, F(2, 11), lam_constant)
+    with pytest.raises(InputError,
+                       match=r"^weight 2/11 on off-primary world w2 exceeds eps 3/17$"):
+        _check_output(model, built, F(3, 17), lam_constant)
 
 
 def test_build_single_level_copies_lambda():
@@ -427,9 +447,20 @@ def _deep_copied(model: ProbKripkeModel) -> ProbKripkeModel:
         {w: dict(model.p[i][w]) for w in model.worlds} for i in (0, 1)))
 
 
+# Thresholds in (0, 1/2) whose numerator may exceed 1, so that a member
+# build mixing up eps's numerator and denominator cannot pass.
+_MEMBER_EPS = st.fractions(min_value=0, max_value=F(1, 2), max_denominator=60).filter(
+    lambda eps: 0 < eps < F(1, 2))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(("class-constant", "fixture", "wild")), st.integers(0, 10**6),
-       st.sampled_from(SCHEMES), st.sampled_from(EpsilonSchedule(F(1, 2), 4).values()))
+       st.sampled_from(SCHEMES), _MEMBER_EPS)
+# The thresholds of the schedule with ratio 1/2 and four members.
+@example("fixture", 0, "perfect", F(1, 4))
+@example("class-constant", 1, "proper", F(1, 8))
+@example("wild", 2, "perfect", F(1, 16))
+@example("wild", 3, "proper", F(1, 32))
 def test_member_built_per_belief_matches_the_per_world_build(kind, seed, scheme, eps):
     rng = random.Random(seed)
     if kind == "fixture":
@@ -458,8 +489,10 @@ def _respelt(weight: str) -> str:
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10**6), st.sampled_from(SCHEMES))
-def test_member_holds_one_belief_per_source_group(seed, scheme):
+@given(st.integers(0, 10**6), st.sampled_from(SCHEMES), _MEMBER_EPS)
+@example(0, "perfect", F(1, 8))
+@example(1, "proper", F(1, 8))
+def test_member_holds_one_belief_per_source_group(seed, scheme, eps):
     rng = random.Random(seed)
     data = modelio.model_to_json(random_ordered_model(rng, random_game(rng)))
     # One world's levels respelt: equal in value to its class's, yet parsed
@@ -469,13 +502,27 @@ def test_member_holds_one_belief_per_source_group(seed, scheme):
     data["lambda"][name][w] = [{t: _respelt(v) for t, v in level.items()}
                                for level in data["lambda"][name][w]]
     source = modelio.model_from_json(data)
-    eps = EpsilonSchedule(F(1, 2), 2).values()[-1]
     member = build_epsilon_model(source, eps, scheme)
     for i in (0, 1):
         assert [holders for _, holders in member.groups(i)] == \
             [holders for _, holders in source.groups(i)]
     reference = reference_build_member(source, eps, scheme, not check_lambda_constancy(source))
     assert member.p == reference.p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6),
+       st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda e: 0 < e < 1))
+def test_perfect_masses_never_take_the_tail_shrink(k, eps):
+    """Under ``perfect`` the shrink bound is 1/(1 - eps^(k-1)) > 1, so the closed form drops it."""
+    powers = [eps ** idx for idx in range(k)]
+    if k > 1:
+        assert reference_tail_bound(powers, eps) > 1
+    levels = [{f"w{idx}": ONE} for idx in range(k)]
+    assert reference_level_masses(levels, eps, "perfect") == powers
+    numerators = _level_masses(levels, eps, "perfect")
+    assert all(type(n) is int for n in numerators)
+    assert [F(n, sum(numerators)) for n in numerators] == [m / sum(powers) for m in powers]
 
 
 @settings(max_examples=40, deadline=None)

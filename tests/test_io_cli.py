@@ -1202,10 +1202,16 @@ def test_unknown_keys_and_unlisted_types_exit_2_at_their_node(
 _ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
 
 
-def test_files_are_utf_8_under_an_ascii_locale(tmp_path):
+def _accented_model(tmp_path) -> Path:
+    """The probabilistic fixture with world ``w1`` renamed ``w\u00e91``."""
     model = tmp_path / "model.json"
     text = (_FIXTURES / "myerson_prob.json").read_text(encoding="utf-8")
     model.write_text(text.replace('"w1"', '"w\u00e91"'), encoding="utf-8")
+    return model
+
+
+def test_files_are_utf_8_under_an_ascii_locale(tmp_path):
+    model = _accented_model(tmp_path)
     runs = []
     for name, extra in (("default", {}), ("ascii", _ASCII_LOCALE)):
         env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"), **extra)
@@ -1221,6 +1227,17 @@ def test_files_are_utf_8_under_an_ascii_locale(tmp_path):
         assert "w\u00e91".encode() in dot.read_bytes()
         runs.append(([(proc.stdout, proc.stderr) for proc in results], dot.read_bytes()))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv", [["model", "rat"], ["export", "dot"]], ids=["rat", "dot"])
+def test_text_that_stdout_cannot_encode_exits_2(argv, tmp_path):
+    model = _accented_model(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"), **_ASCII_LOCALE)
+    proc = subprocess.run([sys.executable, "-m", "egk.cli", *argv, str(model)], cwd=tmp_path,
+                          env=env, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, b"", b"error: standard output's encoding 'ascii' cannot write this output; "
+                b"use --json, or --out where the command has it\n")
 
 
 @pytest.mark.parametrize("argv", [
