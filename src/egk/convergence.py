@@ -75,11 +75,11 @@ def _require_hypotheses(model: OrderedKripkeModel) -> None:
     caution = check_caution(model)
     if caution:
         raise InputError(f"ordered model is not cautious: {caution[0]}")
-    structural = check_structural_conditions(model)
-    if not structural.disjoint_supports:
-        raise InputError(f"level supports are not disjoint: {structural.violations[0]}")
-    if not structural.surjection:
-        raise InputError(f"levels are not surjective: {structural.violations[0]}")
+    structural = check_structural_conditions(model).violations
+    for kind, problem in (("disjoint-supports", "level supports are not disjoint"),
+                          ("surjection", "levels are not surjective")):
+        if first := next((v for v in structural if v.kind == kind), None):
+            raise InputError(f"{problem}: {first}")
     # Every family member shares the source's frame, so its axioms are
     # checked here once, reported as the first member's defect.
     frame = validate_standard(model.base)

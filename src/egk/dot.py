@@ -38,7 +38,7 @@ def export_dot(model) -> str:
                     levels = [str(k + 1) for k, dist in enumerate(model.lam[i][w]) if w1 in dist]
                     if levels:
                         attrs.append(f"label={_quote(','.join(levels))}")
-                    if model.lam[i][w] and w1 in model.lam[i][w][0]:
+                    if w1 in model.lam[i][w][0]:
                         attrs.append("penwidth=2")
                 lines.append(f"  {_quote(w)} -> {_quote(w1)} [{' '.join(attrs)}];")
     lines.append("}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from .errors import InputError
 from .frozen import Frozen
@@ -58,11 +58,6 @@ class Game(Frozen):
     def check_strategy(self, i: int, s: str) -> None:
         if s not in self.strategies[i]:
             raise InputError(f"unknown strategy {s!r} for player {self.players[i]!r}")
-
-    def profiles(self) -> Iterable[tuple[str, str]]:
-        for s1 in self.strategies[0]:
-            for s2 in self.strategies[1]:
-                yield (s1, s2)
 
 
 class MixedStrategy(Frozen):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, TypeVar
 
@@ -345,6 +346,7 @@ class _BeliefChecks(NamedTuple):
     constancy: tuple[Violation, ...]
     caution: tuple[Violation, ...]
     ids: dict[str, int]  # see level_ids
+    structural: tuple[Violation, ...]  # overlapping supports, then unweighted worlds, per world
 
 
 def _checks(model: FramedModel, i: int) -> _BeliefChecks:
@@ -359,8 +361,9 @@ def _check_beliefs(model: FramedModel, i: int) -> _BeliefChecks:
     keyed by the levels' value, the canonical key sorted ``(world,
     numerator, denominator)`` per level, so worlds with equal but distinct
     belief objects share it.  Per (belief, access set) object pair: each
-    level's negative weights, exact sum and support, then the pairs of
-    equal levels.  Per (access set object, id) pair: the accessible worlds
+    level's negative weights, exact sum and support, the pairs of equal
+    levels, the worlds two levels both weight and the accessible worlds no
+    level weights.  Per (access set object, id) pair: the accessible worlds
     whose id differs.  Violations are still listed world by world.
     """
     j = other(i)
@@ -377,21 +380,26 @@ def _check_beliefs(model: FramedModel, i: int) -> _BeliefChecks:
                     for dist in levels)
         return levels, [s_j for s_j in strategies if s_j not in seen], ids.setdefault(key, len(ids))
 
-    def problems(levels, a) -> list[tuple[str, str | None, dict]]:
+    def problems(levels, a) -> tuple[list, list, list[str]]:
         out = []
         for k, dist in enumerate(levels, 1):
             out += [("negative", t, {"k": k, "v": v}) for t, v in dist.items() if v.numerator < 0]
             if (total := weight_sum(dist)) != 1:
                 out.append(("sum", None, {"k": k, "total": total}))
             out += [("support", t, {"k": k}) for t in sorted(set(dist) - a)]
-        return out + [("injectivity", None, {"k": k + 1, "k2": k2 + 1}) for k in range(len(levels))
-                      for k2 in range(k + 1, len(levels)) if levels[k] == levels[k2]]
+        overlaps = []
+        for k, k2 in combinations(range(len(levels)), 2):
+            if levels[k] == levels[k2]:
+                out.append(("injectivity", None, {"k": k + 1, "k2": k2 + 1}))
+            overlaps += [(k + 1, k2 + 1, t) for t in sorted(levels[k].keys() & levels[k2].keys())]
+        return out, overlaps, sorted(a.difference(*levels))
 
     measured = per_belief(model.groups(i), measure)
     belief_id = {w: m[2] for w, m in measured.items()}
-    per_pair: dict[tuple[int, int], list] = {}
+    per_pair: dict[tuple[int, int], tuple] = {}
     differing: dict[tuple[int, int], list] = {}
-    levels, constancy, caution = [], [], []
+    name = model.game.players[i]
+    levels, constancy, caution, structural = [], [], [], []
     for w in model.worlds:
         held, unweighted, bid = measured[w]
         a = acc[w]
@@ -400,15 +408,25 @@ def _check_beliefs(model: FramedModel, i: int) -> _BeliefChecks:
             per_pair[pair] = problems(held, a)
         if cls not in differing:
             differing[cls] = [w1 for w1 in a if belief_id[w1] != bid]
-        for kind, t, fields in per_pair[pair]:
+        found, overlaps, uncovered = per_pair[pair]
+        for kind, t, fields in found:
             where = (w,) if t is None else (w, t)
             levels.append(_violation(model, kind, i, where, w=w, t=t, **fields))
         for w1 in differing[cls]:
             constancy.append(_violation(model, "constancy", i, (w, w1), w=w, w1=w1))
         for s_j in unweighted:
             caution.append(Violation("caution", i, (w, s_j), model._TEXT["caution"].format(
-                name=model.game.players[i], w=w, s=s_j)))
-    return _BeliefChecks(tuple(levels), tuple(constancy), tuple(caution), belief_id)
+                name=name, w=w, s=s_j)))
+        for k, k2, t in overlaps:
+            structural.append(Violation(
+                "disjoint-supports", i, (w, t),
+                f"player {name}: levels {k} and {k2} at {w} both weight {t}"))
+        for w1 in uncovered:
+            structural.append(Violation(
+                "surjection", i, (w, w1),
+                f"player {name}: {w1} is accessible from {w} but no level weights it"))
+    return _BeliefChecks(tuple(levels), tuple(constancy), tuple(caution), belief_id,
+                         tuple(structural))
 
 
 def _violation(

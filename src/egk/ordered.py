@@ -14,6 +14,7 @@ from .kripke import (
     EventSet,
     FramedModel,
     Violation,
+    _checks,
     best_reply_worlds,
     box,
     check_caution,  # re-exported for this flavor's callers
@@ -27,12 +28,9 @@ LevelSeq = tuple  # tuple of per-level weight mappings
 
 
 class OrderedKripkeModel(FramedModel):
-    """``lam[i][w]`` is a nonempty tuple of levels; their constancy on R_i classes is advisory.
+    """``lam[i][w]`` is a nonempty tuple of levels; their constancy on R_i classes is advisory."""
 
-    ``_structural`` holds the :func:`check_structural_conditions` report once found.
-    """
-
-    __slots__ = ("lam", "_structural")
+    __slots__ = ("lam",)
     lam: tuple[Mapping[str, LevelSeq], Mapping[str, LevelSeq]]
     KIND = "lambda"
     _REQUIRE_CONSTANCY = False
@@ -87,33 +85,7 @@ class StructuralReport(NamedTuple):
 
 
 def check_structural_conditions(model: OrderedKripkeModel) -> StructuralReport:
-    """Disjoint level supports, and every accessible world weighted at some level.
-
-    Found once per model and kept on it.
-    """
-    return model._memo("_structural", _structural_report)
-
-
-def _structural_report(model: OrderedKripkeModel) -> StructuralReport:
-    out = []  # each (levels, access set) object pair's overlaps and unweighted worlds found once
-    for i in (0, 1):
-        name = model.game.players[i]
-        found: dict[tuple[int, int], tuple[list, list]] = {}
-        for w in model.worlds:
-            levels, acc = model.lam[i][w], model.access[i][w]
-            pair = (id(levels), id(acc))
-            if pair not in found:
-                found[pair] = ([(k, k2, t) for k in range(len(levels))
-                                for k2 in range(k + 1, len(levels))
-                                for t in sorted(set(levels[k]) & set(levels[k2]))],
-                               sorted(acc.difference(*levels)))
-            overlaps, unweighted = found[pair]
-            out += [Violation("disjoint-supports", i, (w, t),
-                              f"player {name}: levels {k + 1} and {k2 + 1} at {w} both weight {t}")
-                    for k, k2, t in overlaps]
-            out += [Violation("surjection", i, (w, w1),
-                              f"player {name}: {w1} is accessible from {w} but no level weights it")
-                    for w1 in unweighted]
+    """Disjoint level supports and surjective levels: player 1's violations, then player 2's."""
+    out = _checks(model, 0).structural + _checks(model, 1).structural
     kinds = {v.kind for v in out}
-    return StructuralReport(
-        "disjoint-supports" not in kinds, "surjection" not in kinds, tuple(out))
+    return StructuralReport("disjoint-supports" not in kinds, "surjection" not in kinds, out)

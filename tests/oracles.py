@@ -74,6 +74,12 @@ built on one belief core in :mod:`egk.kripke` must give exactly their
 errors, cleaned beliefs and violations, in order, and the belief groups
 each model keeps must be those of ``reference_belief_groups``.
 
+``reference_structural_report`` walks every world's levels and access set
+for overlapping level supports and unweighted accessible worlds;
+:func:`egk.ordered.check_structural_conditions`, read from the belief checks
+found once per (belief, access set) object pair, must give exactly its
+flags and violations, in order.
+
 ``reference_model_from_json`` is the model file loader with no parse cache:
 every world's access list and belief is parsed on its own.  The loader,
 which parses each distinct raw spelling once, must give exactly its model,
@@ -102,7 +108,7 @@ from egk.kripke import (
     rat,
     weight_sum,
 )
-from egk.ordered import OrderedKripkeModel
+from egk.ordered import OrderedKripkeModel, StructuralReport
 from egk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
 GRID_DENOMINATOR = 24
@@ -1188,6 +1194,30 @@ def reference_check_prob_caution(model) -> list[Violation]:
                     f"player {name}: belief at {w} gives no weight to a world "
                     f"where the opponent plays {s_j!r}"))
     return out
+
+
+def reference_structural_report(model: OrderedKripkeModel) -> StructuralReport:
+    """Disjoint level supports and surjective levels, walked world by world.
+
+    The walk that ``check_structural_conditions`` ran on its own before it
+    read the kept belief checks, without its memo per (levels, access set)
+    object pair: every world's levels and access set are tested afresh.
+    """
+    out = []
+    for i in (0, 1):
+        name = model.game.players[i]
+        for w in model.worlds:
+            levels, acc = model.lam[i][w], model.access[i][w]
+            out += [Violation("disjoint-supports", i, (w, t),
+                              f"player {name}: levels {k + 1} and {k2 + 1} at {w} both weight {t}")
+                    for k in range(len(levels)) for k2 in range(k + 1, len(levels))
+                    for t in sorted(set(levels[k]) & set(levels[k2]))]
+            out += [Violation("surjection", i, (w, w1),
+                              f"player {name}: {w1} is accessible from {w} but no level weights it")
+                    for w1 in sorted(acc.difference(*levels))]
+    kinds = {v.kind for v in out}
+    return StructuralReport(
+        "disjoint-supports" not in kinds, "surjection" not in kinds, tuple(out))
 
 
 def reference_types_from_kripke(model):

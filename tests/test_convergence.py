@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,6 +33,8 @@ from oracles import (
 )
 
 ONE = F(1)
+# Player 1's levels overlap in one class and leave w5 unweighted in the other.
+STRUCTURAL = Path(__file__).resolve().parent / "golden" / "ordered_structural.json"
 
 
 def test_schedule_values_and_validation():
@@ -365,6 +368,22 @@ def test_source_level_off_access_is_rejected_before_any_member(tmp_path, capsys)
     _assert_source_rejected_before_any_member(
         data, "ordered model is invalid: player 1: level 1 at w1 weights w3, not accessible",
         tmp_path, capsys)
+
+
+def test_each_structural_message_quotes_a_violation_of_its_own_kind():
+    # Player 1 leaves w5 unweighted at w1, before its levels overlap at w3.
+    data = modelio.load_file(str(STRUCTURAL))
+    with pytest.raises(InputError) as exc:
+        build_epsilon_model(modelio.model_from_json(data), F(1, 4))
+    assert str(exc.value) == (
+        "level supports are not disjoint: player 1: levels 1 and 2 at w3 both weight w4")
+    # Disjoint once the B-class's second level leaves w4 to the first alone.
+    for w in ("w3", "w4"):
+        data["lambda"]["1"][w] = [{"w3": "1/2", "w4": "1/2"}]
+    with pytest.raises(InputError) as exc:
+        build_epsilon_model(modelio.model_from_json(data), F(1, 4))
+    assert str(exc.value) == (
+        "levels are not surjective: player 1: w5 is accessible from w1 but no level weights it")
 
 
 def _wild_ordered_model(rng: random.Random) -> OrderedKripkeModel:

@@ -1,8 +1,9 @@
 """Byte-for-byte CLI output on the fixtures, against stored golden files.
 
-Each case runs one ``egk`` command on ``fixtures/`` and compares its exit
-code and standard output with ``tests/golden/<name>.out``, in ``--json``
-mode and, for the ``*_text`` cases, in text mode with ``EGK_COLOR`` unset
+Each case runs one ``egk`` command on ``fixtures/``, or on a model or event
+kept beside the golden files, and compares its exit code and standard
+output with ``tests/golden/<name>.out``, in ``--json`` mode and, for the
+``*_text`` cases, in text mode with ``EGK_COLOR`` unset
 (set to ``1`` for the ``*_color`` cases); ``converge --emit-family`` also
 compares the written member files with ``tests/golden/family/``, and a
 command given ``--out``/``--event-out`` compares the file it wrote with
@@ -32,6 +33,8 @@ ORDERED = "fixtures/myerson_ordered.json"
 LEX_TYPES = "fixtures/myerson_lex_types.json"
 PROB_TYPES = "fixtures/myerson_prob_types.json"
 EVENT = "tests/golden/event_w1_w2.json"
+# Overlapping level supports and an unweighted accessible world, both for player 1.
+STRUCTURAL = "tests/golden/ordered_structural.json"
 FAMILY = "family"
 OUT = "out"
 WRITTEN = "written"
@@ -47,6 +50,7 @@ CASES = {
         ["model", "check", PROB, "--eps", "1/4", "--trembling-reading", "pointwise",
          "--json"], 1),
     "model_check_ordered": (["model", "check", ORDERED, "--json"], 0),
+    "model_check_structural": (["model", "check", STRUCTURAL, "--json"], 1),
     "model_operators_b": (
         ["model", "operators", PROB, "--op", "b", "--player", "1", "--event", EVENT,
          "--json"], 0),
@@ -97,9 +101,10 @@ CASES = {
 # Text-mode cases: the same commands without --json.
 _TEXT = (
     "game_analyze_df", "game_analyze_iesds", "model_check_prob", "model_check_prob_eps",
-    "model_check_prob_pointwise", "model_check_ordered", "model_operators_b",
-    "model_operators_cb", "model_operators_b1", "model_operators_cb1", "model_operators_beps",
-    "model_operators_cbeps", "model_operators_b_ordered", "model_operators_cb_ordered",
+    "model_check_prob_pointwise", "model_check_ordered", "model_check_structural",
+    "model_operators_b", "model_operators_cb", "model_operators_b1", "model_operators_cb1",
+    "model_operators_beps", "model_operators_cbeps", "model_operators_b_ordered",
+    "model_operators_cb_ordered",
     "model_rat", "model_lrat", "model_to_types", "types_analyze_lex", "types_analyze_prob",
     "types_analyze_prob_eps", "types_to_kripke", "converge_proper",
     "model_operators_cbeps_event_out", "model_rat_event_out", "model_lrat_event_out",

@@ -817,6 +817,16 @@ def test_malformed_schedule_counts_exit_2(count, capsys):
     assert captured.err == f"error: malformed schedule count {count!r}\n"
 
 
+def test_cli_converge_quotes_the_first_overlap_of_level_supports(capsys):
+    # The model's first structural violation is an unweighted world, not an overlap.
+    path = str(_ROOT / "tests" / "golden" / "ordered_structural.json")
+    assert cli.main(["converge", path, "--schedule", "geometric:1/2,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: level supports are not disjoint: "
+                            "player 1: levels 1 and 2 at w3 both weight w4\n")
+
+
 _LEX_TYPES = str(_ROOT / "fixtures" / "myerson_lex_types.json")
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from egk import kripke, ordered
+from egk import kripke
 from egk.convergence import EpsilonSchedule, build_epsilon_model, verify_convergence
 from egk.epistemic import types_from_kripke
 from egk.epsilon import check_prob_caution, upper_common_belief
@@ -217,24 +217,23 @@ def test_the_flavors_share_the_core_checks():
 
 
 def test_each_model_is_checked_once(monkeypatch):
-    passes, reports = Counter(), Counter()
-    check_beliefs, structural_report = kripke._check_beliefs, ordered._structural_report
+    passes = Counter()
+    check_beliefs = kripke._check_beliefs
 
     def counted_pass(model, i):
         passes[id(model), i] += 1
         return check_beliefs(model, i)
 
-    def counted_report(model):
-        reports[id(model)] += 1
-        return structural_report(model)
-
     monkeypatch.setattr(kripke, "_check_beliefs", counted_pass)
-    monkeypatch.setattr(ordered, "_structural_report", counted_report)
     source = myerson_ordered_model()
     models = [source]  # every model stays alive, so no id is reused
-    assert validate_ordered(source) == []
-    assert check_caution(source) == []
-    assert check_structural_conditions(source).surjection
+    # All five views of the source, each read twice, from one pass per player.
+    for _ in range(2):
+        assert validate_ordered(source) == []
+        assert check_caution(source) == []
+        assert check_structural_conditions(source).surjection
+        assert len(check_lambda_constancy(source)) == 8
+        assert set(level_ids(source)[0].values()) == {0, 1, 2, 3}
     verify_convergence(source, EpsilonSchedule(F(1, 2), 3),
                        on_member=lambda n, member: models.append(member))
     built = build_epsilon_model(source, F(1, 16))
@@ -243,7 +242,6 @@ def test_each_model_is_checked_once(monkeypatch):
     assert {v.kind for v in validate_prob(built)} == {"p-constancy"}
     assert len(models) == 5
     assert passes == Counter({(id(model), i): 1 for model in models for i in (0, 1)})
-    assert reports == Counter({id(source): 1})
 
 
 def test_each_model_is_grouped_once(monkeypatch):

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from egk.dominance import dekel_fudenberg
 from egk.fixtures import myerson_game, myerson_ordered_model
 from egk.games import Game
 from egk.kripke import StandardKripkeModel, belief, common_belief
+from egk.modelio import load_file, model_from_json
 from egk.ordered import (
     OrderedKripkeModel,
     check_caution,
@@ -20,6 +22,7 @@ from egk.ordered import (
 )
 
 from generators import random_game, random_ordered_model
+from oracles import reference_structural_report
 
 ONE = F(1)
 
@@ -113,6 +116,71 @@ def test_structural_violations_are_reported():
     report2 = check_structural_conditions(model2)
     assert not report2.disjoint_supports
     assert report2.surjection
+
+
+# Player 1's levels overlap in one class and leave w5 unweighted in the other.
+STRUCTURAL = Path(__file__).resolve().parent / "golden" / "ordered_structural.json"
+
+
+def _subset(pool: tuple[str, ...], mask: int) -> tuple[str, ...]:
+    """The members of ``pool`` whose bit is set in ``mask``."""
+    return tuple(t for b, t in enumerate(pool) if mask >> b & 1)
+
+
+def _levels(draw, pool: tuple[str, ...]) -> tuple[dict, ...]:
+    """One to three levels, each uniform over a nonempty subset of ``pool``."""
+    supports = [_subset(pool, draw(st.integers(1, 2 ** len(pool) - 1)))
+                for _ in range(draw(st.integers(1, 3)))]
+    return tuple({t: F(1, len(support)) for t in support} for support in supports)
+
+
+@st.composite
+def structural_models(draw):
+    """Ordered models whose level supports may overlap and may miss accessible worlds.
+
+    Each player's worlds fall into at most two classes; a class holds one
+    access set object, which some worlds swap for an equal one of their
+    own, and one level sequence over its worlds, which about a quarter of
+    the worlds swap for a sequence of their own.  Subsets are drawn as bit
+    masks, one draw each, to keep the draw cheap.
+    """
+    worlds = tuple(f"w{n}" for n in range(1, draw(st.integers(1, 5)) + 1))
+    every = 2 ** len(worlds) - 1
+    access, lam = [], []
+    for _ in (0, 1):
+        second = _subset(worlds, draw(st.integers(0, every)))
+        classes = [c for c in (tuple(w for w in worlds if w not in second), second) if c]
+        cls = {w: c for c in classes for w in c}
+        shared = {c: frozenset(c) for c in classes}
+        own_access = _subset(worlds, draw(st.integers(0, every)))
+        access.append({w: frozenset(cls[w]) if w in own_access else shared[cls[w]]
+                       for w in worlds})
+        held = {c: _levels(draw, c) for c in classes}
+        own_levels = _subset(worlds, draw(st.integers(0, every)) & draw(st.integers(0, every)))
+        lam.append({w: _levels(draw, cls[w]) if w in own_levels else held[cls[w]]
+                    for w in worlds})
+    sigma = (dict.fromkeys(worlds, "A"), dict.fromkeys(worlds, "C"))  # the conditions ignore play
+    base = StandardKripkeModel(myerson_game(), worlds, tuple(access), sigma)
+    return OrderedKripkeModel(base, tuple(lam))
+
+
+def _overlap_of_levels_1_and_3() -> OrderedKripkeModel:
+    """Player 1's levels 1 and 3 both weight u, level 2 overlaps neither; player 2 misses x."""
+    worlds = ("u", "v", "x")
+    cluster = frozenset(worlds)
+    sigma = (dict.fromkeys(worlds, "A"), {"u": "C", "v": "D", "x": "C"})
+    lam1 = dict.fromkeys(worlds, ({"u": ONE}, {"v": ONE}, {"u": F(1, 2), "x": F(1, 2)}))
+    lam2 = dict.fromkeys(worlds, ({"u": ONE}, {"v": ONE}))
+    base = StandardKripkeModel(myerson_game(), worlds, (dict.fromkeys(worlds, cluster),) * 2, sigma)
+    return OrderedKripkeModel(base, (lam1, lam2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(structural_models())
+@example(model_from_json(load_file(str(STRUCTURAL))))
+@example(_overlap_of_levels_1_and_3())
+def test_structural_conditions_match_the_walk_over_every_world(model):
+    assert check_structural_conditions(model) == reference_structural_report(model)
 
 
 def test_injectivity_violation_detected():

@@ -178,7 +178,7 @@ def _one_world_model(cls):
 @pytest.mark.parametrize("cls, check, slot", [
     (ProbKripkeModel, check_caution, "_checked"),
     (OrderedKripkeModel, validate_beliefs, "_checked"),
-    (OrderedKripkeModel, check_structural_conditions, "_structural"),
+    (OrderedKripkeModel, check_structural_conditions, "_checked"),
 ], ids=["prob-checked", "ordered-checked", "ordered-structural"])
 def test_checked_models_stay_equal_to_fresh_ones(cls, check, slot):
     model, fresh = _one_world_model(cls), _one_world_model(cls)
