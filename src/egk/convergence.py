@@ -1,18 +1,21 @@
-"""Probabilistic model families built from an ordered model, and their limit checks.
+"""Probabilistic model families built from an ordered model, and their convergence report.
 
 An ordered model with disjoint level supports and surjective levels induces,
 for each eps, a probabilistic model on the same frame: level k receives
 total mass proportional to eps^(k-1) (the ``perfect`` scheme), distributed
 within the level proportionally to the level weights.  The ``proper``
 scheme additionally forces every deeper-level weight to be at most eps
-times every shallower-level weight.
+times every shallower-level weight.  ``verify_convergence`` checks the
+permissibility sense of the limit: the tail of upper common belief in
+rationality along the family against common primary belief in
+lexicographic rationality on the source.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .errors import InputError
 from .frozen import Frozen
@@ -179,27 +182,6 @@ def _check_output(
                         f"weight {weight} on off-primary world {w1} exceeds eps {eps}")
 
 
-def check_proper_ratio(
-    source: OrderedKripkeModel, out: ProbKripkeModel, eps: Fraction
-) -> list[str]:
-    """Deeper-level weights must be at most eps times shallower-level weights."""
-    eps = Fraction(eps)
-    problems = []
-    for i in (0, 1):
-        for w in source.worlds:
-            levels = source.lam[i][w]
-            for hi in range(len(levels)):
-                for lo in range(hi + 1, len(levels)):
-                    for w_hi in levels[hi]:
-                        for w_lo in levels[lo]:
-                            if out.p[i][w][w_lo] > eps * out.p[i][w][w_hi]:
-                                problems.append(
-                                    f"player {source.game.players[i]}: at {w}, weight of {w_lo} "
-                                    f"(level {lo + 1}) exceeds eps times weight of {w_hi} "
-                                    f"(level {hi + 1})")
-    return problems
-
-
 class ConvergenceRow(NamedTuple):
     n: int
     eps: Fraction
@@ -266,64 +248,3 @@ def verify_convergence(
         stabilized=stabilized,
         matches=stabilized == model.order(limit),
     )
-
-
-class LimitReport(NamedTuple):
-    vanishing: tuple[str, ...]
-    primary: tuple[str, ...]
-    proportions: tuple[str, ...]
-
-    @property
-    def holds(self) -> bool:
-        return not (self.vanishing or self.primary or self.proportions)
-
-
-def check_limit_conditions(
-    model: OrderedKripkeModel,
-    family: Sequence[ProbKripkeModel],
-    schedule: EpsilonSchedule,
-) -> LimitReport:
-    """Finite checks of the three convergence clauses along the family.
-
-    Off-primary weights must stay below each threshold and decrease;
-    primary-support weights must track the level-1 weight within the total
-    off-level mass; within-level proportions must match the level weights
-    exactly at every member.
-    """
-    eps_values = schedule.values()
-    if len(family) != len(eps_values):
-        raise InputError("family and schedule lengths differ")
-    vanishing, primary, proportions = [], [], []
-    for i in (0, 1):
-        name = model.game.players[i]
-        for w in model.worlds:
-            levels = model.lam[i][w]
-            level1 = levels[0]
-            off_support = [w1 for dist in levels[1:] for w1 in dist]
-            prev: dict[str, Fraction] = {}
-            for n, (eps, built) in enumerate(zip(eps_values, family)):
-                dist = built.p[i][w]
-                off_mass = sum((v for w1, v in dist.items() if w1 not in level1), Fraction(0))
-                for w1 in off_support:
-                    v = dist.get(w1, Fraction(0))
-                    if v > eps:
-                        vanishing.append(
-                            f"player {name}: off-primary weight of {w1} at {w} is {v} > {eps}")
-                    if w1 in prev and v >= prev[w1]:
-                        vanishing.append(
-                            f"player {name}: off-primary weight of {w1} at {w} did not "
-                            f"decrease at step {n}")
-                    prev[w1] = v
-                for w1, lv in level1.items():
-                    if abs(dist.get(w1, Fraction(0)) - lv) > off_mass:
-                        primary.append(
-                            f"player {name}: weight of {w1} at {w} strays from its primary "
-                            f"weight by more than the off-level mass at step {n}")
-                for dist_k in levels:
-                    items = list(dist_k.items())
-                    for (wa, va), (wb, vb) in zip(items, items[1:]):
-                        if dist.get(wa, Fraction(0)) * vb != dist.get(wb, Fraction(0)) * va:
-                            proportions.append(
-                                f"player {name}: within-level proportion of {wa}:{wb} at {w} "
-                                f"broken at step {n}")
-    return LimitReport(tuple(vanishing), tuple(primary), tuple(proportions))

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import InputError
 from .frozen import Frozen
-from .games import Game, MixedStrategy, lex_best_replies, other, push_forward
+from .games import Game, lex_best_replies, other, push_forward
 
 if TYPE_CHECKING:
     from .kripke import ProbKripkeModel, StandardKripkeModel
@@ -109,10 +109,6 @@ class ProbEpistemicModel(_TypeModel):
     def _as_levels(belief: Mapping[Pair, Fraction]) -> tuple:
         return (belief,)
 
-    def belief(self, i: int, t: str) -> Mapping[Pair, Fraction]:
-        self.check_type(i, t)
-        return self.beliefs[i][t]
-
 
 EpistemicModel = LexEpistemicModel | ProbEpistemicModel
 
@@ -131,15 +127,6 @@ def type_caution(model: EpistemicModel, i: int, t: str) -> bool:
 
 def _pair_strategy(pair: Pair) -> str:
     return pair[0]
-
-
-def strategy_marginal(model: EpistemicModel, i: int, t: str, k: int = 0) -> MixedStrategy:
-    """Marginal of level ``k`` (0-based) on opponent strategies."""
-    j = other(i)
-    weights = push_forward(model.game, j, model.levels(i, t)[k], _pair_strategy)
-    den = sum(weights)
-    return MixedStrategy(j, {s: Fraction(n, den)
-                             for s, n in zip(model.game.strategies[j], weights)})
 
 
 def optimal_strategies(model: EpistemicModel, i: int, t: str) -> frozenset[str]:

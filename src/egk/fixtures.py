@@ -2,9 +2,9 @@
 
 The game has a payoff of (1, 1) at (A, C) and (0, 0) elsewhere, so B and D
 are weakly but not strictly dominated.  The two Kripke fixtures are
-reconstructions over four worlds, one per profile; each builder re-derives
-the solution sets it is supposed to exhibit and refuses to return a model
-that does not reproduce them.
+reconstructions over four worlds, one per profile.  The tests assert the
+solution sets each one exhibits, and that the written files match
+``fixtures/``.
 
 Run ``python -m egk.fixtures OUTDIR`` to write them as JSON files.
 """
@@ -14,21 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .epistemic import LexEpistemicModel, ProbEpistemicModel
-from .epsilon import check_prob_caution, check_trembling, upper_common_belief
-from .kripke import (
-    ProbKripkeModel,
-    StandardKripkeModel,
-    common_belief,
-    rat,
-)
 from .games import Game
-from .ordered import (
-    OrderedKripkeModel,
-    check_caution,
-    common_level1_belief,
-    level1_belief,
-    lrat,
-)
+from .kripke import ProbKripkeModel, StandardKripkeModel
+from .ordered import OrderedKripkeModel
 
 _W = ("w1", "w2", "w3", "w4")
 _PROFILES = {"w1": ("A", "C"), "w2": ("A", "D"), "w3": ("B", "C"), "w4": ("B", "D")}
@@ -62,10 +50,6 @@ def _base() -> StandardKripkeModel:
     return StandardKripkeModel(myerson_game(), _W, (c1, c2), (sigma1, sigma2))
 
 
-def _fail(name: str, what: str) -> None:
-    raise RuntimeError(f"fixture {name} failed to reproduce {what}")
-
-
 def myerson_ordered_model() -> OrderedKripkeModel:
     """Ordered model whose primary belief at each world is the world itself.
 
@@ -77,21 +61,7 @@ def myerson_ordered_model() -> OrderedKripkeModel:
     partner2 = {"w1": "w3", "w3": "w1", "w2": "w4", "w4": "w2"}
     lam1 = {w: ({w: one}, {partner1[w]: one}) for w in _W}
     lam2 = {w: ({w: one}, {partner2[w]: one}) for w in _W}
-    model = OrderedKripkeModel(_base(), (lam1, lam2))
-
-    (l1, l2), levent = lrat(model)
-    if (l1, l2, levent) != ({"w1", "w2"}, {"w1", "w3"}, {"w1"}):
-        _fail("ordered", "the lexicographic rationality sets")
-    for i in (0, 1):
-        if level1_belief(model, i, levent) != {"w1"}:
-            _fail("ordered", "primary belief in the rationality event")
-    if common_level1_belief(model, levent) != {"w1"}:
-        _fail("ordered", "common primary belief in the rationality event")
-    if common_belief(model.base, levent):
-        _fail("ordered", "emptiness of plain common belief")
-    if check_caution(model):
-        _fail("ordered", "caution")
-    return model
+    return OrderedKripkeModel(_base(), (lam1, lam2))
 
 
 def myerson_prob_model(eps: Fraction) -> ProbKripkeModel:
@@ -104,20 +74,7 @@ def myerson_prob_model(eps: Fraction) -> ProbKripkeModel:
           "w3": {"w3": keep, "w4": eps}, "w4": {"w3": keep, "w4": eps}}
     p2 = {"w1": {"w1": keep, "w3": eps}, "w3": {"w1": keep, "w3": eps},
           "w2": {"w2": keep, "w4": eps}, "w4": {"w2": keep, "w4": eps}}
-    model = ProbKripkeModel(_base(), (p1, p2))
-
-    (r1, r2), revent = rat(model)
-    if (r1, r2, revent) != ({"w1", "w2"}, {"w1", "w3"}, {"w1"}):
-        _fail("probabilistic", "the rationality sets")
-    if upper_common_belief(model, eps, revent) != {"w1"}:
-        _fail("probabilistic", "upper common belief in rationality")
-    if common_belief(model, revent):
-        _fail("probabilistic", "emptiness of plain common belief")
-    if check_prob_caution(model):
-        _fail("probabilistic", "caution")
-    if check_trembling(model, eps):
-        _fail("probabilistic", "the trembling bound at its own eps")
-    return model
+    return ProbKripkeModel(_base(), (p1, p2))
 
 
 def myerson_lex_types() -> LexEpistemicModel:

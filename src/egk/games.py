@@ -81,13 +81,6 @@ class MixedStrategy(Frozen):
             raise InputError(f"mixed-strategy weights sum to {total}, expected 1")
         super().__init__(owner, cleaned)
 
-    @property
-    def support(self) -> frozenset[str]:
-        return frozenset(self.weights)
-
-    def __call__(self, label: str) -> Fraction:
-        return self.weights.get(label, Fraction(0))
-
 
 def point_mass(owner: int, s: str) -> MixedStrategy:
     return MixedStrategy(owner, {s: Fraction(1)})

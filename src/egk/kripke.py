@@ -244,11 +244,14 @@ def weight_sum(dist: Mapping[str, Fraction]) -> Fraction:
     return Fraction(sum(v.numerator * (den // v.denominator) for v in dist.values()), den)
 
 
-def validate_standard(model: StandardKripkeModel) -> list[Violation]:
+def validate_standard(model: StandardKripkeModel | FramedModel) -> list[Violation]:
     """KD45 axioms plus constancy of a player's own strategy on R_i classes.
 
-    Found once per frame and kept on it; every call returns a fresh list.
+    A framed model is checked on its frame ``base``.  Found once per frame
+    and kept on it; every call returns a fresh list.
     """
+    if isinstance(model, FramedModel):
+        model = model.base
     return list(model._memo("_violations", _frame_violations))
 
 
@@ -331,21 +334,13 @@ def check_caution(model: FramedModel) -> list[Violation]:
     return list(_checks(model, 0).caution + _checks(model, 1).caution)
 
 
-def level_ids(model: FramedModel) -> tuple[dict[str, int], dict[str, int]]:
-    """Per player and world, an id that two worlds share exactly when their belief levels are equal.
-
-    Ids count up in order of first world.
-    """
-    return dict(_checks(model, 0).ids), dict(_checks(model, 1).ids)
-
-
 class _BeliefChecks(NamedTuple):
     """One player's belief checks, each in report order."""
 
     levels: tuple[Violation, ...]  # negative weights, sums, support, then injectivity, per world
     constancy: tuple[Violation, ...]
     caution: tuple[Violation, ...]
-    ids: dict[str, int]  # see level_ids
+    ids: dict[str, int]  # per world; equal levels share an id, counted up in first-world order
     structural: tuple[Violation, ...]  # overlapping supports, then unweighted worlds, per world
 
 
@@ -477,21 +472,18 @@ def rat(model: ProbKripkeModel) -> tuple[tuple[EventSet, EventSet], EventSet]:
 def best_reply_worlds(model: FramedModel, i: int) -> EventSet:
     """Worlds where player ``i``'s strategy is a lexicographic best reply to their belief.
 
-    The push-forward of each level is taken once per kept belief group,
-    and best replies are memoized on it, so worlds with equal beliefs,
-    such as the members of an R_i class, cost one evaluation.
+    Best replies are found once per kept belief group, so worlds that share
+    a belief object, such as the members of an R_i class, cost one
+    evaluation.
     """
     game = model.game
     j = other(i)
     strategy_of = model.sigma[j].__getitem__
     own = model.sigma[i]
-    memo: dict[tuple, frozenset[str]] = {}
     out = []
     for belief, holders in model.groups(i):
-        key = tuple(push_forward(game, j, dist, strategy_of) for dist in model._as_levels(belief))
-        best = memo.get(key)
-        if best is None:
-            best = memo[key] = lex_best_replies(game, i, key)
+        best = lex_best_replies(game, i, tuple(
+            push_forward(game, j, dist, strategy_of) for dist in model._as_levels(belief)))
         out += [w for w in holders if own[w] in best]
     return frozenset(out)
 

@@ -19,7 +19,6 @@ from .kripke import (
     box,
     check_caution,  # re-exported for this flavor's callers
     check_constancy as check_lambda_constancy,  # re-exported; advisory for this flavor
-    level_ids,  # re-exported
     validate_beliefs,
     validate_standard,
 )

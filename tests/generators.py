@@ -9,12 +9,12 @@ from egk.epistemic import (
     ProbEpistemicModel,
     eps_trembling,
     optimal_strategies,
-    strategy_marginal,
     type_caution,
 )
 from egk.games import Game
 from egk.kripke import StandardKripkeModel, ProbKripkeModel
 from egk.ordered import OrderedKripkeModel
+from oracles import reference_strategy_marginal
 
 ROW_LABELS = ("A", "B", "C")
 COL_LABELS = ("X", "Y", "Z")
@@ -150,7 +150,7 @@ def random_trembling_type_model(
         )
         for i in (0, 1):
             marginals = [
-                tuple(sorted(strategy_marginal(model, i, t).weights.items()))
+                tuple(sorted(reference_strategy_marginal(model, i, t).weights.items()))
                 for t in model.types[i]
             ]
             if len(set(marginals)) != len(marginals):

@@ -84,6 +84,14 @@ flags and violations, in order.
 every world's access list and belief is parsed on its own.  The loader,
 which parses each distinct raw spelling once, must give exactly its model,
 item order and ``FormatError`` text.
+
+``check_limit_conditions`` (reported as a ``LimitReport``) and
+``check_proper_ratio`` are finite checks of the paper's structural sense of
+convergence along a built family: off-primary weights vanish, primary
+weights track level 1, within-level proportions hold, and under the
+``proper`` scheme every deeper-level weight is at most eps times every
+shallower one.  egk runs only the permissibility sense, so only tests
+assert these.
 """
 
 from __future__ import annotations
@@ -91,11 +99,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 from unittest import mock
 
 from egk import modelio
-from egk.convergence import _check_output
+from egk.convergence import EpsilonSchedule, _check_output
 from egk.dominance import Elimination, EliminationRound, Restriction
 from egk.epistemic import LexEpistemicModel, Pair
 from egk.errors import InputError
@@ -692,15 +700,12 @@ class ReferenceProbEpistemicModel:
         if t not in self.types[i]:
             raise InputError(f"unknown type {t!r} for player {self.game.players[i]!r}")
 
-    def belief(self, i: int, t: str) -> Mapping[Pair, Fraction]:
-        self.check_type(i, t)
-        return self.beliefs[i][t]
-
 
 def _level_dists(model, i: int, t: str) -> tuple:
     if isinstance(model, (LexEpistemicModel, ReferenceLexEpistemicModel)):
         return model.levels(i, t)
-    return (model.belief(i, t),)
+    model.check_type(i, t)
+    return (model.beliefs[i][t],)
 
 
 def _deems_possible(model, i: int, t: str) -> frozenset[str]:
@@ -742,7 +747,7 @@ def reference_eps_trembling(model, i: int, t: str, eps: Fraction) -> bool:
     model.check_type(i, t)
     eps = Fraction(eps)
     j = other(i)
-    for (s_j, t_j), v in model.belief(i, t).items():
+    for (s_j, t_j), v in model.beliefs[i][t].items():
         if s_j not in reference_optimal_strategies(model, j, t_j) and v > eps:
             return False
     return True
@@ -1288,3 +1293,85 @@ def reference_eps_permissible(model, eps: Fraction):
                     changed = True
     return tuple(frozenset().union(*(reference_optimal_strategies(model, i, t) for t in alive[i]))
                  for i in (0, 1))
+
+
+def check_proper_ratio(
+    source: OrderedKripkeModel, out: ProbKripkeModel, eps: Fraction
+) -> list[str]:
+    """Deeper-level weights must be at most eps times shallower-level weights."""
+    eps = Fraction(eps)
+    problems = []
+    for i in (0, 1):
+        for w in source.worlds:
+            levels = source.lam[i][w]
+            for hi in range(len(levels)):
+                for lo in range(hi + 1, len(levels)):
+                    for w_hi in levels[hi]:
+                        for w_lo in levels[lo]:
+                            if out.p[i][w][w_lo] > eps * out.p[i][w][w_hi]:
+                                problems.append(
+                                    f"player {source.game.players[i]}: at {w}, weight of {w_lo} "
+                                    f"(level {lo + 1}) exceeds eps times weight of {w_hi} "
+                                    f"(level {hi + 1})")
+    return problems
+
+
+class LimitReport(NamedTuple):
+    vanishing: tuple[str, ...]
+    primary: tuple[str, ...]
+    proportions: tuple[str, ...]
+
+    @property
+    def holds(self) -> bool:
+        return not (self.vanishing or self.primary or self.proportions)
+
+
+def check_limit_conditions(
+    model: OrderedKripkeModel,
+    family: Sequence[ProbKripkeModel],
+    schedule: EpsilonSchedule,
+) -> LimitReport:
+    """Finite checks of the three convergence clauses along the family.
+
+    Off-primary weights must stay below each threshold and decrease;
+    primary-support weights must track the level-1 weight within the total
+    off-level mass; within-level proportions must match the level weights
+    exactly at every member.
+    """
+    eps_values = schedule.values()
+    if len(family) != len(eps_values):
+        raise InputError("family and schedule lengths differ")
+    vanishing, primary, proportions = [], [], []
+    for i in (0, 1):
+        name = model.game.players[i]
+        for w in model.worlds:
+            levels = model.lam[i][w]
+            level1 = levels[0]
+            off_support = [w1 for dist in levels[1:] for w1 in dist]
+            prev: dict[str, Fraction] = {}
+            for n, (eps, built) in enumerate(zip(eps_values, family)):
+                dist = built.p[i][w]
+                off_mass = sum((v for w1, v in dist.items() if w1 not in level1), Fraction(0))
+                for w1 in off_support:
+                    v = dist.get(w1, Fraction(0))
+                    if v > eps:
+                        vanishing.append(
+                            f"player {name}: off-primary weight of {w1} at {w} is {v} > {eps}")
+                    if w1 in prev and v >= prev[w1]:
+                        vanishing.append(
+                            f"player {name}: off-primary weight of {w1} at {w} did not "
+                            f"decrease at step {n}")
+                    prev[w1] = v
+                for w1, lv in level1.items():
+                    if abs(dist.get(w1, Fraction(0)) - lv) > off_mass:
+                        primary.append(
+                            f"player {name}: weight of {w1} at {w} strays from its primary "
+                            f"weight by more than the off-level mass at step {n}")
+                for dist_k in levels:
+                    items = list(dist_k.items())
+                    for (wa, va), (wb, vb) in zip(items, items[1:]):
+                        if dist.get(wa, Fraction(0)) * vb != dist.get(wb, Fraction(0)) * va:
+                            proportions.append(
+                                f"player {name}: within-level proportion of {wa}:{wb} at {w} "
+                                f"broken at step {n}")
+    return LimitReport(tuple(vanishing), tuple(primary), tuple(proportions))

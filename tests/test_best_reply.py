@@ -16,7 +16,6 @@ from egk.epistemic import (
     LexEpistemicModel,
     ProbEpistemicModel,
     optimal_strategies,
-    strategy_marginal,
 )
 from egk.errors import InputError
 from egk.fixtures import myerson_ordered_model, myerson_prob_model
@@ -27,7 +26,6 @@ from oracles import (
     reference_lrat,
     reference_optimal_strategies,
     reference_rat,
-    reference_strategy_marginal,
 )
 
 PAYOFF_SETS = st.sampled_from([(F(0), F(1)), (F(0), F(1), F(1, 2), F(-2, 3))])
@@ -153,7 +151,6 @@ def test_optimal_strategies_match_reference(model):
     for i in (0, 1):
         for t in model.types[i]:
             assert optimal_strategies(model, i, t) == reference_optimal_strategies(model, i, t)
-            assert strategy_marginal(model, i, t) == reference_strategy_marginal(model, i, t)
 
 
 def test_examples_reach_deep_ties_and_both_errors():

@@ -12,8 +12,6 @@ from egk.convergence import (
     _check_output,
     _level_masses,
     build_epsilon_model,
-    check_limit_conditions,
-    check_proper_ratio,
     verify_convergence,
 )
 from egk.epistemic import types_from_kripke
@@ -26,6 +24,8 @@ from egk.ordered import OrderedKripkeModel, check_lambda_constancy
 
 from generators import _random_dist, random_game, random_ordered_model
 from oracles import (
+    check_limit_conditions,
+    check_proper_ratio,
     reference_build_member,
     reference_level_masses,
     reference_tail_bound,

@@ -144,10 +144,10 @@ def test_justifying_belief_on_myerson():
     game = myerson_game()
     full = Restriction.full(game)
     bel_a = justifying_belief(game, full, 0, "A")
-    assert bel_a is not None and bel_a("C") > 0
+    assert bel_a is not None and bel_a.weights.get("C", 0) > 0
     assert verify_justifier(game, full, 0, "A", bel_a)
     bel_b = justifying_belief(game, full, 0, "B")
-    assert bel_b is not None and bel_b("C") == 0
+    assert bel_b is not None and bel_b.weights.get("C", 0) == 0
     assert verify_justifier(game, full, 0, "B", bel_b)
 
 

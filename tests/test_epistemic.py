@@ -524,4 +524,4 @@ def test_type_model_core_matches_reference_constructors(case):
                         == reference_primary_belief_in_rationality(ref, i, t))
             else:
                 assert eps_trembling(model, i, t, eps) == reference_eps_trembling(ref, i, t, eps)
-                assert model.levels(i, t) == (model.belief(i, t),)
+                assert model.levels(i, t) == (model.beliefs[i][t],)

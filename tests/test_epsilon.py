@@ -22,7 +22,8 @@ from oracles import reference_check_trembling
 
 
 def test_fixture_is_cautious():
-    assert check_prob_caution(myerson_prob_model(F(1, 4))) == []
+    for eps in (F(1, 4), F(1, 3)):
+        assert check_prob_caution(myerson_prob_model(eps)) == []
 
 
 def test_point_mass_beliefs_violate_caution():

@@ -70,7 +70,7 @@ def test_mixed_strategy_validation():
     with pytest.raises(InputError):
         MixedStrategy(0, {"A": F(3, 2), "B": F(-1, 2)})
     mix = MixedStrategy(0, {"A": F(1), "B": F(0)})
-    assert mix.support == {"A"}
+    assert mix.weights == {"A": F(1)}
 
 
 def test_game_validation():

@@ -26,8 +26,8 @@ from egk.fixtures import (
     myerson_prob_model,
     myerson_prob_types,
 )
-from egk.kripke import ProbKripkeModel, rat, validate_beliefs
-from egk.ordered import OrderedKripkeModel, level_ids, lrat
+from egk.kripke import ProbKripkeModel, _checks, rat, validate_beliefs
+from egk.ordered import OrderedKripkeModel, lrat
 from generators import random_game, random_ordered_model
 from oracles import reference_model_from_json
 
@@ -310,7 +310,8 @@ def test_loaded_worlds_with_equal_beliefs_share_one_object():
         if isinstance(model, OrderedKripkeModel):
             assert len({id(alone.lam[0][w]) for w in model.worlds}) == len(model.worlds)
             assert lrat(alone) == lrat(model)
-            assert level_ids(alone) == level_ids(model)
+            for i in (0, 1):
+                assert _checks(alone, i).ids == _checks(model, i).ids
             assert validate_beliefs(alone) == validate_beliefs(model)
         else:
             assert rat(alone) == rat(model)

@@ -36,7 +36,6 @@ from egk.ordered import (
     OrderedKripkeModel,
     check_lambda_constancy,
     check_structural_conditions,
-    level_ids,
     lrat,
     validate_ordered,
 )
@@ -198,7 +197,7 @@ def test_belief_core_matches_the_flavors_written_apart(case):
         violations = reference_validate_levels(ref)
         assert validate_beliefs(model) == violations
         assert validate_ordered(model) == frame + violations
-        assert level_ids(model) == reference_level_ids(ref)
+        assert tuple(kripke._checks(model, i).ids for i in (0, 1)) == reference_level_ids(ref)
         assert check_lambda_constancy(model) == reference_check_lambda_constancy(ref)
         assert check_caution(model) == reference_check_caution(ref)
         assert _outcome(lrat, model) == _outcome(reference_lrat, ref)
@@ -233,7 +232,7 @@ def test_each_model_is_checked_once(monkeypatch):
         assert check_caution(source) == []
         assert check_structural_conditions(source).surjection
         assert len(check_lambda_constancy(source)) == 8
-        assert set(level_ids(source)[0].values()) == {0, 1, 2, 3}
+        assert set(kripke._checks(source, 0).ids.values()) == {0, 1, 2, 3}
     verify_convergence(source, EpsilonSchedule(F(1, 2), 3),
                        on_member=lambda n, member: models.append(member))
     built = build_epsilon_model(source, F(1, 16))
@@ -270,19 +269,9 @@ def test_each_model_is_grouped_once(monkeypatch):
     assert walks == [source.worlds] * (2 * len(models))
 
 
-def _scribble(answer):
-    """Change a check's answer in place: a list gains an entry, an id map a world."""
-    if isinstance(answer, tuple):
-        for ids in answer:
-            ids["zz"] = -1
-    else:
-        answer.append("zz")
-
-
 @pytest.mark.parametrize("check", [
-    lambda model: validate_standard(model.base),
-    validate_beliefs, check_caution, check_constancy, level_ids,
-], ids=["validate_standard", "validate_beliefs", "check_caution", "check_constancy", "level_ids"])
+    validate_standard, validate_beliefs, check_caution, check_constancy,
+], ids=["validate_standard", "validate_beliefs", "check_caution", "check_constancy"])
 @pytest.mark.parametrize("lex", [False, True], ids=["prob", "ordered"])
 def test_changing_an_answer_leaves_the_next_one_alone(check, lex):
     # Player 2's belief varies inside the class {w1, w2} and never weights D;
@@ -295,8 +284,21 @@ def test_changing_an_answer_leaves_the_next_one_alone(check, lex):
     cls = OrderedKripkeModel if lex else ProbKripkeModel
     model = cls(base, beliefs)
     first = check(model)
-    _scribble(first)
+    first.append("zz")
     assert check(model) == check(cls(base, beliefs)) != first
+
+
+@pytest.mark.parametrize("lex", [False, True], ids=["prob", "ordered"])
+def test_validate_standard_checks_a_framed_model_on_its_frame(lex):
+    # Player 2 cannot tell w1 from w2 but plays C at one and D at the other.
+    beliefs = ({"w1": _W1, "w2": {"w2": F(1)}}, {"w1": _BOTH, "w2": _BOTH})
+    if lex:
+        beliefs = tuple({w: (dist,) for w, dist in per.items()} for per in beliefs)
+    _, base, beliefs = _two_worlds(lex, beliefs)
+    model = (OrderedKripkeModel if lex else ProbKripkeModel)(base, beliefs)
+    found = validate_standard(model)
+    assert found == validate_standard(model.base)
+    assert [v.kind for v in found] == ["sigma-constancy"] * 2
 
 
 @pytest.mark.parametrize("lex", [False, True], ids=["prob", "ordered"])
@@ -310,7 +312,7 @@ def test_equal_beliefs_held_as_distinct_objects_are_constant(lex):
     assert model.beliefs(1)["w1"] is not model.beliefs(1)["w2"]
     assert check_constancy(model) == []
     assert validate_beliefs(model) == []
-    ids = level_ids(model)
+    ids = [kripke._checks(model, i).ids for i in (0, 1)]
     assert ids[1]["w1"] == ids[1]["w2"]
     assert ids[0]["w1"] != ids[0]["w2"]
 

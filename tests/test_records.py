@@ -11,12 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from egk.convergence import (
-    ConvergenceReport,
-    ConvergenceRow,
-    EpsilonSchedule,
-    LimitReport,
-)
+from egk.convergence import ConvergenceReport, ConvergenceRow, EpsilonSchedule
 from egk.dominance import Elimination, EliminationRound, Restriction
 from egk.epistemic import TypeProperty, df_witness_types
 from egk.fixtures import (
@@ -84,7 +79,6 @@ RECORDS = {
     "ConvergenceReport": (
         lambda: ConvergenceReport((), ("w1",), ((-1, ("w1",)),), -1, ("w1",), True),
         lambda: ConvergenceReport((), ("w1",), ((-1, ("w1",)),), -1, ("w1",), False)),
-    "LimitReport": (lambda: LimitReport((), (), ()), lambda: LimitReport(("w1",), (), ())),
     "TypeProperty": (lambda: TypeProperty("caution", ({"t": True}, {"u": True})),
                      lambda: TypeProperty("caution", ({"t": True}, {"u": False}))),
 }
