@@ -38,7 +38,6 @@ beliefs, predicate values and errors.
 ``reference_upper_common_belief`` and ``reference_upper_access`` are the
 belief operators as separate per-world loops; the operators built on
 :func:`egk.kripke.box` must give exactly their results and errors.
-``reference_common_level1_closure`` is their closure, which egk lacks.
 
 ``reference_check_trembling`` keeps one loop per trembling reading, each
 testing every supported world before its weight; the one loop of
@@ -813,14 +812,6 @@ def reference_common_level1_belief(model, event):
         w for w in model.worlds
         if (_level1_access(model, 0, w) | _level1_access(model, 1, w)) <= ev
     )
-
-
-def reference_common_level1_closure(model, event):
-    """Common primary belief: the greatest fixed point X = CB1(E ∩ X), CB1 one-step."""
-    out = frozenset(model.worlds)
-    while (shrunk := reference_common_level1_belief(model, model.event(event) & out)) != out:
-        out = shrunk
-    return out
 
 
 def _check_eps(eps: Fraction) -> Fraction:
