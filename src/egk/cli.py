@@ -289,18 +289,15 @@ def _cmd_types_analyze(args) -> tuple[int, dict]:
     model = modelio.types_from_json(modelio.load_file(args.file), None, args.file)
     players = model.game.players
     lex = isinstance(model, epistemic.LexEpistemicModel)
-    props = [epistemic.caution_property(model)]
     eps = None
     if lex:
         if args.eps is not None:
             raise InputError("--eps needs a probabilistic type model")
-        props.append(epistemic.primary_rationality_property(model))
+        rationality = epistemic.primary_rationality_property(model)
     else:
         eps = parse_rational(args.eps, "--eps") if args.eps is not None else Fraction(1, 4)
-        props.append(epistemic.trembling_property(model, eps))
-    alive = epistemic.common_full_belief(model, epistemic.conjoin(*props))
-    # The permissible (or eps-permissible) strategies, from the survivors above.
-    strategies = epistemic.optimal_for_types(model, alive)
+        rationality = epistemic.trembling_property(model, eps)
+    props, alive, strategies = epistemic.permissibility(model, rationality)
     return 0, {
         "flavor": "lexicographic" if lex else "probabilistic",
         "properties": {

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import InputError
 from .frozen import Frozen
-from .games import Game, lex_best_replies, other, push_forward
+from .games import Game, greatest_closed, lex_best_replies, other, push_forward
 
 if TYPE_CHECKING:
     from .kripke import ProbKripkeModel, StandardKripkeModel
@@ -196,38 +196,19 @@ def common_full_belief(
     model: EpistemicModel, prop: TypeProperty
 ) -> tuple[frozenset[str], frozenset[str]]:
     """Greatest set of property-satisfying types deeming only survivors possible."""
-    alive = [
-        {t for t in model.types[i] if prop.holds[i][t]}
-        for i in (0, 1)
-    ]
-    changed = True
-    while changed:
-        changed = False
-        for i in (0, 1):
-            j = other(i)
-            for t in list(alive[i]):
-                if not deems_possible(model, i, t) <= alive[j]:
-                    alive[i].discard(t)
-                    changed = True
-    return frozenset(alive[0]), frozenset(alive[1])
+    alive = greatest_closed([(i, t) for i in (0, 1) for t in model.types[i]],
+                            lambda n: [(other(n[0]), t_j) for t_j in deems_possible(model, *n)],
+                            lambda n: prop.holds[n[0]][n[1]])
+    return tuple(frozenset(t for k, t in alive if k == i) for i in (0, 1))
 
 
-def optimal_for_types(
-    model: EpistemicModel, alive: tuple[frozenset[str], frozenset[str]]
-) -> tuple[frozenset[str], frozenset[str]]:
-    """Per player, the strategies optimal for some type in ``alive``."""
-    return tuple(
-        frozenset().union(*(optimal_strategies(model, i, t) for t in alive[i]))
-        for i in (0, 1)
-    )
-
-
-def _permissible_under(
-    model: EpistemicModel, rationality: TypeProperty
-) -> tuple[frozenset[str], frozenset[str]]:
-    """Strategies optimal for a type surviving common full belief in caution and ``rationality``."""
-    return optimal_for_types(
-        model, common_full_belief(model, conjoin(caution_property(model), rationality)))
+def permissibility(model: EpistemicModel, rationality: TypeProperty) -> tuple:
+    """``(properties, types, strategies)``: caution and ``rationality``, the types surviving
+    common full belief in both, and per player the strategies optimal for a surviving type."""
+    props = (caution_property(model), rationality)
+    alive = common_full_belief(model, conjoin(*props))
+    return props, alive, tuple(
+        frozenset().union(*(optimal_strategies(model, i, t) for t in alive[i])) for i in (0, 1))
 
 
 def permissible(model: LexEpistemicModel) -> tuple[frozenset[str], frozenset[str]]:
@@ -236,14 +217,14 @@ def permissible(model: LexEpistemicModel) -> tuple[frozenset[str], frozenset[str
     Model-relative: it quantifies over this model's types.  The global
     notion coincides with survival of the Dekel-Fudenberg procedure.
     """
-    return _permissible_under(model, primary_rationality_property(model))
+    return permissibility(model, primary_rationality_property(model))[2]
 
 
 def eps_permissible(
     model: ProbEpistemicModel, eps: Fraction
 ) -> tuple[frozenset[str], frozenset[str]]:
     """Strategies optimal for a surviving type under caution and eps-trembling."""
-    return _permissible_under(model, trembling_property(model, eps))
+    return permissibility(model, trembling_property(model, eps))[2]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Callable, Iterable
 
 from .errors import InputError
 from .games import optimal_pure, other, point_mass
-from .kripke import EventSet, ProbKripkeModel, Violation, box, per_belief, rat
+from .kripke import EventSet, ProbKripkeModel, Violation, box, common, per_belief, rat
 # The core's caution check, under the name callers of this module know.
 from .kripke import check_caution as check_prob_caution
 
@@ -90,11 +90,11 @@ def upper_belief(
     model: ProbKripkeModel, i: int, eps: Fraction, event: Iterable[str]
 ) -> EventSet:
     eps = _check_eps(eps)
-    return box(model, (_upper_view(model, i, eps),), event)
+    return box(model, _upper_view(model, i, eps), event)
 
 
 def upper_common_belief(
     model: ProbKripkeModel, eps: Fraction, event: Iterable[str]
 ) -> EventSet:
     eps = _check_eps(eps)
-    return box(model, (_upper_view(model, 0, eps), _upper_view(model, 1, eps)), event)
+    return common(model, (_upper_view(model, 0, eps), _upper_view(model, 1, eps)), event)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import InputError
 from .frozen import Frozen
@@ -21,6 +21,14 @@ def other(i: int) -> int:
     if i not in (0, 1):
         raise InputError(f"player index must be 0 or 1, got {i!r}")
     return 1 - i
+
+
+def greatest_closed(nodes: Iterable, successors: Callable, inside: Callable) -> frozenset:
+    """The largest set of ``nodes`` meeting ``inside`` whose successors all lie in it."""
+    alive = {n for n in nodes if inside(n)}
+    while dropped := [n for n in alive if not alive.issuperset(successors(n))]:
+        alive.difference_update(dropped)
+    return frozenset(alive)
 
 
 class Game(Frozen):

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, TypeV
 
 from .errors import InputError
 from .frozen import Frozen
-from .games import Game, lex_best_replies, other, push_forward
+from .games import Game, greatest_closed, lex_best_replies, other, push_forward
 
 if TYPE_CHECKING:
     from .dominance import Restriction
@@ -432,35 +432,38 @@ def _violation(
     return Violation(f"{model.KIND}-{kind}", i, where, detail)
 
 
-def box(
-    model: StandardKripkeModel | FramedModel,
-    views: Iterable[Callable[[str], frozenset[str]]],
-    event: Iterable[str],
-) -> EventSet:
-    """Worlds ``w`` with ``view(w)`` inside the event for every view.
+def box(model: StandardKripkeModel | FramedModel, view: Callable, event: Iterable[str]) -> EventSet:
+    """Worlds ``w`` with ``view(w)`` inside the event: one player's belief.
 
-    A view maps a world to the worlds a player considers at it: R_i(w) for
-    plain belief, the level-1 support for primary belief
-    (``ordered.level1_access``), the worlds weighted strictly above eps for
-    the upper operators (``epsilon.upper_access``).  A single-player
-    operator passes one view; a common operator passes both players' views,
-    so it is one-step (mutual) belief, not the reachability closure.
+    ``view`` maps a world to R_i (plain belief), the level-1 support (primary belief,
+    ``ordered.level1_access``) or the worlds weighted strictly above eps (``epsilon.upper_access``).
     """
     ev = model.event(event)
-    worlds = model.worlds
-    for view in views:
-        worlds = [w for w in worlds if view(w) <= ev]
-    return frozenset(worlds)
+    return frozenset(w for w in model.worlds if view(w) <= ev)
+
+
+def common(
+    model: StandardKripkeModel | FramedModel, views: tuple[Callable, Callable], event: Iterable[str]
+) -> EventSet:
+    """Worlds from which every world reached in one or more steps of ``views`` lies in the event.
+
+    ``views`` are both players' views (see :func:`box`).  With MB(F) the worlds whose every
+    view lies in F, this is the greatest X = MB(E & X): the largest part of MB(E) no view leaves.
+    """
+    ev = model.event(event)
+    view0, view1 = views
+    return greatest_closed(model.worlds, lambda w: view0(w) | view1(w),
+                           lambda w: view0(w) <= ev and view1(w) <= ev)
 
 
 def belief(model: StandardKripkeModel | FramedModel, i: int, event: Iterable[str]) -> EventSet:
     """Worlds whose accessible set for player ``i`` lies inside the event."""
-    return box(model, (model.access[i].__getitem__,), event)
+    return box(model, model.access[i].__getitem__, event)
 
 
 def common_belief(model: StandardKripkeModel | FramedModel, event: Iterable[str]) -> EventSet:
-    """Worlds whose union of accessible sets lies inside the event."""
-    return box(model, (model.access[0].__getitem__, model.access[1].__getitem__), event)
+    """Worlds from which every world reachable by accessibility lies inside the event."""
+    return common(model, (model.access[0].__getitem__, model.access[1].__getitem__), event)
 
 
 def rat(model: ProbKripkeModel) -> tuple[tuple[EventSet, EventSet], EventSet]:

@@ -19,6 +19,7 @@ from .kripke import (
     box,
     check_caution,  # re-exported for this flavor's callers
     check_constancy as check_lambda_constancy,  # re-exported; advisory for this flavor
+    common,
     validate_beliefs,
     validate_standard,
 )
@@ -69,12 +70,12 @@ def level1_access(model: OrderedKripkeModel, i: int, w: str) -> frozenset[str]:
 
 def level1_belief(model: OrderedKripkeModel, i: int, event: Iterable[str]) -> EventSet:
     """Worlds whose primary-belief support for player ``i`` lies inside the event."""
-    return box(model, (partial(level1_access, model, i),), event)
+    return box(model, partial(level1_access, model, i), event)
 
 
 def common_level1_belief(model: OrderedKripkeModel, event: Iterable[str]) -> EventSet:
-    """Worlds whose union of primary-belief supports lies inside the event."""
-    return box(model, (partial(level1_access, model, 0), partial(level1_access, model, 1)), event)
+    """Worlds from which every world reachable by primary-belief supports lies inside the event."""
+    return common(model, tuple(partial(level1_access, model, i) for i in (0, 1)), event)
 
 
 class StructuralReport(NamedTuple):

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 from egk.epistemic import (
+    LexEpistemicModel,
     ProbEpistemicModel,
     eps_trembling,
     optimal_strategies,
@@ -84,6 +85,32 @@ def random_ordered_model(rng: random.Random, game: Game,
         lam.append(per)
     base = StandardKripkeModel(game, worlds, (access[0], access[1]), (sigma[0], sigma[1]))
     return OrderedKripkeModel(base, (lam[0], lam[1]))
+
+
+def random_cautious_lex_model(rng: random.Random, game: Game) -> LexEpistemicModel:
+    """A lexicographic type model whose types are all cautious by construction.
+
+    1-2 types per player and 1-2 levels per type.  A type deems a nonempty
+    set of opponent types possible; its last level weights every opponent
+    strategy paired with each of them, and a first level before it, when
+    drawn, weights a random nonempty subset of those pairs, so primary
+    beliefs can be narrow.
+    """
+    counts = (rng.randint(1, 2), rng.randint(1, 2))
+    types = tuple(tuple(f"t{i + 1}_{k + 1}" for k in range(counts[i])) for i in (0, 1))
+    beliefs = []
+    for i in (0, 1):
+        j = 1 - i
+        per = {}
+        for t in types[i]:
+            deemed = rng.sample(types[j], rng.randint(1, len(types[j])))
+            pairs = [(s, t_j) for s in game.strategies[j] for t_j in deemed]
+            levels = [_random_dist(rng, pairs)]
+            if rng.random() < 0.5:
+                levels.insert(0, _random_dist(rng, rng.sample(pairs, rng.randint(1, len(pairs)))))
+            per[t] = tuple(levels)
+        beliefs.append(per)
+    return LexEpistemicModel(game, types, (beliefs[0], beliefs[1]))
 
 
 def random_trembling_type_model(

@@ -33,11 +33,20 @@ two type-model constructors written out once per flavor, with
 built on one core in :mod:`egk.epistemic` must give exactly their cleaned
 beliefs, predicate values and errors.
 
-``reference_belief``, ``reference_common_belief``, ``reference_level1_belief``,
-``reference_common_level1_belief``, ``reference_upper_belief``,
-``reference_upper_common_belief`` and ``reference_upper_access`` are the
-belief operators as separate per-world loops; the operators built on
-:func:`egk.kripke.box` must give exactly their results and errors.
+``reference_belief``, ``reference_level1_belief``, ``reference_upper_belief``
+and ``reference_upper_access`` are the single-player belief operators as
+separate per-world loops; the operators built on :func:`egk.kripke.box` must
+give exactly their results and errors.  ``reference_common_belief``,
+``reference_common_level1_belief`` and ``reference_upper_common_belief``
+search, from each world on its own, every world reachable in one or more
+steps of both players' views, and keep the world when all of them lie in
+the event; the common operators built on the greatest-fixed-point kernel
+:func:`egk.games.greatest_closed` must give exactly their results and
+errors.  ``reference_mutual_belief``, ``reference_mutual_level1_belief`` and
+``reference_upper_mutual_belief`` are one-step mutual belief, the worlds
+whose union of both views lies in the event; the law tests compare them
+with the intersection of the single-player operators and bound the common
+operators by them.
 
 ``reference_check_trembling`` keeps one loop per trembling reading, each
 testing every supported world before its weight; the one loop of
@@ -55,8 +64,9 @@ source belief from integer numerators must have exactly its weights.
 
 ``reference_types_from_kripke`` quotients a probabilistic Kripke model by
 summing every world's belief in ``Fraction``s, and
-``reference_eps_permissible`` runs the eps-permissibility fixed point on the
-reference predicates; the quotient summed once per kept belief group in
+``reference_eps_permissible`` runs the eps-permissibility fixed point, the
+elimination loop of ``reference_common_full_belief``, on the reference
+predicates; the quotient summed once per kept belief group in
 integers must give exactly their labels, beliefs, world types and
 permissible strategies.
 
@@ -788,11 +798,38 @@ def reference_belief(model, i: int, event):
     return frozenset(w for w in base.worlds if base.access[i][w] <= ev)
 
 
-def reference_common_belief(model, event):
-    """Worlds whose union of accessible sets lies inside the event."""
+def reference_mutual_belief(model, event):
+    """Worlds whose union of accessible sets lies inside the event: one-step mutual belief."""
     base = model.base if isinstance(model, ProbKripkeModel) else model
     ev = base.event(event)
     return frozenset(w for w in base.worlds if (base.access[0][w] | base.access[1][w]) <= ev)
+
+
+def _reach_inside(worlds, views, ev) -> frozenset:
+    """Worlds from which every world reached in one or more steps of ``views`` lies in ``ev``.
+
+    A depth-first search from each world on its own, with no fixed point.
+    """
+    out = set()
+    for w in worlds:
+        seen, stack = set(), [w]
+        while stack:
+            at = stack.pop()
+            for view in views:
+                for w1 in view(at):
+                    if w1 not in seen:
+                        seen.add(w1)
+                        stack.append(w1)
+        if seen <= ev:
+            out.add(w)
+    return frozenset(out)
+
+
+def reference_common_belief(model, event):
+    """Worlds from which every world reachable by either player's accessibility is in the event."""
+    base = model.base if isinstance(model, ProbKripkeModel) else model
+    ev = base.event(event)
+    return _reach_inside(base.worlds, (base.access[0].__getitem__, base.access[1].__getitem__), ev)
 
 
 def _level1_access(model, i: int, w: str) -> frozenset[str]:
@@ -805,13 +842,20 @@ def reference_level1_belief(model, i: int, event):
     return frozenset(w for w in model.worlds if _level1_access(model, i, w) <= ev)
 
 
-def reference_common_level1_belief(model, event):
-    """Worlds whose union of primary-belief supports lies inside the event."""
+def reference_mutual_level1_belief(model, event):
+    """Worlds whose union of primary-belief supports lies inside the event: one step."""
     ev = model.event(event)
     return frozenset(
         w for w in model.worlds
         if (_level1_access(model, 0, w) | _level1_access(model, 1, w)) <= ev
     )
+
+
+def reference_common_level1_belief(model, event):
+    """Worlds from which every world reachable by primary-belief supports is in the event."""
+    ev = model.event(event)
+    return _reach_inside(model.worlds, tuple(
+        lambda w, i=i: _level1_access(model, i, w) for i in (0, 1)), ev)
 
 
 def _check_eps(eps: Fraction) -> Fraction:
@@ -836,7 +880,8 @@ def reference_upper_belief(model, i: int, eps: Fraction, event):
     )
 
 
-def reference_upper_common_belief(model, eps: Fraction, event):
+def reference_upper_mutual_belief(model, eps: Fraction, event):
+    """Worlds whose union of views above ``eps`` lies inside the event: one step."""
     eps = _check_eps(eps)
     ev = model.event(event)
     out = set()
@@ -847,6 +892,14 @@ def reference_upper_common_belief(model, eps: Fraction, event):
         if union <= ev:
             out.add(w)
     return frozenset(out)
+
+
+def reference_upper_common_belief(model, eps: Fraction, event):
+    """Worlds from which every world reachable by views above ``eps`` is in the event."""
+    eps = _check_eps(eps)
+    ev = model.event(event)
+    return _reach_inside(model.worlds, tuple(
+        lambda w, i=i: {w1 for w1, v in model.p[i][w].items() if v > eps} for i in (0, 1)), ev)
 
 
 def reference_check_trembling(
@@ -1275,14 +1328,12 @@ def reference_types_from_kripke(model):
     return tmodel, world_types
 
 
-def reference_eps_permissible(model, eps: Fraction):
-    """Strategies optimal for a type that survives common full belief in caution and eps-trembling.
+def reference_common_full_belief(model, holds) -> tuple[frozenset, frozenset]:
+    """Types for which ``holds[i][t]`` is true, less every type deeming a dropped type possible.
 
-    Each predicate and each type's optimal strategies are the reference loops above.
+    The elimination loop repeated until a pass drops nothing, one player at a time.
     """
-    alive = [{t for t in model.types[i]
-              if reference_type_caution(model, i, t) and reference_eps_trembling(model, i, t, eps)}
-             for i in (0, 1)]
+    alive = [{t for t in model.types[i] if holds[i][t]} for i in (0, 1)]
     changed = True
     while changed:
         changed = False
@@ -1291,6 +1342,17 @@ def reference_eps_permissible(model, eps: Fraction):
                 if not _deems_possible(model, i, t) <= alive[other(i)]:
                     alive[i].discard(t)
                     changed = True
+    return frozenset(alive[0]), frozenset(alive[1])
+
+
+def reference_eps_permissible(model, eps: Fraction):
+    """Strategies optimal for a type that survives common full belief in caution and eps-trembling.
+
+    Each predicate and each type's optimal strategies are the reference loops above.
+    """
+    alive = reference_common_full_belief(model, [
+        {t: reference_type_caution(model, i, t) and reference_eps_trembling(model, i, t, eps)
+         for t in model.types[i]} for i in (0, 1)])
     return tuple(frozenset().union(*(reference_optimal_strategies(model, i, t) for t in alive[i]))
                  for i in (0, 1))
 

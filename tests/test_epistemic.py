@@ -8,6 +8,7 @@ from egk.dominance import dekel_fudenberg
 from egk.epistemic import (
     LexEpistemicModel,
     ProbEpistemicModel,
+    TypeProperty,
     caution_property,
     common_full_belief,
     conjoin,
@@ -43,10 +44,11 @@ from egk.ordered import (
     validate_ordered,
 )
 
-from generators import random_game
+from generators import random_cautious_lex_model, random_game
 from oracles import (
     ReferenceLexEpistemicModel,
     ReferenceProbEpistemicModel,
+    reference_common_full_belief,
     reference_eps_permissible,
     reference_eps_trembling,
     reference_optimal_strategies,
@@ -253,6 +255,18 @@ def test_common_full_belief_monotone_in_property():
             assert strong_alive[i] <= weak_alive[i]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_common_full_belief_matches_the_elimination_loop(seed):
+    rng = random.Random(seed)
+    game = random_game(rng)
+    model = (random_cautious_lex_model(rng, game) if rng.random() < 0.5
+             else random_lex_model(rng, game))
+    holds = tuple({t: rng.random() < 0.8 for t in model.types[i]} for i in (0, 1))
+    assert (common_full_belief(model, TypeProperty("drawn", holds))
+            == reference_common_full_belief(model, holds))
+
+
 def test_kripke_from_lex_types_on_fixture():
     model = myerson_lex_types()
     built = kripke_from_lex_types(model)
@@ -304,6 +318,25 @@ def test_kripke_from_lex_types_random_cautious_sources():
             continue  # duplicated non-adjacent levels are rejected by contract
         assert validate_ordered(built) == []
         assert check_caution(built) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_permissible_strategies_are_played_at_common_primary_belief_in_lrat(seed):
+    # The bridge from types to the ordered model: every permissible strategy is
+    # played somewhere in CB1(LRAT) of the built model, and everything played
+    # there survives DF.  Equality can fail: common full belief follows every
+    # level's support, CB1 only the primary ones.
+    rng = random.Random(seed)
+    game = random_game(rng)
+    types = random_cautious_lex_model(rng, game)
+    built = kripke_from_lex_types(types)
+    _, event = lrat(built)
+    certified = common_level1_belief(built, event)
+    survivors, _ = dekel_fudenberg(game)
+    for i in (0, 1):
+        played = {built.sigma[i][w] for w in certified}
+        assert permissible(types)[i] <= played <= set(survivors.sets[i])
 
 
 def test_types_from_kripke_on_fixture_merges_to_displayed_beliefs():

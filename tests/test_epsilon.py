@@ -18,7 +18,7 @@ from egk.games import Game
 from egk.kripke import ProbKripkeModel, StandardKripkeModel, rat
 
 from generators import random_game, random_prob_model
-from oracles import reference_check_trembling
+from oracles import reference_check_trembling, reference_upper_mutual_belief
 
 
 def test_fixture_is_cautious():
@@ -144,6 +144,7 @@ def test_upper_operator_laws(seed):
     rng = random.Random(seed)
     model = random_prob_model(rng, random_game(rng))
     e = frozenset(w for w in model.worlds if rng.random() < 0.5)
+    f = frozenset(w for w in model.worlds if rng.random() < 0.5)
     small = F(1, 5)
     big = F(2, 5)
     for i in (0, 1):
@@ -154,5 +155,11 @@ def test_upper_operator_laws(seed):
             if 0 < floor < F(1, 2):
                 assert upper_access(model, i, w, floor) == frozenset(model.p[i][w])
         assert upper_belief(model, i, small, e) <= upper_belief(model, i, big, e)
-    assert upper_common_belief(model, small, e) == (
-        upper_belief(model, 0, small, e) & upper_belief(model, 1, small, e))
+    # Upper common belief is the closure of one-step upper mutual belief, bounded by it.
+    mutual = upper_belief(model, 0, small, e) & upper_belief(model, 1, small, e)
+    assert reference_upper_mutual_belief(model, small, e) == mutual
+    cb = upper_common_belief(model, small, e)
+    assert cb <= mutual
+    assert cb == upper_belief(model, 0, small, e & cb) & upper_belief(model, 1, small, e & cb)
+    assert upper_common_belief(model, small, e & f) <= cb
+    assert upper_common_belief(model, small, e & f) == cb & upper_common_belief(model, small, f)

@@ -35,6 +35,10 @@ PROB_TYPES = "fixtures/myerson_prob_types.json"
 EVENT = "tests/golden/event_w1_w2.json"
 # Overlapping level supports and an unweighted accessible world, both for player 1.
 STRUCTURAL = "tests/golden/ordered_structural.json"
+# A world whose primary beliefs reach, in two steps, a world outside LRAT, and its LRAT event:
+# one-step mutual primary belief keeps the world, common primary belief does not.
+CROSS_CLUSTER = "tests/golden/ordered_cross_cluster.json"
+CROSS_CLUSTER_LRAT = "tests/golden/event_cross_cluster_lrat.json"
 FAMILY = "family"
 OUT = "out"
 WRITTEN = "written"
@@ -61,6 +65,9 @@ CASES = {
          "--json"], 0),
     "model_operators_cb1": (["model", "operators", ORDERED, "--op", "cb1", "--event", EVENT,
                              "--json"], 0),
+    "model_operators_cb1_cross_cluster": (
+        ["model", "operators", CROSS_CLUSTER, "--op", "cb1", "--event", CROSS_CLUSTER_LRAT,
+         "--json"], 0),
     "model_operators_beps": (
         ["model", "operators", PROB, "--op", "beps", "--player", "1", "--eps", "1/4",
          "--event", EVENT, "--json"], 0),

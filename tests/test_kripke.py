@@ -20,7 +20,7 @@ from egk.kripke import (
 )
 
 from generators import random_game, random_prob_model
-from oracles import reference_frame_violations
+from oracles import reference_frame_violations, reference_mutual_belief
 
 
 def _tiny_model(access1, access2=None):
@@ -174,8 +174,16 @@ def test_operator_laws_on_random_models(seed):
         # Positive introspection under KD45.
         be = belief(model, i, e)
         assert be <= belief(model, i, be)
-    assert common_belief(model, e) == belief(model, 0, e) & belief(model, 1, e)
-    assert common_belief(model, e & f) == common_belief(model, e) & common_belief(model, f)
+    # Common belief is the closure of one-step mutual belief, bounded by it.
+    mutual = belief(model, 0, e) & belief(model, 1, e)
+    assert reference_mutual_belief(model, e) == mutual
+    cb = common_belief(model, e)
+    assert cb <= mutual
+    assert cb == belief(model, 0, e & cb) & belief(model, 1, e & cb)
+    # Idempotent on KD45 frames: a Euclidean R_i makes every accessible world see itself.
+    assert common_belief(model, cb) == cb
+    assert common_belief(model, e & f) <= cb
+    assert common_belief(model, e & f) == cb & common_belief(model, f)
     (r1, r2), rat_event = rat(model)
     assert rat_event == r1 & r2
 

@@ -1,4 +1,8 @@
-"""The belief operators built on ``kripke.box`` against the per-world loops.
+"""The belief operators against the per-world loops and searches.
+
+The single-player operators, built on ``kripke.box``, meet the per-world
+loops; the common operators, built on ``kripke.common`` and the
+greatest-fixed-point kernel, meet a reachability search from each world.
 
 Models are drawn two ways: from the shared generators (valid standard,
 probabilistic and ordered models over strategy clusters) and as wild

@@ -22,7 +22,7 @@ from egk.ordered import (
 )
 
 from generators import random_game, random_ordered_model
-from oracles import reference_structural_report
+from oracles import reference_mutual_level1_belief, reference_structural_report
 
 ONE = F(1)
 
@@ -212,12 +212,25 @@ def test_level1_operator_laws(seed):
         for w in worlds:
             assert level1_access(model, i, w) <= model.access[i][w]
         assert belief(model.base, i, e) <= level1_belief(model, i, e)
-    assert common_level1_belief(model, e) == (
-        level1_belief(model, 0, e) & level1_belief(model, 1, e))
+    # Common primary belief is the closure of one-step mutual primary belief, bounded by it.
+    mutual = level1_belief(model, 0, e) & level1_belief(model, 1, e)
+    assert reference_mutual_level1_belief(model, e) == mutual
+    cb = common_level1_belief(model, e)
+    assert cb <= mutual
+    assert cb == level1_belief(model, 0, e & cb) & level1_belief(model, 1, e & cb)
+    assert common_level1_belief(model, e & f) <= cb
+    assert common_level1_belief(model, e & f) == cb & common_level1_belief(model, f)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
+# Seeds where one-step mutual primary belief in LRAT holds a world playing a non-DF profile.
+@example(476)
+@example(1240)
+@example(1642)
+@example(1777)
+@example(1943)
+@example(2813)
 def test_common_primary_belief_in_rationality_plays_df_survivors(seed):
     rng = random.Random(seed)
     game = random_game(rng)
@@ -229,14 +242,13 @@ def test_common_primary_belief_in_rationality_plays_df_survivors(seed):
         assert model.base.profile(w) in surviving
 
 
-def test_one_step_common_belief_can_outrun_df_with_cross_cluster_primaries():
-    # A hand-built model where a world is certified by the one-step common
-    # primary-belief operator although its profile dies in a later
+def test_mutual_primary_belief_outruns_df_but_common_primary_belief_does_not():
+    # A hand-built model where a world is certified by one-step mutual
+    # primary belief in LRAT although its profile dies in a later
     # elimination round.  The certified world's primary beliefs land on
     # lexicographically rational worlds whose own primary beliefs lean on a
-    # strategy that only survives the first round; the one-step operator
-    # never looks that far.  Kept as a regression pin: the operators follow
-    # their set definitions exactly, without any closure.
+    # strategy that only survives the first round; one step never looks
+    # that far, but common primary belief, the closure, does.
     game = Game(("1", "2"), (("A", "B", "C"), ("X", "Y")), {
         ("A", "X"): (F(3), F(2)), ("A", "Y"): (F(0), F(0)),
         ("B", "X"): (F(0), F(2)), ("B", "Y"): (F(2), F(0)),
@@ -270,10 +282,12 @@ def test_one_step_common_belief_can_outrun_df_with_cross_cluster_primaries():
     report = check_structural_conditions(model)
     assert report.disjoint_supports and report.surjection
     _, event = lrat(model)
-    certified = common_level1_belief(model, event)
-    assert "w1" in certified
+    assert "w1" in reference_mutual_level1_belief(model, event)
     assert model.base.profile("w1") == ("B", "X")
     assert "B" not in survivors.sets[0]
+    certified = common_level1_belief(model, event)
+    assert "w1" not in certified
+    assert {model.base.profile(w) for w in certified} <= {("A", "X")}
 
 
 def test_negative_level_weight_is_a_violation():
