@@ -9,32 +9,34 @@ times every shallower-level weight.  ``verify_convergence`` checks the
 permissibility sense of the limit: the tail of upper common belief in
 rationality along the family against common primary belief in
 lexicographic rationality on the source.
+
+A member's belief is a mass-weighted sum of the source's disjoint levels,
+so its rows are read from one table per kept source group: the levels
+pushed onto the opponent's strategies and the level weights as integers.
+A member is built as a model only when a caller asks for it
+(``build_epsilon_model``, or ``verify_convergence``'s ``on_member``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import InputError
 from .frozen import Frozen
+from .games import lex_best_replies, other, push_forward
 from .kripke import (
     ProbKripkeModel,
     check_caution,
     check_constancy,
+    common,
     per_belief,
-    rat,
     validate_beliefs,
     validate_standard,
 )
-from .ordered import (
-    OrderedKripkeModel,
-    check_structural_conditions,
-    common_level1_belief,
-    lrat,
-)
-from .epsilon import upper_common_belief
+from .ordered import OrderedKripkeModel, check_structural_conditions, common_level1_belief
 
 SCHEMES = ("perfect", "proper")
 
@@ -198,6 +200,83 @@ class ConvergenceReport(NamedTuple):
     matches: bool
 
 
+class _LevelTable(NamedTuple):
+    """One kept source group, read at every threshold of a family.
+
+    ``pushed`` holds each level pushed onto the opponent's strategies, all
+    over one common scale, so that a member's push-forward is their
+    mass-weighted sum.  ``weights`` holds each level's (world, numerator)
+    pairs over the group's one denominator ``den``: the numerators
+    ``_member_belief`` weights by the level masses.
+    """
+
+    levels: tuple
+    holders: tuple[str, ...]
+    pushed: tuple[tuple[int, ...], ...]
+    weights: tuple[tuple[tuple[str, int], ...], ...]
+    den: int
+
+
+def _level_table(model: OrderedKripkeModel, i: int, levels, holders) -> _LevelTable:
+    j = other(i)
+    pushed = [push_forward(model.game, j, level, model.sigma[j].__getitem__) for level in levels]
+    sums = [sum(p) for p in pushed]
+    scale = math.lcm(*sums)
+    den = math.lcm(*(v.denominator for level in levels for v in level.values()))
+    return _LevelTable(
+        levels, holders,
+        tuple(tuple(x * (scale // s) for x in p) for p, s in zip(pushed, sums)),
+        tuple(tuple((w1, v.numerator * (den // v.denominator)) for w1, v in level.items())
+              for level in levels),
+        den)
+
+
+def _playing(model: OrderedKripkeModel, i: int, holders, levels) -> list[str]:
+    """The ``holders`` where player ``i`` plays a lexicographic best reply to ``levels``."""
+    best = lex_best_replies(model.game, i, levels)
+    own = model.sigma[i]
+    return [w for w in holders if own[w] in best]
+
+
+def _above(table: _LevelTable, masses: list[int], eps: Fraction) -> frozenset[str]:
+    """The worlds the member weights strictly above eps = a/b: m_k·n·b > a·Σm·den.
+
+    A deeper level's world there breaks the member's off-primary bound, and
+    raises ``_check_output``'s message.
+    """
+    a, b = eps.numerator, eps.denominator
+    total = sum(masses) * table.den
+    bar = a * total
+    out = []
+    for k, (mass, level) in enumerate(zip(masses, table.weights)):
+        scaled = mass * b
+        for w1, n in level:
+            if scaled * n > bar:
+                if k:
+                    raise InputError(f"weight {Fraction(mass * n, total)} on off-primary "
+                                     f"world {w1} exceeds eps {eps}")
+                out.append(w1)
+    return frozenset(out)
+
+
+def _member_events(
+    model: OrderedKripkeModel, tables, eps: Fraction, scheme: str
+) -> tuple[frozenset[str], frozenset[str]]:
+    """RAT of the member at ``eps`` and upper common belief in it, read from the level tables."""
+    rational, views = [], []
+    for i in (0, 1):
+        playing, view = [], {}
+        for table in tables[i]:
+            masses = _level_masses(table.levels, eps, scheme)
+            score = tuple(sum(map(mul, masses, column)) for column in zip(*table.pushed))
+            playing += _playing(model, i, table.holders, (score,))
+            view.update(dict.fromkeys(table.holders, _above(table, masses, eps)))
+        rational.append(frozenset(playing))
+        views.append(view.__getitem__)
+    rat_event = rational[0] & rational[1]
+    return rat_event, common(model, tuple(views), rat_event)
+
+
 def verify_convergence(
     model: OrderedKripkeModel,
     schedule: EpsilonSchedule,
@@ -206,29 +285,33 @@ def verify_convergence(
 ) -> ConvergenceReport:
     """Compare the tail of upper common belief in rationality with its limit.
 
-    Builds the family over the schedule, computes common belief above each
-    threshold in rationality per member, and reports every tail
+    Computes, for each threshold, rationality and common belief above the
+    threshold in it for the family member, and reports every tail
     intersection, the index where the tail stops changing, and whether the
     stabilized set equals common primary belief in lexicographic
-    rationality on the source model.  ``on_member(n, member)``, if given,
-    receives each member as it is built, so a caller can keep or write the
-    family without building it again.
+    rationality on the source model.  The rows are read from one level
+    table per kept source group, made once per call; the limit's
+    lexicographic rationality is read from the same pushed levels.  No
+    member is built unless ``on_member(n, member)`` is given: it then
+    receives each member, built and checked as ``build_epsilon_model``
+    does, so a caller can keep or write the family.
     """
     _check_scheme(scheme)
     _require_hypotheses(model)
-    eps_values = schedule.values()
+    tables = tuple(tuple(_level_table(model, i, levels, holders)
+                         for levels, holders in model.groups(i)) for i in (0, 1))
     rows = []
     events = []
-    for n, eps in enumerate(eps_values):
-        built = _build_member(model, eps, scheme)
+    for n, eps in enumerate(schedule.values()):
         if on_member is not None:
-            on_member(n, built)
-        _, rat_event = rat(built)
-        cb = upper_common_belief(built, eps, rat_event)
+            on_member(n, _build_member(model, eps, scheme))
+        rat_event, cb = _member_events(model, tables, eps, scheme)
         events.append(cb)
         rows.append(ConvergenceRow(n, eps, model.order(rat_event), model.order(cb)))
-    _, lrat_event = lrat(model)
-    limit = common_level1_belief(model, lrat_event)
+    lrat = [frozenset(w for table in tables[i]
+                      for w in _playing(model, i, table.holders, table.pushed))
+            for i in (0, 1)]
+    limit = common_level1_belief(model, lrat[0] & lrat[1])
 
     # The tail after m intersects the events from m + 1 on: one pass from the last event back.
     tails = []

@@ -54,7 +54,11 @@ testing every supported world before its weight; the one loop of
 must give exactly its violations, in order.  ``reference_tails`` intersects
 every tail of a convergence report from scratch and finds the stabilization
 index by comparing every later tail; ``verify_convergence``'s one reverse
-pass must give exactly its tails and index.
+pass must give exactly its tails and index.  ``reference_verify_convergence``
+builds and checks every family member, then reads RAT and upper common
+belief in it from the built member; ``verify_convergence``, which reads its
+rows from level tables of the source and builds no member unless one is
+emitted, must give exactly its report and errors.
 
 ``reference_build_member`` builds a family member world by world, one new
 belief per world, each weight a ``Fraction`` product of the level's mass
@@ -113,7 +117,15 @@ from typing import Mapping, NamedTuple, Sequence
 from unittest import mock
 
 from egk import modelio
-from egk.convergence import EpsilonSchedule, _check_output
+from egk.convergence import (
+    ConvergenceReport,
+    ConvergenceRow,
+    EpsilonSchedule,
+    _build_member,
+    _check_output,
+    _check_scheme,
+    _require_hypotheses,
+)
 from egk.dominance import Elimination, EliminationRound, Restriction
 from egk.epistemic import LexEpistemicModel, Pair
 from egk.errors import InputError
@@ -126,7 +138,8 @@ from egk.kripke import (
     rat,
     weight_sum,
 )
-from egk.ordered import OrderedKripkeModel, StructuralReport
+from egk.epsilon import upper_common_belief
+from egk.ordered import OrderedKripkeModel, StructuralReport, common_level1_belief, lrat
 from egk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
 GRID_DENOMINATOR = 24
@@ -958,6 +971,46 @@ def reference_tails(model, rows) -> tuple[tuple, int]:
     stab_index = next(m for m, t in tails if all(
         t2 == stabilized for m2, t2 in tails if m2 >= m))
     return tuple(tails), stab_index
+
+
+def reference_verify_convergence(
+    model: OrderedKripkeModel,
+    schedule: EpsilonSchedule,
+    scheme: str = "perfect",
+) -> ConvergenceReport:
+    """``verify_convergence`` with every family member built, checked and read as a model."""
+    _check_scheme(scheme)
+    _require_hypotheses(model)
+    eps_values = schedule.values()
+    rows = []
+    events = []
+    for n, eps in enumerate(eps_values):
+        built = _build_member(model, eps, scheme)
+        _, rat_event = rat(built)
+        cb = upper_common_belief(built, eps, rat_event)
+        events.append(cb)
+        rows.append(ConvergenceRow(n, eps, model.order(rat_event), model.order(cb)))
+    _, lrat_event = lrat(model)
+    limit = common_level1_belief(model, lrat_event)
+
+    # The tail after m intersects the events from m + 1 on: one pass from the last event back.
+    tails = []
+    tail = frozenset(model.worlds)
+    for n in reversed(range(len(events))):
+        tail &= events[n]
+        tails.append((n - 1, model.order(tail)))
+    tails.reverse()
+    stabilized = tails[-1][1]
+    # Tails grow with m, so every tail from the first equal to the last is the last.
+    stab_index = next(m for m, t in tails if t == stabilized)
+    return ConvergenceReport(
+        rows=tuple(rows),
+        cb1_lrat=model.order(limit),
+        tails=tuple(tails),
+        stabilization_index=stab_index,
+        stabilized=stabilized,
+        matches=stabilized == model.order(limit),
+    )
 
 
 def reference_level_masses(levels, eps: Fraction, scheme: str) -> list[Fraction]:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from egk import cli, modelio
+from egk import cli, convergence, modelio
 from egk.convergence import (
     SCHEMES,
     EpsilonSchedule,
@@ -30,6 +30,7 @@ from oracles import (
     reference_level_masses,
     reference_tail_bound,
     reference_tails,
+    reference_verify_convergence,
 )
 
 ONE = F(1)
@@ -560,3 +561,96 @@ def test_tails_in_one_pass_match_the_quadratic_tails(kind, seed, ratio, count, s
     report = verify_convergence(model, EpsilonSchedule(ratio, count), scheme)
     assert (report.tails, report.stabilization_index) == reference_tails(model, report.rows)
     assert report.stabilized == report.tails[-1][1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("class-constant", "wild")), st.integers(0, 10**6),
+       st.fractions(min_value=F(1, 10), max_value=F(7, 10), max_denominator=10),
+       st.integers(1, 6), st.sampled_from(SCHEMES))
+# Sources whose tails differ from the last one, rare in random draws.
+@example("class-constant", 11, F(7, 10), 4, "perfect")
+@example("class-constant", 63, F(7, 10), 2, "proper")
+@example("wild", 129, F(7, 10), 6, "perfect")
+@example("wild", 129, F(7, 10), 6, "proper")
+# Its levels push forward to totals of different sizes, which the rows must
+# put over one scale before weighting them by mass.
+@example("wild", 44, F(1, 2), 6, "perfect")
+def test_rows_from_level_tables_match_the_built_members(kind, seed, ratio, count, scheme):
+    rng = random.Random(seed)
+    model = (random_ordered_model(rng, random_game(rng)) if kind == "class-constant"
+             else _wild_ordered_model(rng))
+    schedule = EpsilonSchedule(ratio, count)
+    assert _outcome(verify_convergence, model, schedule, scheme) == \
+        _outcome(reference_verify_convergence, model, schedule, scheme)
+
+
+def _count_members(monkeypatch) -> list:
+    """Patch ``ProbKripkeModel``'s constructor to log one entry per model built."""
+    built = []
+    init = ProbKripkeModel.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProbKripkeModel, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_only_emitted_members_are_built_and_each_is_checked(scheme, monkeypatch):
+    model = myerson_ordered_model()
+    schedule = EpsilonSchedule(F(1, 3), 4)
+    built = _count_members(monkeypatch)
+    report = verify_convergence(model, schedule, scheme)
+    assert built == []
+    checked = []
+    check = convergence._check_output
+
+    def recording(source, out, *args):
+        check(source, out, *args)
+        checked.append(out)
+
+    monkeypatch.setattr(convergence, "_check_output", recording)
+    emitted = []
+    assert verify_convergence(model, schedule, scheme,
+                              lambda n, member: emitted.append((n, member))) == report
+    assert len(built) == len(emitted) == schedule.count
+    assert [n for n, _ in emitted] == list(range(schedule.count))
+    for (_, member), eps in zip(emitted, schedule.values()):
+        assert any(member is out for out in checked)
+        assert member == build_epsilon_model(model, eps, scheme)
+
+
+def _deep_masses(times):
+    """``_level_masses`` for two levels that gives level 2 ``times`` eps of the whole."""
+    return lambda levels, eps, scheme: [eps.denominator - times * eps.numerator,
+                                        times * eps.numerator]
+
+
+def test_off_primary_weight_above_eps_raises_the_member_check_message(monkeypatch):
+    # Each deeper level of the fixture is one world, so it weighs twice eps.
+    monkeypatch.setattr(convergence, "_level_masses", _deep_masses(2))
+    model = myerson_ordered_model()
+    message = "weight 1/2 on off-primary world w2 exceeds eps 1/4"
+    with pytest.raises(InputError) as exc:
+        build_epsilon_model(model, F(1, 4))
+    assert str(exc.value) == message
+    schedule = EpsilonSchedule(F(1, 2), 3)
+    for on_member in (None, lambda n, member: None):
+        with pytest.raises(InputError) as exc:
+            verify_convergence(model, schedule, "perfect", on_member)
+        assert str(exc.value) == message
+
+
+def test_off_primary_weight_equal_to_eps_is_within_the_bound(monkeypatch):
+    # Each deeper level of the fixture is one world weighing exactly eps:
+    # not above it, so no error and no upper view holds it.
+    monkeypatch.setattr(convergence, "_level_masses", _deep_masses(1))
+    model = myerson_ordered_model()
+    schedule = EpsilonSchedule(F(1, 2), 3)
+    emitted = []
+    report = verify_convergence(model, schedule, "perfect",
+                                lambda n, member: emitted.append(member))
+    assert report == reference_verify_convergence(model, schedule, "perfect")
+    assert emitted[0].p[0]["w1"] == {"w1": F(3, 4), "w2": F(1, 4)}
