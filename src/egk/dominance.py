@@ -4,9 +4,9 @@ Strict and weak dominance by mixed strategies are rational feasibility
 questions, decided by the exact simplex in :mod:`egk.lp` on LPs built from
 the game's compiled integer payoff rows.  Dominator supports exclude the
 candidate strategy itself; this is without loss of generality and keeps the
-LPs small.  A strategy that is a best reply to a surviving pure opponent
-strategy (the unique one, for weak dominance) is undominated, and is
-certified so by integer comparisons on the same rows, without an LP.
+LPs small.  A best reply to a surviving pure opponent strategy (the unique
+one, for weak dominance) is undominated: one integer pass over the rows per
+player and round certifies all of them, and only the rest run an LP.
 """
 
 from __future__ import annotations
@@ -76,21 +76,25 @@ def _rows(
     return cands, [rows[i][t] for t in cands], rows[i][s_i], cols, dens[i]
 
 
-def _pure_best_reply(
-    rivals: list[tuple[int, ...]], own: tuple[int, ...], cols: list[int], unique: bool
-) -> bool:
-    """Whether ``own`` is a best reply among ``rivals`` to one opponent strategy of ``cols``.
+def _pure_best_replies(
+    rows: dict[str, tuple[int, ...]], strategies: tuple[str, ...], cols: list[int], unique: bool
+) -> set[str]:
+    """The ``strategies`` that are a best reply among them to one opponent strategy of ``cols``.
 
-    With ``unique``, every rival must do strictly worse there.  A best reply
-    at a surviving ``o`` is not strictly dominated within the restriction:
-    no mixture of the others earns more there.  A unique one is not weakly
-    dominated either: every mixture of the others earns less there.
+    With ``unique``, a strategy counts only where it reaches the maximum alone.
+    A best reply at a surviving ``o`` is not strictly dominated within the
+    restriction: no mixture of the others earns more there.  A unique one is
+    not weakly dominated either: every mixture of the others earns less there.
     """
+    columns = list(zip(*(rows[s] for s in strategies)))
+    found = set()
     for k in cols:
-        best = max(row[k] for row in rivals)
-        if best < own[k] or (not unique and best == own[k]):
-            return True
-    return False
+        best = max(columns[k])
+        if columns[k].count(best) == 1:
+            found.add(strategies[columns[k].index(best)])
+        elif not unique:
+            found.update(s for s, v in zip(strategies, columns[k]) if v == best)
+    return found
 
 
 def strictly_dominated(
@@ -102,7 +106,7 @@ def strictly_dominated(
     ``s_i`` is dominated iff the optimum is positive.
     """
     cands, rivals, own, cols, den = _rows(game, r, i, s_i)
-    if not cands or _pure_best_reply(rivals, own, cols, unique=False):
+    if s_i in _pure_best_replies(_compiled(game)[0][i], r.sets[i], cols, unique=False):
         return None
     k = len(cands)
     # Variables: dominator weights, then the free margin split as d+ - d-.
@@ -126,7 +130,7 @@ def weakly_dominated(
     the optimum is positive.
     """
     cands, rivals, own, cols, den = _rows(game, r, i, s_i)
-    if not cands or _pure_best_reply(rivals, own, cols, unique=True):
+    if s_i in _pure_best_replies(_compiled(game)[0][i], r.sets[i], cols, unique=True):
         return None
     k = len(cands)
     nm = len(cols)
@@ -187,11 +191,17 @@ def justifying_belief(
 def _eliminate_round(
     game: Game, r: Restriction, phase: str
 ) -> tuple[Restriction, EliminationRound | None]:
-    test = weakly_dominated if phase == "weak" else strictly_dominated
+    """One ``phase`` round within ``r``: per player, one screen certifies the pure
+    best replies, and only the survivors it leaves out run the per-strategy test."""
+    unique = phase == "weak"
+    test = weakly_dominated if unique else strictly_dominated
+    rows, index, _ = _compiled(game)
     elims = []
     for i in (0, 1):
+        cols = [index[other(i)][o] for o in r.sets[other(i)]]
+        screened = _pure_best_replies(rows[i], r.sets[i], cols, unique)
         for s in r.sets[i]:
-            dom = test(game, r, i, s)
+            dom = None if s in screened else test(game, r, i, s)
             if dom is not None:
                 elims.append(Elimination(i, s, dom))
     if not elims:

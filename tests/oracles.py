@@ -303,6 +303,23 @@ def verify_justifier(game, r, i, s_i, mix) -> bool:
     return all(target >= eu(s) for s in r.sets[i])
 
 
+def reference_pure_best_reply(
+    rivals: list[tuple[int, ...]], own: tuple[int, ...], cols: list[int], unique: bool
+) -> bool:
+    """Whether ``own`` is a best reply among ``rivals`` to one opponent strategy of ``cols``.
+
+    With ``unique``, every rival must do strictly worse there.  A best reply
+    at a surviving ``o`` is not strictly dominated within the restriction:
+    no mixture of the others earns more there.  A unique one is not weakly
+    dominated either: every mixture of the others earns less there.
+    """
+    for k in cols:
+        best = max(row[k] for row in rivals)
+        if best < own[k] or (not unique and best == own[k]):
+            return True
+    return False
+
+
 def reference_strictly_dominated(
     game: Game, r: Restriction, i: int, s_i: str
 ) -> MixedStrategy | None:

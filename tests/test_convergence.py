@@ -572,9 +572,11 @@ def test_tails_in_one_pass_match_the_quadratic_tails(kind, seed, ratio, count, s
 @example("class-constant", 63, F(7, 10), 2, "proper")
 @example("wild", 129, F(7, 10), 6, "perfect")
 @example("wild", 129, F(7, 10), 6, "proper")
-# Its levels push forward to totals of different sizes, which the rows must
-# put over one scale before weighting them by mass.
+# Their levels push forward to totals of different sizes, which the rows must
+# put over one scale before weighting them by mass; the second is the only
+# source found that shows it under the proper scheme.
 @example("wild", 44, F(1, 2), 6, "perfect")
+@example("wild", 24, F(7, 10), 6, "proper")
 def test_rows_from_level_tables_match_the_built_members(kind, seed, ratio, count, scheme):
     rng = random.Random(seed)
     model = (random_ordered_model(rng, random_game(rng)) if kind == "class-constant"

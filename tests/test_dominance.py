@@ -24,6 +24,7 @@ from oracles import (
     oracle_weakly_dominated,
     reference_elimination,
     reference_justifying_belief,
+    reference_pure_best_reply,
     reference_strictly_dominated,
     reference_weakly_dominated,
     verify_dominator,
@@ -328,16 +329,18 @@ def _planted_game(n: int) -> Game:
     return Game(("1", "2"), (rows, cols), payoffs)
 
 
-def _count_lps(monkeypatch) -> list:
-    """Patch the dominance tests' LP solver to log one entry per call."""
+def _count_calls(monkeypatch, *names) -> list:
+    """Patch the named functions of ``egk.dominance`` to log one entry per call of any."""
     calls = []
-    solve = dominance.maximize
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counting(fn):
+        def call(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(dominance, "maximize", counting)
+    for name in names:
+        monkeypatch.setattr(dominance, name, counting(getattr(dominance, name)))
     return calls
 
 
@@ -347,7 +350,10 @@ def _count_lps(monkeypatch) -> list:
     (lambda: _planted_game(6), 0),
 ], ids=["travelers-dilemma", "planted"])
 def test_only_eliminations_run_an_lp(build, eliminations, monkeypatch):
-    calls = _count_lps(monkeypatch)
+    calls = _count_calls(monkeypatch, "maximize")
+    # The rounds look both tests up as module globals, so these patches (and
+    # a tracer's spans) catch every strategy the round's screen leaves out.
+    tests = _count_calls(monkeypatch, "strictly_dominated", "weakly_dominated")
     game = build()
     found = 0
     for procedure in (dekel_fudenberg, iesds):
@@ -355,6 +361,7 @@ def test_only_eliminations_run_an_lp(build, eliminations, monkeypatch):
         found += sum(len(rnd.eliminations) for rnd in rounds)
     assert found == eliminations
     assert len(calls) == eliminations
+    assert len(tests) == len(calls)
 
 
 def test_a_best_reply_within_the_restriction_runs_no_lp(monkeypatch):
@@ -362,8 +369,48 @@ def test_a_best_reply_within_the_restriction_runs_no_lp(monkeypatch):
     game = _game(("A", "B", "C"), ("X", "Y"),
                  [[(1, 0), (0, 0)], [(0, 0), (1, 0)], [(2, 0), (2, 0)]])
     r = Restriction((("A", "B"), ("X", "Y")))
-    calls = _count_lps(monkeypatch)
+    calls = _count_calls(monkeypatch, "maximize")
     for s in ("A", "B"):
         assert strictly_dominated(game, r, 0, s) is None
         assert weakly_dominated(game, r, 0, s) is None
     assert calls == []
+
+
+def test_a_tied_best_reply_runs_no_lp_in_the_strict_test(monkeypatch):
+    # A and B tie at the top of both columns: neither is strictly dominated.
+    game = _game(("A", "B"), ("X", "Y"), [[(1, 0), (2, 0)], [(1, 0), (2, 0)]])
+    calls = _count_calls(monkeypatch, "maximize")
+    for s in ("A", "B"):
+        assert strictly_dominated(game, Restriction.full(game), 0, s) is None
+    assert calls == []
+
+
+@st.composite
+def _row_tables(draw):
+    """1-6 strategies' rows over 1-6 columns with entries in 0..2, so ties are
+    common, and a non-empty subset of the columns."""
+    width = draw(st.integers(1, 6))
+    strategies = tuple(f"s{k}" for k in range(draw(st.integers(1, 6))))
+    rows = {s: tuple(draw(st.lists(st.integers(0, 2), min_size=width, max_size=width)))
+            for s in strategies}
+    cols = draw(st.lists(st.integers(0, width - 1), min_size=1, unique=True))
+    return rows, strategies, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_tables(), st.booleans())
+# Two strategies tied at the only column's maximum: neither reaches it alone,
+# and both reach it.
+@example(({"a": (1,), "b": (1,)}, ("a", "b"), [0]), True)
+@example(({"a": (1,), "b": (1,)}, ("a", "b"), [0]), False)
+# A single strategy has no rivals: it reaches every maximum alone.
+@example(({"a": (0, 2)}, ("a",), [1]), True)
+@example(({"a": (0, 2)}, ("a",), [0, 1]), False)
+def test_one_pass_screen_matches_the_per_strategy_screen(table, unique):
+    rows, strategies, cols = table
+    expected = set()
+    for s in strategies:
+        rivals = [rows[t] for t in strategies if t != s]
+        if not rivals or reference_pure_best_reply(rivals, rows[s], cols, unique):
+            expected.add(s)
+    assert dominance._pure_best_replies(rows, strategies, cols, unique) == expected
