@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a check found violations (or a convergence
-mismatch), 2 on malformed files or invalid arguments.  Each command's
+mismatch), 2 on malformed files, invalid arguments, or a standard output
+that cannot take the output.  Each command's
 ``_cmd_*`` builder returns its exit code and one report, the ``--json``
 output with rationals as strings; without ``--json`` the command's
 ``_text_*`` renderer prints that same report, and the environment variable
@@ -161,10 +162,9 @@ def _cmd_model_check(args) -> tuple[int, dict]:
                 if not (0 < eps < 1 and any(v.kind in _MEASURE_KINDS for v in violations)):
                     raise
             if args.show_upper:
-                upper = {
-                    players[i]: {w: model.order(epsilon.upper_access(model, i, w, eps))
-                                 for w in model.worlds}
-                    for i in (0, 1)}
+                views = [epsilon.upper_view(model, i, eps) for i in (0, 1)]
+                upper = {players[i]: {w: model.order(views[i](w)) for w in model.worlds}
+                         for i in (0, 1)}
     else:
         from . import ordered
 
@@ -554,9 +554,15 @@ def main(argv=None) -> int:
         return 2
     try:
         sys.stdout.write(out)
+        sys.stdout.flush()
     except UnicodeEncodeError:
         print(f"error: standard output's encoding {sys.stdout.encoding!r} cannot write this "
               f"output; use --json, or --out where the command has it", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The null device takes what is still buffered, so the interpreter's last flush is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the output was written", file=sys.stderr)
         return 2
     return code
 

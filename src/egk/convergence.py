@@ -26,9 +26,10 @@ from typing import Callable, NamedTuple
 
 from .errors import InputError
 from .frozen import Frozen
-from .games import lex_best_replies, other, push_forward
+from .games import other, push_forward
 from .kripke import (
     ProbKripkeModel,
+    _playing,
     check_caution,
     check_constancy,
     common,
@@ -229,13 +230,6 @@ def _level_table(model: OrderedKripkeModel, i: int, levels, holders) -> _LevelTa
         tuple(tuple((w1, v.numerator * (den // v.denominator)) for w1, v in level.items())
               for level in levels),
         den)
-
-
-def _playing(model: OrderedKripkeModel, i: int, holders, levels) -> list[str]:
-    """The ``holders`` where player ``i`` plays a lexicographic best reply to ``levels``."""
-    best = lex_best_replies(model.game, i, levels)
-    own = model.sigma[i]
-    return [w for w in holders if own[w] in best]
 
 
 def _above(table: _LevelTable, masses: list[int], eps: Fraction) -> frozenset[str]:

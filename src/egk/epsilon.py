@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import InputError
-from .games import optimal_pure, other, point_mass
+from .games import lex_best_replies, other
 from .kripke import EventSet, ProbKripkeModel, Violation, box, common, per_belief, rat
 # The core's caution check, under the name callers of this module know.
 from .kripke import check_caution as check_prob_caution
@@ -53,7 +53,8 @@ def check_trembling(
                     why = f"the opponent's strategy {opp!r} is not optimal"
                 else:
                     if opp not in replies:
-                        replies[opp] = optimal_pure(model.game, i, point_mass(j, opp))
+                        unit = tuple(int(s == opp) for s in model.game.strategies[j])
+                        replies[opp] = lex_best_replies(model.game, i, (unit,))
                     if own in replies[opp]:
                         continue
                     why = f"{own!r} is not a best reply to {opp!r}"
@@ -69,32 +70,25 @@ def _check_eps(eps: Fraction) -> Fraction:
     return eps
 
 
-def upper_access(model: ProbKripkeModel, i: int, w: str, eps: Fraction) -> frozenset[str]:
-    """Accessible worlds with belief weight strictly above ``eps``."""
-    eps = _check_eps(eps)
-    return _above(model.p[i][w], eps)
-
-
 def _above(dist, eps: Fraction) -> frozenset[str]:
     """Worlds weighted strictly above ``eps``, by integer cross-multiplication."""
     n, d = eps.numerator, eps.denominator
     return frozenset(w1 for w1, v in dist.items() if v.numerator * d > n * v.denominator)
 
 
-def _upper_view(model: ProbKripkeModel, i: int, eps: Fraction) -> Callable[[str], frozenset[str]]:
-    """Player ``i``'s worlds weighted strictly above an already checked ``eps``, once per group."""
+def upper_view(model: ProbKripkeModel, i: int, eps: Fraction) -> Callable[[str], frozenset[str]]:
+    """The worlds player ``i`` weights strictly above ``eps``, found once per kept belief group."""
+    eps = _check_eps(eps)
     return per_belief(model.groups(i), lambda dist: _above(dist, eps)).__getitem__
 
 
 def upper_belief(
     model: ProbKripkeModel, i: int, eps: Fraction, event: Iterable[str]
 ) -> EventSet:
-    eps = _check_eps(eps)
-    return box(model, _upper_view(model, i, eps), event)
+    return box(model, upper_view(model, i, eps), event)
 
 
 def upper_common_belief(
     model: ProbKripkeModel, eps: Fraction, event: Iterable[str]
 ) -> EventSet:
-    eps = _check_eps(eps)
-    return common(model, (_upper_view(model, 0, eps), _upper_view(model, 1, eps)), event)
+    return common(model, (upper_view(model, 0, eps), upper_view(model, 1, eps)), event)

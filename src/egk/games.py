@@ -90,10 +90,6 @@ class MixedStrategy(Frozen):
         super().__init__(owner, cleaned)
 
 
-def point_mass(owner: int, s: str) -> MixedStrategy:
-    return MixedStrategy(owner, {s: Fraction(1)})
-
-
 def expected_utility(game: Game, i: int, s_i: str, mix_j: MixedStrategy) -> Fraction:
     """Expected payoff of ``s_i`` against the opponent mixture ``mix_j``."""
     game.check_strategy(i, s_i)
@@ -106,18 +102,6 @@ def expected_utility(game: Game, i: int, s_i: str, mix_j: MixedStrategy) -> Frac
         profile = (s_i, s_j) if i == 0 else (s_j, s_i)
         total += w * game.payoff(i, *profile)
     return total
-
-
-def optimal_pure(game: Game, i: int, mix_j: MixedStrategy) -> frozenset[str]:
-    """Strategies of ``i`` maximizing expected utility against ``mix_j``."""
-    j = other(i)
-    if mix_j.owner != j:
-        raise InputError(f"mixture owner is player index {mix_j.owner}, expected {j}")
-    return lex_best_replies(game, i, (push_forward(game, j, mix_j.weights, _itself),))
-
-
-def _itself(label: str) -> str:
-    return label
 
 
 def push_forward(

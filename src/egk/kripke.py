@@ -436,7 +436,7 @@ def box(model: StandardKripkeModel | FramedModel, view: Callable, event: Iterabl
     """Worlds ``w`` with ``view(w)`` inside the event: one player's belief.
 
     ``view`` maps a world to R_i (plain belief), the level-1 support (primary belief,
-    ``ordered.level1_access``) or the worlds weighted strictly above eps (``epsilon.upper_access``).
+    ``ordered.level1_view``) or the worlds weighted strictly above eps (``epsilon.upper_view``).
     """
     ev = model.event(event)
     return frozenset(w for w in model.worlds if view(w) <= ev)
@@ -479,16 +479,20 @@ def best_reply_worlds(model: FramedModel, i: int) -> EventSet:
     a belief object, such as the members of an R_i class, cost one
     evaluation.
     """
-    game = model.game
     j = other(i)
     strategy_of = model.sigma[j].__getitem__
-    own = model.sigma[i]
     out = []
     for belief, holders in model.groups(i):
-        best = lex_best_replies(game, i, tuple(
-            push_forward(game, j, dist, strategy_of) for dist in model._as_levels(belief)))
-        out += [w for w in holders if own[w] in best]
+        out += _playing(model, i, holders, tuple(
+            push_forward(model.game, j, dist, strategy_of) for dist in model._as_levels(belief)))
     return frozenset(out)
+
+
+def _playing(model: FramedModel, i: int, holders, levels) -> list[str]:
+    """The ``holders`` where player ``i`` plays a lexicographic best reply to ``levels``."""
+    best = lex_best_replies(model.game, i, levels)
+    own = model.sigma[i]
+    return [w for w in holders if own[w] in best]
 
 
 class IesdsInclusionReport(NamedTuple):

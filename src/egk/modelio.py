@@ -521,6 +521,8 @@ def load_file(path: str) -> dict:
         raise FormatError(f"{path}: {exc.strerror or exc}")
     except ValueError as exc:  # bad syntax or bytes, a repeated key, an int past the digit limit
         raise FormatError(f"{path}: invalid JSON ({exc})")
+    except RecursionError:
+        raise FormatError(f"{path}: invalid JSON (nested too deeply)")
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object, got {_JSON_KINDS[type(data)]}")
     return data

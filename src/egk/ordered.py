@@ -7,8 +7,7 @@ Levels are 0-based internally and rendered 1-based in reports.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .kripke import (
     EventSet,
@@ -20,6 +19,7 @@ from .kripke import (
     check_caution,  # re-exported for this flavor's callers
     check_constancy as check_lambda_constancy,  # re-exported; advisory for this flavor
     common,
+    per_belief,
     validate_beliefs,
     validate_standard,
 )
@@ -64,18 +64,19 @@ def lrat(model: OrderedKripkeModel) -> tuple[tuple[EventSet, EventSet], EventSet
     return (per[0], per[1]), per[0] & per[1]
 
 
-def level1_access(model: OrderedKripkeModel, i: int, w: str) -> frozenset[str]:
-    return frozenset(model.lam[i][w][0])
+def level1_view(model: OrderedKripkeModel, i: int) -> Callable[[str], frozenset[str]]:
+    """Player ``i``'s level-1 support at each world, found once per kept belief group."""
+    return per_belief(model.groups(i), lambda levels: frozenset(levels[0])).__getitem__
 
 
 def level1_belief(model: OrderedKripkeModel, i: int, event: Iterable[str]) -> EventSet:
     """Worlds whose primary-belief support for player ``i`` lies inside the event."""
-    return box(model, partial(level1_access, model, i), event)
+    return box(model, level1_view(model, i), event)
 
 
 def common_level1_belief(model: OrderedKripkeModel, event: Iterable[str]) -> EventSet:
     """Worlds from which every world reachable by primary-belief supports lies inside the event."""
-    return common(model, tuple(partial(level1_access, model, i) for i in (0, 1)), event)
+    return common(model, (level1_view(model, 0), level1_view(model, 1)), event)
 
 
 class StructuralReport(NamedTuple):

@@ -33,10 +33,14 @@ two type-model constructors written out once per flavor, with
 built on one core in :mod:`egk.epistemic` must give exactly their cleaned
 beliefs, predicate values and errors.
 
-``reference_belief``, ``reference_level1_belief``, ``reference_upper_belief``
-and ``reference_upper_access`` are the single-player belief operators as
+``reference_belief``, ``reference_level1_belief`` and
+``reference_upper_belief`` are the single-player belief operators as
 separate per-world loops; the operators built on :func:`egk.kripke.box` must
-give exactly their results and errors.  ``reference_common_belief``,
+give exactly their results and errors.  ``reference_level1_access`` and
+``reference_upper_access`` read one world's level-1 support and its
+weights above eps; the views :func:`egk.ordered.level1_view` and
+:func:`egk.epsilon.upper_view`, built once per kept belief group, must give
+exactly their sets and errors.  ``reference_common_belief``,
 ``reference_common_level1_belief`` and ``reference_upper_common_belief``
 search, from each world on its own, every world reachable in one or more
 steps of both players' views, and keep the world when all of them lie in
@@ -49,9 +53,12 @@ with the intersection of the single-player operators and bound the common
 operators by them.
 
 ``reference_check_trembling`` keeps one loop per trembling reading, each
-testing every supported world before its weight; the one loop of
-:func:`egk.epsilon.check_trembling`, which skips a weight at most eps first,
-must give exactly its violations, in order.  ``reference_tails`` intersects
+testing every supported world before its weight, and finds the pointwise
+reading's best replies as the ``Fraction`` expected-utility maximizers
+against a ``point_mass`` mixture; the one loop of
+:func:`egk.epsilon.check_trembling`, which skips a weight at most eps first
+and finds those best replies with the integer kernel on a unit
+push-forward, must give exactly its violations, in order.  ``reference_tails`` intersects
 every tail of a convergence report from scratch and finds the stabilization
 index by comparing every later tail; ``verify_convergence``'s one reverse
 pass must give exactly its tails and index.  ``reference_verify_convergence``
@@ -129,7 +136,7 @@ from egk.convergence import (
 from egk.dominance import Elimination, EliminationRound, Restriction
 from egk.epistemic import LexEpistemicModel, Pair
 from egk.errors import InputError
-from egk.games import Game, MixedStrategy, expected_utility, optimal_pure, other, point_mass
+from egk.games import Game, MixedStrategy, expected_utility, other
 from egk.kripke import (
     ProbKripkeModel,
     StandardKripkeModel,
@@ -588,6 +595,11 @@ def reference_maximize(
     return LPResult(OPTIMAL, value, tuple(x))
 
 
+def point_mass(owner: int, s: str) -> MixedStrategy:
+    """The mixed strategy of ``owner`` that plays ``s`` for sure."""
+    return MixedStrategy(owner, {s: Fraction(1)})
+
+
 def _reference_optimal_pure(game: Game, i: int, mix_j: MixedStrategy) -> frozenset[str]:
     values = {s: expected_utility(game, i, s, mix_j) for s in game.strategies[i]}
     best = max(values.values())
@@ -862,14 +874,15 @@ def reference_common_belief(model, event):
     return _reach_inside(base.worlds, (base.access[0].__getitem__, base.access[1].__getitem__), ev)
 
 
-def _level1_access(model, i: int, w: str) -> frozenset[str]:
+def reference_level1_access(model, i: int, w: str) -> frozenset[str]:
+    """Player ``i``'s level-1 support at ``w``."""
     return frozenset(model.lam[i][w][0])
 
 
 def reference_level1_belief(model, i: int, event):
     """Worlds whose primary-belief support for player ``i`` lies inside the event."""
     ev = model.event(event)
-    return frozenset(w for w in model.worlds if _level1_access(model, i, w) <= ev)
+    return frozenset(w for w in model.worlds if reference_level1_access(model, i, w) <= ev)
 
 
 def reference_mutual_level1_belief(model, event):
@@ -877,7 +890,7 @@ def reference_mutual_level1_belief(model, event):
     ev = model.event(event)
     return frozenset(
         w for w in model.worlds
-        if (_level1_access(model, 0, w) | _level1_access(model, 1, w)) <= ev
+        if (reference_level1_access(model, 0, w) | reference_level1_access(model, 1, w)) <= ev
     )
 
 
@@ -885,7 +898,7 @@ def reference_common_level1_belief(model, event):
     """Worlds from which every world reachable by primary-belief supports is in the event."""
     ev = model.event(event)
     return _reach_inside(model.worlds, tuple(
-        lambda w, i=i: _level1_access(model, i, w) for i in (0, 1)), ev)
+        lambda w, i=i: reference_level1_access(model, i, w) for i in (0, 1)), ev)
 
 
 def _check_eps(eps: Fraction) -> Fraction:
@@ -965,7 +978,7 @@ def reference_check_trembling(
                     own = model.sigma[i][w1]
                     opp = model.sigma[j][w1]
                     if opp not in replies:
-                        replies[opp] = optimal_pure(model.game, i, point_mass(j, opp))
+                        replies[opp] = _reference_optimal_pure(model.game, i, point_mass(j, opp))
                     if own not in replies[opp] and v > eps:
                         out.append(Violation(
                             "trembling", i, (w, w1),

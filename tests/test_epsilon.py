@@ -8,9 +8,9 @@ from egk.epsilon import (
     TREMBLING_READINGS,
     check_prob_caution,
     check_trembling,
-    upper_access,
     upper_belief,
     upper_common_belief,
+    upper_view,
 )
 from egk.errors import InputError
 from egk.fixtures import myerson_game, myerson_prob_model
@@ -124,8 +124,9 @@ def test_upper_access_vacuous_when_all_weights_small():
     p = ({w: dict(p_dist) for w in worlds}, {w: dict(p_dist) for w in worlds})
     model = ProbKripkeModel(StandardKripkeModel(game, worlds, access, sigma), p)
     for i in (0, 1):
+        view = upper_view(model, i, F(2, 5))
         for w in worlds:
-            assert upper_access(model, i, w, F(2, 5)) == frozenset()
+            assert view(w) == frozenset()
         assert upper_belief(model, i, F(2, 5), ()) == frozenset(worlds)
 
 
@@ -149,11 +150,11 @@ def test_upper_operator_laws(seed):
     big = F(2, 5)
     for i in (0, 1):
         for w in model.worlds:
-            assert upper_access(model, i, w, big) <= upper_access(model, i, w, small)
+            assert upper_view(model, i, big)(w) <= upper_view(model, i, small)(w)
             # Below the smallest positive weight the threshold is invisible.
             floor = min(model.p[i][w].values()) / 2
             if 0 < floor < F(1, 2):
-                assert upper_access(model, i, w, floor) == frozenset(model.p[i][w])
+                assert upper_view(model, i, floor)(w) == frozenset(model.p[i][w])
         assert upper_belief(model, i, small, e) <= upper_belief(model, i, big, e)
     # Upper common belief is the closure of one-step upper mutual belief, bounded by it.
     mutual = upper_belief(model, 0, small, e) & upper_belief(model, 1, small, e)

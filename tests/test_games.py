@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from egk.errors import InputError
 from egk.fixtures import myerson_game
-from egk.games import Game, MixedStrategy, expected_utility, point_mass
-from oracles import lex_utility_vector
+from egk.games import Game, MixedStrategy, expected_utility
+from oracles import lex_utility_vector, point_mass
 
 
 def test_expected_utility_half_half():

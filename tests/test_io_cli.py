@@ -26,7 +26,8 @@ from egk.fixtures import (
     myerson_prob_model,
     myerson_prob_types,
 )
-from egk.kripke import ProbKripkeModel, _checks, rat, validate_beliefs
+from egk.games import Game
+from egk.kripke import ProbKripkeModel, StandardKripkeModel, _checks, rat, validate_beliefs
 from egk.ordered import OrderedKripkeModel, lrat
 from generators import random_game, random_ordered_model
 from oracles import reference_model_from_json
@@ -35,6 +36,16 @@ from oracles import reference_model_from_json
 # Digits in a number past Python's int/str conversion limit (4,300 by default,
 # sys.get_int_max_str_digits); egk's rationals have no length limit.
 _LONG = 5000
+
+
+class _Raw(str):
+    """JSON text written into a document as it is, not as a JSON string."""
+
+
+# Nesting far past the interpreter's recursion limit, which json.load recurses against.
+_DEEP = 100_000
+_NESTED_ARRAY = _Raw("[" * _DEEP + "]" * _DEEP)
+_NESTED_OBJECT = _Raw('{"a":' * _DEEP + "1" + "}" * _DEEP)
 
 
 def write(tmp_path, name, payload):
@@ -83,6 +94,20 @@ def test_cli_what_json_refuses_besides_syntax_is_invalid_json(raw, tmp_path, cap
     path.write_bytes(json.dumps(data).encode().replace(b'"RAW"', raw))
     assert cli.main(["game", "analyze", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON (")
+
+
+@pytest.mark.parametrize("text", [
+    _NESTED_ARRAY,
+    _NESTED_OBJECT,
+    '{"worlds": ' + "[" * 2000 + "]" * 2000 + "}",
+], ids=["array", "object", "model-worlds"])
+def test_cli_json_nested_too_deeply_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert cli.main(["model", "check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: {path}: invalid JSON (nested too deeply)\n")
 
 
 def test_cli_model_check_with_an_eps_past_the_digit_limit(capsys):
@@ -808,6 +833,27 @@ def test_cli_operator_preconditions_exit_2(model, args, worlds, message, tmp_pat
     assert captured.out == ""
 
 
+def _without_worlds(tmp_path) -> str:
+    """The probabilistic fixture with every world removed."""
+    data = json.loads(Path(_PROB).read_text(encoding="utf-8"))
+    data["worlds"] = []
+    for key in ("access", "sigma", "p"):
+        data[key] = {player: {} for player in data[key]}
+    return write(tmp_path, "empty.json", data)
+
+
+@pytest.mark.parametrize("eps", ["1/2", "3/4"])
+@pytest.mark.parametrize("empty", [False, True], ids=["fixture", "no-worlds"])
+def test_show_upper_rejects_a_threshold_of_one_half_or_more(eps, empty, tmp_path, capsys):
+    # The trembling bound accepts eps in (0, 1); the upper view needs (0, 1/2),
+    # and is checked once per player, so a model with no worlds is refused too.
+    path = _without_worlds(tmp_path) if empty else _PROB
+    assert cli.main(["model", "check", path, "--eps", eps, "--show-upper"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: threshold must lie in (0, 1/2), got {eps}\n")
+
+
 @pytest.mark.parametrize("count", ["1_0", "\u0663", " 3", "+2", "3 ", "x", "9" * _LONG],
                          ids=["underscore", "arabic-indic", "space", "plus", "trailing-space",
                               "letter", "past-digit-limit"])
@@ -1104,12 +1150,16 @@ def _one_node_edits(draw):
 @example(("game", ("players", 1), ["x"], False))              # text report on a list player
 @example(("ordered", ("sigma", "1", "w1"), "x", False))       # the constructor's complaint
 @example(("prob_types", ("beliefs", "1", "t1", "C,t2"), 5, True))  # ... of a type model
+@example(("game", (), _NESTED_ARRAY, False))                  # nested past the recursion limit
+@example(("prob", ("p", "1", "w1"), _NESTED_OBJECT, True))    # ... at a belief
 def test_one_node_edits_exit_cleanly(edit):
     name, path, value, as_json = edit
     doc, command = _FUZZ_TARGETS[name]
     with tempfile.TemporaryDirectory() as tmp:
         file = str(Path(tmp) / "input.json")
-        Path(file).write_text(json.dumps(_replace(doc, path, value)))
+        raw = isinstance(value, _Raw)
+        text = json.dumps(_replace(doc, path, "RAW" if raw else value))
+        Path(file).write_text(text.replace('"RAW"', value) if raw else text)
         argv = [file if a == "@" else a for a in command] + (["--json"] if as_json else [])
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1249,6 +1299,34 @@ def test_text_that_stdout_cannot_encode_exits_2(argv, tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, b"", b"error: standard output's encoding 'ascii' cannot write this output; "
                 b"use --json, or --out where the command has it\n")
+
+
+def _large_model(tmp_path) -> str:
+    """A standard model of 225 worlds, one per profile of a 15x15 game, each seeing itself."""
+    rows, cols = (tuple(f"{x}{k}" for k in range(15)) for x in "rc")
+    game = Game(("1", "2"), (rows, cols), {(r, c): (F(0), F(0)) for r in rows for c in cols})
+    worlds = tuple(f"{r},{c}" for r in rows for c in cols)
+    itself = {w: {w} for w in worlds}
+    sigma = tuple({w: w.split(",")[i] for w in worlds} for i in (0, 1))
+    model = StandardKripkeModel(game, worlds, (itself, itself), sigma)
+    return write(tmp_path, "large.json", modelio.model_to_json(model))
+
+
+@pytest.mark.parametrize("command", [["game", "analyze"], ["export", "dot"]], ids=["game", "dot"])
+def test_a_closed_stdout_exits_2(command, tmp_path):
+    # The game report is smaller than stdout's buffer and fails at the flush; the
+    # DOT text of 225 worlds is larger and fails at the write.
+    path = str(_FIXTURES / "myerson_game.json") if command[0] == "game" else _large_model(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    read, write_end = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "egk.cli", *command, path], cwd=tmp_path,
+                              env=env, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (
+        2, b"error: standard output was closed before the output was written\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -24,13 +24,14 @@ from egk.errors import InputError
 from egk.fixtures import myerson_prob_model
 from egk.games import Game
 from egk.kripke import ProbKripkeModel, StandardKripkeModel, belief, common_belief
-from egk.epsilon import upper_access, upper_belief, upper_common_belief
-from egk.ordered import OrderedKripkeModel, common_level1_belief, level1_belief
+from egk.epsilon import upper_belief, upper_common_belief, upper_view
+from egk.ordered import OrderedKripkeModel, common_level1_belief, level1_belief, level1_view
 from generators import random_game, random_ordered_model, random_prob_model
 from oracles import (
     reference_belief,
     reference_common_belief,
     reference_common_level1_belief,
+    reference_level1_access,
     reference_level1_belief,
     reference_upper_access,
     reference_upper_belief,
@@ -113,11 +114,14 @@ def test_box_operators_match_reference(model, data):
         (outcome(common_belief, model, event), outcome(reference_common_belief, model, event)),
     ]
     if isinstance(model, OrderedKripkeModel):
+        w = data.draw(st.sampled_from(model.worlds))
         pairs += [
             (outcome(level1_belief, model, i, event),
              outcome(reference_level1_belief, model, i, event)),
             (outcome(common_level1_belief, model, event),
              outcome(reference_common_level1_belief, model, event)),
+            (outcome(lambda: level1_view(model, i)(w)),
+             outcome(reference_level1_access, model, i, w)),
         ]
     if isinstance(model, ProbKripkeModel):
         eps = data.draw(thresholds(model))
@@ -127,7 +131,7 @@ def test_box_operators_match_reference(model, data):
              outcome(reference_upper_belief, model, i, eps, event)),
             (outcome(upper_common_belief, model, eps, event),
              outcome(reference_upper_common_belief, model, eps, event)),
-            (outcome(upper_access, model, i, w, eps),
+            (outcome(lambda: upper_view(model, i, eps)(w)),
              outcome(reference_upper_access, model, i, w, eps)),
         ]
     for got, want in pairs:

@@ -15,8 +15,8 @@ from egk.ordered import (
     check_lambda_constancy,
     check_structural_conditions,
     common_level1_belief,
-    level1_access,
     level1_belief,
+    level1_view,
     lrat,
     validate_ordered,
 )
@@ -209,8 +209,9 @@ def test_level1_operator_laws(seed):
         if e <= f:
             assert level1_belief(model, i, e) <= level1_belief(model, i, f)
         # Primary supports refine accessibility, so plain belief implies level-1 belief.
+        view = level1_view(model, i)
         for w in worlds:
-            assert level1_access(model, i, w) <= model.access[i][w]
+            assert view(w) <= model.access[i][w]
         assert belief(model.base, i, e) <= level1_belief(model, i, e)
     # Common primary belief is the closure of one-step mutual primary belief, bounded by it.
     mutual = level1_belief(model, 0, e) & level1_belief(model, 1, e)

@@ -21,7 +21,7 @@ from egk.fixtures import (
     myerson_prob_model,
     myerson_prob_types,
 )
-from egk.games import Game, MixedStrategy, optimal_pure, point_mass
+from egk.games import Game, MixedStrategy, lex_best_replies
 from egk.kripke import (
     FramedModel,
     IesdsInclusionReport,
@@ -35,6 +35,7 @@ from egk.kripke import (
 from egk.lp import LPResult
 from egk.ordered import OrderedKripkeModel, StructuralReport, check_structural_conditions
 from generators import random_ordered_model
+from oracles import point_mass
 
 
 def _one_world(strategy: str) -> StandardKripkeModel:
@@ -134,7 +135,7 @@ def test_validated_records_are_unequal_across_classes():
 
 def test_equal_games_stay_equal_after_one_is_compiled():
     game, again = myerson_game(), myerson_game()
-    assert optimal_pure(game, 0, point_mass(1, "C")) == {"A"}
+    assert lex_best_replies(game, 0, ((1, 0),)) == {"A"}
     assert game._compiled is not None
     assert getattr(again, "_compiled", None) is None
     assert game == again
