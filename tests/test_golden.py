@@ -5,7 +5,8 @@ kept beside the golden files, and compares its exit code and standard
 output with ``tests/golden/<name>.out``, in ``--json`` mode and, for the
 ``*_text`` cases, in text mode with ``EGK_COLOR`` unset
 (set to ``1`` for the ``*_color`` cases); ``converge --emit-family`` also
-compares the written member files with ``tests/golden/family/``, and a
+compares the written member files with ``tests/golden/family/`` (the
+``perfect`` scheme) or ``tests/golden/family_proper/`` (``proper``), and a
 command given ``--out``/``--event-out`` compares the file it wrote with
 ``tests/golden/written/<name>.out``.  The ``help_*`` cases pin ``--help``
 of every parser at ``COLUMNS=80`` (argparse wraps to the terminal width;
@@ -40,6 +41,8 @@ STRUCTURAL = "tests/golden/ordered_structural.json"
 CROSS_CLUSTER = "tests/golden/ordered_cross_cluster.json"
 CROSS_CLUSTER_LRAT = "tests/golden/event_cross_cluster_lrat.json"
 FAMILY = "family"
+FAMILY_PROPER = "family_proper"
+FAMILIES = (FAMILY, FAMILY_PROPER)
 OUT = "out"
 WRITTEN = "written"
 
@@ -87,6 +90,9 @@ CASES = {
     "converge_proper": (
         ["converge", ORDERED, "--schedule", "geometric:1/3,4", "--scheme", "proper",
          "--json"], 0),
+    "converge_proper_family": (
+        ["converge", ORDERED, "--schedule", "geometric:1/3,4", "--scheme", "proper",
+         "--emit-family", FAMILY_PROPER, "--json"], 0),
     "export_dot_ordered": (["export", "dot", ORDERED], 0),
     "export_dot_prob": (["export", "dot", PROB], 0),
     "model_operators_b_ordered": (
@@ -137,11 +143,11 @@ CASES.update({
 })
 
 
-def _argv(argv: list[str], family: Path, written: Path) -> list[str]:
+def _argv(argv: list[str], families: Path, written: Path) -> list[str]:
     out = []
     for arg in argv:
-        if arg == FAMILY:
-            out.append(str(family))
+        if arg in FAMILIES:
+            out.append(str(families / arg))
         elif arg == OUT:
             out.append(str(written))
         elif arg.startswith(("fixtures/", "tests/")):
@@ -167,18 +173,19 @@ def test_cli_output_matches_golden(name, tmp_path, capsys, monkeypatch):
     else:
         monkeypatch.delenv("EGK_COLOR", raising=False)
     argv, code = CASES[name]
-    assert _run(_argv(argv, tmp_path / FAMILY, tmp_path / OUT)) == code
+    assert _run(_argv(argv, tmp_path, tmp_path / OUT)) == code
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (GOLDEN / f"{name}.out").read_text()
     if OUT in argv:
         assert (tmp_path / OUT).read_text() == (GOLDEN / WRITTEN / f"{name}.out").read_text()
-    if FAMILY in argv:
-        expected = sorted(p.name for p in (GOLDEN / FAMILY).iterdir())
-        assert sorted(os.listdir(tmp_path / FAMILY)) == expected
-        for member in expected:
-            assert ((tmp_path / FAMILY / member).read_text()
-                    == (GOLDEN / FAMILY / member).read_text())
+    for family in FAMILIES:
+        if family in argv:
+            expected = sorted(p.name for p in (GOLDEN / family).iterdir())
+            assert sorted(os.listdir(tmp_path / family)) == expected
+            for member in expected:
+                assert ((tmp_path / family / member).read_text()
+                        == (GOLDEN / family / member).read_text())
 
 
 def test_fixture_generator_reproduces_fixtures(tmp_path):
@@ -205,7 +212,7 @@ def _regenerate() -> None:
             os.environ.pop("EGK_COLOR", None)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            got = _run(_argv(argv, GOLDEN / FAMILY, GOLDEN / WRITTEN / f"{name}.out"))
+            got = _run(_argv(argv, GOLDEN, GOLDEN / WRITTEN / f"{name}.out"))
         if got != code:
             raise SystemExit(f"{name}: exit {got}, expected {code}")
         (GOLDEN / f"{name}.out").write_text(out.getvalue())
