@@ -29,7 +29,6 @@ from .modelio import format_rational, parse_rational
 
 if TYPE_CHECKING:
     from .convergence import EpsilonSchedule
-    from .kripke import ProbKripkeModel
 
 
 def _paint(text: str, code: str) -> str:
@@ -153,6 +152,11 @@ def _cmd_model_check(args) -> tuple[int, dict]:
         violations += epsilon.check_prob_caution(model)
         if args.eps is not None:
             eps = parse_rational(args.eps, "--eps")
+            if args.show_upper and 0 < eps < 1:
+                # First, so that a threshold the upper view refuses costs no trembling check.
+                views = [epsilon.upper_view(model, i, eps) for i in (0, 1)]
+                upper = {players[i]: {w: model.order(views[i](w)) for w in model.worlds}
+                         for i in (0, 1)}
             try:
                 violations += epsilon.check_trembling(
                     model, eps, args.trembling_reading or "belief")
@@ -161,10 +165,6 @@ def _cmd_model_check(args) -> tuple[int, dict]:
                 # not probabilities leave undefined; those are listed already.
                 if not (0 < eps < 1 and any(v.kind in _MEASURE_KINDS for v in violations)):
                     raise
-            if args.show_upper:
-                views = [epsilon.upper_view(model, i, eps) for i in (0, 1)]
-                upper = {players[i]: {w: model.order(views[i](w)) for w in model.worlds}
-                         for i in (0, 1)}
     else:
         from . import ordered
 
@@ -391,18 +391,16 @@ def _cmd_converge(args) -> tuple[int, dict]:
     model = _load_model(args.file, args.game)
     if not isinstance(model, ordered.OrderedKripkeModel):
         raise InputError("converge expects an ordered model")
-    schedule = _parse_schedule(args.schedule)
-
-    def emit(n: int, member: ProbKripkeModel) -> None:
+    result = convergence.verify_convergence(model, _parse_schedule(args.schedule), args.scheme)
+    if args.emit_family:
         try:
             os.makedirs(args.emit_family, exist_ok=True)
         except OSError as exc:
             raise InputError(f"{args.emit_family}: {exc.strerror or exc}")
-        _save(os.path.join(args.emit_family, f"model_{n:02d}.json"),
-              modelio.model_to_json(member))
-
-    result = convergence.verify_convergence(
-        model, schedule, args.scheme, emit if args.emit_family else None)
+        for row in result.rows:
+            member = convergence.build_epsilon_model(model, row.eps, args.scheme)
+            _save(os.path.join(args.emit_family, f"model_{row.n:02d}.json"),
+                  modelio.model_to_json(member))
     return (0 if result.matches else 1), {
         "rows": [
             {"n": row.n, "eps": format_rational(row.eps),

@@ -13,8 +13,7 @@ lexicographic rationality on the source.
 A member's belief is a mass-weighted sum of the source's disjoint levels,
 so its rows are read from one table per kept source group: the levels
 pushed onto the opponent's strategies and the level weights as integers.
-A member is built as a model only when a caller asks for it
-(``build_epsilon_model``, or ``verify_convergence``'s ``on_member``).
+A member is built as a model only by ``build_epsilon_model``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import InputError
 from .frozen import Frozen
@@ -125,25 +124,20 @@ def _level_masses(levels, eps: Fraction, scheme: str) -> list[int]:
 def build_epsilon_model(
     model: OrderedKripkeModel, eps: Fraction, scheme: str = "perfect"
 ) -> ProbKripkeModel:
-    """The probabilistic model at threshold ``eps`` over the same frame."""
+    """The probabilistic model at threshold ``eps`` over the same frame.
+
+    Each of the source's kept belief groups gets one belief, built once and
+    shared by its worlds, so every reader of the member evaluates it once.
+    """
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     _check_scheme(scheme)
     _require_hypotheses(model)
-    return _build_member(model, eps, scheme)
-
-
-def _build_member(model: OrderedKripkeModel, eps: Fraction, scheme: str) -> ProbKripkeModel:
-    """Build and check one family member; the source-only checks are the caller's.
-
-    Each of the source's kept belief groups gets one belief, built once and
-    shared by its worlds, so every reader of the member evaluates it once.
-    """
     p = tuple(per_belief(model.groups(i), lambda levels: _member_belief(levels, eps, scheme))
               for i in (0, 1))
     out = ProbKripkeModel(model.base, p)
-    _check_output(model, out, eps, not check_constancy(model))
+    _check_output(model, out, eps)
     return out
 
 
@@ -159,9 +153,7 @@ def _member_belief(levels, eps: Fraction, scheme: str) -> dict[str, Fraction]:
     return dist
 
 
-def _check_output(
-    source: OrderedKripkeModel, out: ProbKripkeModel, eps: Fraction, lam_constant: bool
-) -> None:
+def _check_output(source: OrderedKripkeModel, out: ProbKripkeModel, eps: Fraction) -> None:
     """Reject a member that is not a valid, cautious model meeting the eps bound.
 
     Worlds that share a member belief share their source levels, so the
@@ -170,7 +162,7 @@ def _check_output(
     for v in validate_beliefs(out):
         # Belief constancy can only fail where the source levels already
         # varied inside a class; everything else is a construction bug.
-        if v.kind == "p-constancy" and not lam_constant:
+        if v.kind == "p-constancy" and check_constancy(source):
             continue
         raise InputError(f"built model is invalid: {v}")
     if check_caution(out):
@@ -275,7 +267,6 @@ def verify_convergence(
     model: OrderedKripkeModel,
     schedule: EpsilonSchedule,
     scheme: str = "perfect",
-    on_member: Callable[[int, ProbKripkeModel], None] | None = None,
 ) -> ConvergenceReport:
     """Compare the tail of upper common belief in rationality with its limit.
 
@@ -286,9 +277,7 @@ def verify_convergence(
     rationality on the source model.  The rows are read from one level
     table per kept source group, made once per call; the limit's
     lexicographic rationality is read from the same pushed levels.  No
-    member is built unless ``on_member(n, member)`` is given: it then
-    receives each member, built and checked as ``build_epsilon_model``
-    does, so a caller can keep or write the family.
+    member is built.
     """
     _check_scheme(scheme)
     _require_hypotheses(model)
@@ -297,8 +286,6 @@ def verify_convergence(
     rows = []
     events = []
     for n, eps in enumerate(schedule.values()):
-        if on_member is not None:
-            on_member(n, _build_member(model, eps, scheme))
         rat_event, cb = _member_events(model, tables, eps, scheme)
         events.append(cb)
         rows.append(ConvergenceRow(n, eps, model.order(rat_event), model.order(cb)))

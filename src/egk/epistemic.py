@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import InputError
 from .frozen import Frozen
-from .games import Game, greatest_closed, lex_best_replies, other, push_forward
+from .games import Game, greatest_closed, lex_best_replies, other, push_forward, trembling_bound
 
 if TYPE_CHECKING:
     from .kripke import ProbKripkeModel, StandardKripkeModel
@@ -150,16 +150,9 @@ def primary_belief_in_rationality(model: LexEpistemicModel, i: int, t: str) -> b
     return _mistakes_at_most(model, i, t, Fraction(0))
 
 
-def _trembling_bound(eps: Fraction) -> Fraction:
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise InputError(f"trembling bound must lie in (0, 1), got {eps}")
-    return eps
-
-
 def eps_trembling(model: ProbEpistemicModel, i: int, t: str, eps: Fraction) -> bool:
     """Pairs whose strategy is not optimal for its type weigh at most ``eps``, in (0, 1)."""
-    return _mistakes_at_most(model, i, t, _trembling_bound(eps))
+    return _mistakes_at_most(model, i, t, trembling_bound(eps))
 
 
 class TypeProperty(NamedTuple):
@@ -178,7 +171,7 @@ def primary_rationality_property(model: LexEpistemicModel) -> TypeProperty:
 
 
 def trembling_property(model: ProbEpistemicModel, eps: Fraction) -> TypeProperty:
-    bound = _trembling_bound(eps)
+    bound = trembling_bound(eps)
     return TypeProperty(f"trembling({eps})", tuple(
         {t: eps_trembling(model, i, t, bound) for t in model.types[i]} for i in (0, 1)))
 

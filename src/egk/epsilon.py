@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import InputError
-from .games import lex_best_replies, other
+from .games import lex_best_replies, other, trembling_bound
 from .kripke import EventSet, ProbKripkeModel, Violation, box, common, per_belief, rat
 # The core's caution check, under the name callers of this module know.
 from .kripke import check_caution as check_prob_caution
@@ -31,9 +31,7 @@ def check_trembling(
     instead tests the believer's assigned strategy against the opponent's
     pure strategy at the supported world.
     """
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise InputError(f"trembling bound must lie in (0, 1), got {eps}")
+    eps = trembling_bound(eps)
     if reading not in TREMBLING_READINGS:
         raise InputError(f"unknown trembling reading {reading!r}")
     rational = rat(model)[0] if reading == "belief" else None

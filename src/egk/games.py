@@ -23,6 +23,14 @@ def other(i: int) -> int:
     return 1 - i
 
 
+def trembling_bound(eps: Fraction) -> Fraction:
+    """``eps`` as a ``Fraction``, refused outside (0, 1): the weight a mistake may carry."""
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise InputError(f"trembling bound must lie in (0, 1), got {eps}")
+    return eps
+
+
 def greatest_closed(nodes: Iterable, successors: Callable, inside: Callable) -> frozenset:
     """The largest set of ``nodes`` meeting ``inside`` whose successors all lie in it."""
     alive = {n for n in nodes if inside(n)}

@@ -62,10 +62,10 @@ push-forward, must give exactly its violations, in order.  ``reference_tails`` i
 every tail of a convergence report from scratch and finds the stabilization
 index by comparing every later tail; ``verify_convergence``'s one reverse
 pass must give exactly its tails and index.  ``reference_verify_convergence``
-builds and checks every family member, then reads RAT and upper common
-belief in it from the built member; ``verify_convergence``, which reads its
-rows from level tables of the source and builds no member unless one is
-emitted, must give exactly its report and errors.
+builds and checks every family member with ``reference_build_member``, then
+reads RAT and upper common belief in it from the built member;
+``verify_convergence``, which reads its rows from level tables of the source
+and builds no member, must give exactly its report and errors.
 
 ``reference_build_member`` builds a family member world by world, one new
 belief per world, each weight a ``Fraction`` product of the level's mass
@@ -128,7 +128,6 @@ from egk.convergence import (
     ConvergenceReport,
     ConvergenceRow,
     EpsilonSchedule,
-    _build_member,
     _check_output,
     _check_scheme,
     _require_hypotheses,
@@ -1015,7 +1014,7 @@ def reference_verify_convergence(
     rows = []
     events = []
     for n, eps in enumerate(eps_values):
-        built = _build_member(model, eps, scheme)
+        built = reference_build_member(model, eps, scheme)
         _, rat_event = rat(built)
         cb = upper_common_belief(built, eps, rat_event)
         events.append(cb)
@@ -1068,7 +1067,7 @@ def reference_tail_bound(masses: Sequence[Fraction], eps: Fraction) -> Fraction:
 
 
 def reference_build_member(
-    model: OrderedKripkeModel, eps: Fraction, scheme: str, lam_constant: bool
+    model: OrderedKripkeModel, eps: Fraction, scheme: str
 ) -> ProbKripkeModel:
     """Build and check one family member; the source-only checks are the caller's."""
     p: list[dict[str, dict[str, Fraction]]] = [{}, {}]
@@ -1084,7 +1083,7 @@ def reference_build_member(
                     dist[w1] = scale * v
             p[i][w] = dist
     out = ProbKripkeModel(model.base, (p[0], p[1]))
-    _check_output(model, out, eps, lam_constant)
+    _check_output(model, out, eps)
     return out
 
 

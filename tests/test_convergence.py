@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -20,7 +21,7 @@ from egk.errors import InputError
 from egk.fixtures import myerson_game, myerson_ordered_model, myerson_prob_model
 from egk.games import Game
 from egk.kripke import ProbKripkeModel, StandardKripkeModel, rat, validate_beliefs, validate_prob
-from egk.ordered import OrderedKripkeModel, check_lambda_constancy
+from egk.ordered import OrderedKripkeModel
 
 from generators import _random_dist, random_game, random_ordered_model
 from oracles import (
@@ -36,6 +37,7 @@ from oracles import (
 ONE = F(1)
 # Player 1's levels overlap in one class and leave w5 unweighted in the other.
 STRUCTURAL = Path(__file__).resolve().parent / "golden" / "ordered_structural.json"
+_ORDERED = Path(__file__).resolve().parent.parent / "fixtures" / "myerson_ordered.json"
 
 
 def test_schedule_values_and_validation():
@@ -74,11 +76,10 @@ def test_member_check_bounds_off_primary_weights_strictly():
     model = myerson_ordered_model()
     built = build_epsilon_model(model, F(2, 9))
     assert built.p[0]["w1"] == {"w1": F(9, 11), "w2": F(2, 11)}
-    lam_constant = not check_lambda_constancy(model)
-    _check_output(model, built, F(2, 11), lam_constant)
+    _check_output(model, built, F(2, 11))
     with pytest.raises(InputError,
                        match=r"^weight 2/11 on off-primary world w2 exceeds eps 3/17$"):
-        _check_output(model, built, F(3, 17), lam_constant)
+        _check_output(model, built, F(3, 17))
 
 
 def test_build_single_level_copies_lambda():
@@ -96,6 +97,14 @@ def test_build_single_level_copies_lambda():
     for eps in (F(1, 4), F(1, 10)):
         built = build_epsilon_model(model, eps)
         assert built.p[0]["u"] == {"u": F(2, 3), "v": F(1, 3)}
+    # The source's levels are constant on player 1's class, so a member whose
+    # belief varies there is a construction bug, and the member check says so.
+    p0 = {"u": built.p[0]["u"], "v": {"u": F(1, 3), "v": F(2, 3)}}
+    varying = ProbKripkeModel(model.base, (p0, built.p[1]))
+    with pytest.raises(InputError) as exc:
+        _check_output(model, varying, F(1, 4))
+    assert str(exc.value) == ("built model is invalid: player 1: belief at v differs from "
+                              "belief at u although v is accessible from u")
 
 
 def test_build_preserves_within_level_proportions():
@@ -289,7 +298,7 @@ def test_proper_scheme_on_random_models():
         assert report.matches
 
 
-def test_non_transitive_source_frame_is_rejected_before_any_member():
+def test_non_transitive_source_frame_is_rejected_before_any_member(monkeypatch):
     # Cautious, disjoint and surjective levels; player 1's frame is not transitive.
     game = Game(("1", "2"), (("A",), ("C", "D")),
                 {("A", "C"): (ONE, ONE), ("A", "D"): (F(0), F(0))})
@@ -303,50 +312,50 @@ def test_non_transitive_source_frame_is_rejected_before_any_member():
            {"w1": (half,), "w2": ({"w2": ONE},), "w3": (half,)})
     model = OrderedKripkeModel(StandardKripkeModel(game, worlds, access, sigma), lam)
     message = "built model is invalid: player 1: w1Rw2 and w2Rw3 but not w1Rw3"
+    built = _count_members(monkeypatch)
     for scheme in ("perfect", "proper"):
         with pytest.raises(InputError) as exc:
             build_epsilon_model(model, F(1, 4), scheme)
         assert str(exc.value) == message
-
-        def on_member(n, member):
-            raise AssertionError("no member may be built")
-
         with pytest.raises(InputError) as exc:
-            verify_convergence(model, EpsilonSchedule(F(1, 2), 3), scheme, on_member)
+            verify_convergence(model, EpsilonSchedule(F(1, 2), 3), scheme)
         assert str(exc.value) == message
+    assert built == []
 
 
-def _assert_source_rejected_before_any_member(data, message, tmp_path, capsys):
+def _assert_source_rejected_before_any_member(data, message, tmp_path, capsys, monkeypatch):
     """Both schemes reject the source through the library and ``egk converge``."""
     model = modelio.model_from_json(data)
     path = tmp_path / "source.json"
     path.write_text(modelio.dumps(data))
-
-    def on_member(n, member):
-        raise AssertionError("no member may be built")
-
+    built = _count_members(monkeypatch)
     for scheme in ("perfect", "proper"):
         with pytest.raises(InputError) as exc:
             build_epsilon_model(model, F(1, 4), scheme)
         assert str(exc.value) == message
         with pytest.raises(InputError) as exc:
-            verify_convergence(model, EpsilonSchedule(F(1, 2), 3), scheme, on_member)
+            verify_convergence(model, EpsilonSchedule(F(1, 2), 3), scheme)
         assert str(exc.value) == message
         argv = ["converge", str(path), "--schedule", "geometric:1/2,3", "--scheme", scheme]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert cli.main([*argv, "--emit-family", str(tmp_path / "family")]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not (tmp_path / "family").exists()
+    assert built == []
 
 
 @pytest.mark.parametrize("empty", [{}, {"w1": "0"}], ids=["no-weights", "zero-weight"])
-def test_empty_belief_level_is_rejected_before_any_member(empty, tmp_path, capsys):
+def test_empty_belief_level_is_rejected_before_any_member(empty, tmp_path, capsys, monkeypatch):
     # Player 1 gets a third level at w1 and w2 that weights no world.
     data = modelio.model_to_json(myerson_ordered_model())
     for w in ("w1", "w2"):
         data["lambda"]["1"][w].append(empty)
     _assert_source_rejected_before_any_member(
         data, "empty belief level: player 1: level 3 at w1 gives no world positive weight",
-        tmp_path, capsys)
+        tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("level,detail", [
@@ -354,21 +363,21 @@ def test_empty_belief_level_is_rejected_before_any_member(empty, tmp_path, capsy
     ({"w1": "3/2", "w3": "-1/2"}, "player 1: level 1 at w1 gives w3 the negative weight -1/2"),
 ], ids=["sum", "negative"])
 def test_source_level_that_is_not_a_probability_is_rejected_before_any_member(
-        level, detail, tmp_path, capsys):
+        level, detail, tmp_path, capsys, monkeypatch):
     # A member's weights would not sum to 1 either, but the source is at fault.
     data = modelio.model_to_json(myerson_ordered_model())
     data["lambda"]["1"]["w1"][0] = level
     _assert_source_rejected_before_any_member(
-        data, f"ordered model is invalid: {detail}", tmp_path, capsys)
+        data, f"ordered model is invalid: {detail}", tmp_path, capsys, monkeypatch)
 
 
-def test_source_level_off_access_is_rejected_before_any_member(tmp_path, capsys):
+def test_source_level_off_access_is_rejected_before_any_member(tmp_path, capsys, monkeypatch):
     # w3 is not accessible from w1 for player 1; a member would inherit the weight.
     data = modelio.model_to_json(myerson_ordered_model())
     data["lambda"]["1"]["w1"][0] = {"w1": "1/2", "w3": "1/2"}
     _assert_source_rejected_before_any_member(
         data, "ordered model is invalid: player 1: level 1 at w1 weights w3, not accessible",
-        tmp_path, capsys)
+        tmp_path, capsys, monkeypatch)
 
 
 def test_each_structural_message_quotes_a_violation_of_its_own_kind():
@@ -490,7 +499,7 @@ def test_member_built_per_belief_matches_the_per_world_build(kind, seed, scheme,
     else:
         source = _wild_ordered_model(rng)
     member = build_epsilon_model(source, eps, scheme)
-    reference = reference_build_member(source, eps, scheme, not check_lambda_constancy(source))
+    reference = reference_build_member(source, eps, scheme)
     assert member.p == reference.p
     if kind == "class-constant":
         for i in (0, 1):
@@ -526,7 +535,7 @@ def test_member_holds_one_belief_per_source_group(seed, scheme, eps):
     for i in (0, 1):
         assert [holders for _, holders in member.groups(i)] == \
             [holders for _, holders in source.groups(i)]
-    reference = reference_build_member(source, eps, scheme, not check_lambda_constancy(source))
+    reference = reference_build_member(source, eps, scheme)
     assert member.p == reference.p
 
 
@@ -587,20 +596,21 @@ def test_rows_from_level_tables_match_the_built_members(kind, seed, ratio, count
 
 
 def _count_members(monkeypatch) -> list:
-    """Patch ``ProbKripkeModel``'s constructor to log one entry per model built."""
+    """Patch ``ProbKripkeModel``'s constructor to log each model built."""
     built = []
     init = ProbKripkeModel.__init__
 
     def counting(self, *args, **kwargs):
-        built.append(1)
         init(self, *args, **kwargs)
+        built.append(self)
 
     monkeypatch.setattr(ProbKripkeModel, "__init__", counting)
     return built
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_only_emitted_members_are_built_and_each_is_checked(scheme, monkeypatch):
+def test_only_emitted_members_are_built_and_each_is_checked(scheme, tmp_path, capsys,
+                                                            monkeypatch):
     model = myerson_ordered_model()
     schedule = EpsilonSchedule(F(1, 3), 4)
     built = _count_members(monkeypatch)
@@ -609,19 +619,23 @@ def test_only_emitted_members_are_built_and_each_is_checked(scheme, monkeypatch)
     checked = []
     check = convergence._check_output
 
-    def recording(source, out, *args):
-        check(source, out, *args)
+    def recording(source, out, eps):
+        check(source, out, eps)
         checked.append(out)
 
     monkeypatch.setattr(convergence, "_check_output", recording)
-    emitted = []
-    assert verify_convergence(model, schedule, scheme,
-                              lambda n, member: emitted.append((n, member))) == report
-    assert len(built) == len(emitted) == schedule.count
-    assert [n for n, _ in emitted] == list(range(schedule.count))
-    for (_, member), eps in zip(emitted, schedule.values()):
-        assert any(member is out for out in checked)
-        assert member == build_epsilon_model(model, eps, scheme)
+    family = tmp_path / "family"
+    assert cli.main(["converge", str(_ORDERED), "--schedule", "geometric:1/3,4",
+                     "--scheme", scheme, "--emit-family", str(family)]) == 0
+    capsys.readouterr()
+    assert len(built) == len(checked) == len(report.rows) == schedule.count
+    assert all(member is out for member, out in zip(built, checked))
+    assert sorted(os.listdir(family)) == [f"model_{row.n:02d}.json" for row in report.rows]
+    for member, row in zip(list(built), report.rows):
+        expected = build_epsilon_model(model, row.eps, scheme)
+        assert member == expected
+        assert (family / f"model_{row.n:02d}.json").read_text() == \
+            modelio.dumps(modelio.model_to_json(expected))
 
 
 def _deep_masses(times):
@@ -630,7 +644,8 @@ def _deep_masses(times):
                                         times * eps.numerator]
 
 
-def test_off_primary_weight_above_eps_raises_the_member_check_message(monkeypatch):
+def test_off_primary_weight_above_eps_raises_the_member_check_message(tmp_path, capsys,
+                                                                      monkeypatch):
     # Each deeper level of the fixture is one world, so it weighs twice eps.
     monkeypatch.setattr(convergence, "_level_masses", _deep_masses(2))
     model = myerson_ordered_model()
@@ -638,11 +653,15 @@ def test_off_primary_weight_above_eps_raises_the_member_check_message(monkeypatc
     with pytest.raises(InputError) as exc:
         build_epsilon_model(model, F(1, 4))
     assert str(exc.value) == message
-    schedule = EpsilonSchedule(F(1, 2), 3)
-    for on_member in (None, lambda n, member: None):
-        with pytest.raises(InputError) as exc:
-            verify_convergence(model, schedule, "perfect", on_member)
-        assert str(exc.value) == message
+    with pytest.raises(InputError) as exc:
+        verify_convergence(model, EpsilonSchedule(F(1, 2), 3), "perfect")
+    assert str(exc.value) == message
+    family = tmp_path / "family"
+    assert cli.main(["converge", str(_ORDERED), "--schedule", "geometric:1/2,3",
+                     "--emit-family", str(family)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not family.exists()
 
 
 def test_off_primary_weight_equal_to_eps_is_within_the_bound(monkeypatch):
@@ -651,8 +670,7 @@ def test_off_primary_weight_equal_to_eps_is_within_the_bound(monkeypatch):
     monkeypatch.setattr(convergence, "_level_masses", _deep_masses(1))
     model = myerson_ordered_model()
     schedule = EpsilonSchedule(F(1, 2), 3)
-    emitted = []
-    report = verify_convergence(model, schedule, "perfect",
-                                lambda n, member: emitted.append(member))
+    report = verify_convergence(model, schedule, "perfect")
     assert report == reference_verify_convergence(model, schedule, "perfect")
-    assert emitted[0].p[0]["w1"] == {"w1": F(3, 4), "w2": F(1, 4)}
+    members = [build_epsilon_model(model, row.eps) for row in report.rows]
+    assert members[0].p[0]["w1"] == {"w1": F(3, 4), "w2": F(1, 4)}

@@ -854,6 +854,28 @@ def test_show_upper_rejects_a_threshold_of_one_half_or_more(eps, empty, tmp_path
         "", f"error: threshold must lie in (0, 1/2), got {eps}\n")
 
 
+def test_show_upper_refuses_its_threshold_before_the_trembling_check(monkeypatch, capsys):
+    calls = []
+    check = epsilon.check_trembling
+
+    def recording(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(epsilon, "check_trembling", recording)
+    assert cli.main(["model", "check", _PROB, "--eps", "1/2", "--show-upper"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: threshold must lie in (0, 1/2), got 1/2\n")
+    assert calls == []
+    # Outside (0, 1) the trembling bound is refused first, as before.
+    assert cli.main(["model", "check", _PROB, "--eps", "1", "--show-upper"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: trembling bound must lie in (0, 1), got 1\n")
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("count", ["1_0", "\u0663", " 3", "+2", "3 ", "x", "9" * _LONG],
                          ids=["underscore", "arabic-indic", "space", "plus", "trailing-space",
                               "letter", "past-digit-limit"])

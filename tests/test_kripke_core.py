@@ -233,8 +233,9 @@ def test_each_model_is_checked_once(monkeypatch):
         assert check_structural_conditions(source).surjection
         assert len(check_lambda_constancy(source)) == 8
         assert set(kripke._checks(source, 0).ids.values()) == {0, 1, 2, 3}
-    verify_convergence(source, EpsilonSchedule(F(1, 2), 3),
-                       on_member=lambda n, member: models.append(member))
+    schedule = EpsilonSchedule(F(1, 2), 3)
+    verify_convergence(source, schedule)
+    models += [build_epsilon_model(source, eps) for eps in schedule.values()]
     built = build_epsilon_model(source, F(1, 16))
     models.append(built)
     # The source's levels vary inside its classes, and so does the member's belief.
@@ -256,8 +257,9 @@ def test_each_model_is_grouped_once(monkeypatch):
     models = [source]
     assert validate_ordered(source) == [] and check_caution(source) == []
     lrat(source)
-    verify_convergence(source, EpsilonSchedule(F(1, 2), 3),
-                       on_member=lambda n, member: models.append(member))
+    schedule = EpsilonSchedule(F(1, 2), 3)
+    verify_convergence(source, schedule)
+    models += [build_epsilon_model(source, eps) for eps in schedule.values()]
     built = build_epsilon_model(source, F(1, 16))
     models.append(built)
     validate_prob(built)
