@@ -17,28 +17,15 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import InputError
 from .frozen import Frozen
-from .games import Game, greatest_closed, lex_best_replies, other, push_forward, trembling_bound
+from .games import (
+    Game, exact_weights, greatest_closed, lex_best_replies, other, push_forward, trembling_bound,
+    weight_sum)
 
 if TYPE_CHECKING:
     from .kripke import ProbKripkeModel, StandardKripkeModel
     from .ordered import OrderedKripkeModel
 
 Pair = tuple  # (opponent strategy, opponent type)
-
-
-def _clean_dist(dist: Mapping[Pair, Fraction], where: str) -> dict[Pair, Fraction]:
-    out = {}
-    total = Fraction(0)
-    for pair, v in dist.items():
-        v = Fraction(v)
-        if v < 0:
-            raise InputError(f"{where}: negative weight {v} on {pair}")
-        if v > 0:
-            out[pair] = v
-        total += v
-    if total != 1:
-        raise InputError(f"{where}: weights sum to {total}, expected 1")
-    return out
 
 
 class _TypeModel(Frozen):
@@ -70,7 +57,12 @@ class _TypeModel(Frozen):
                 fixed = []
                 for k, dist in enumerate(levels):
                     where = self._WHERE.format(t=t, n=k + 1)
-                    d = _clean_dist(dist, where)
+                    d = exact_weights(dist)
+                    for pair, v in d.items():
+                        if v.numerator < 0:
+                            raise InputError(f"{where}: negative weight {v} on {pair}")
+                    if (total := weight_sum(d)) != 1:
+                        raise InputError(f"{where}: weights sum to {total}, expected 1")
                     for (s_j, t_j) in d:
                         game.check_strategy(j, s_j)
                         if t_j not in types[j]:

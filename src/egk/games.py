@@ -3,6 +3,9 @@
 Every payoff, probability and utility is exact: a `fractions.Fraction`, or
 integers over one common denominator in the best-reply kernel, never a
 float, so set-valued results (survivor sets, belief events) are exact.
+Whether a distribution is a probability is checked in one place for mixed
+strategies, type beliefs and model beliefs: :func:`exact_weights` cleans
+it and :func:`weight_sum` totals it; each caller words its own errors.
 """
 
 from __future__ import annotations
@@ -76,6 +79,23 @@ class Game(Frozen):
             raise InputError(f"unknown strategy {s!r} for player {self.players[i]!r}")
 
 
+def exact_weights(dist: Mapping[Hashable, Fraction]) -> dict[Hashable, Fraction]:
+    """``dist`` with each weight converted to ``Fraction`` once and zeros dropped."""
+    out = {}
+    for t, v in dist.items():
+        if type(v) is not Fraction:
+            v = Fraction(v)
+        if v:
+            out[t] = v
+    return out
+
+
+def weight_sum(dist: Mapping[Hashable, Fraction]) -> Fraction:
+    """The exact total of ``dist``, summed as integers over the common denominator."""
+    den = math.lcm(*(v.denominator for v in dist.values()))
+    return Fraction(sum(v.numerator * (den // v.denominator) for v in dist.values()), den)
+
+
 class MixedStrategy(Frozen):
     """A mixed strategy of ``owner``; zero-weight entries are dropped."""
 
@@ -84,16 +104,11 @@ class MixedStrategy(Frozen):
     weights: Mapping[str, Fraction]
 
     def __init__(self, owner, weights) -> None:
-        cleaned = {}
-        total = Fraction(0)
-        for label, w in weights.items():
-            w = Fraction(w)
-            if w < 0:
+        cleaned = exact_weights(weights)
+        for label, w in cleaned.items():
+            if w.numerator < 0:
                 raise InputError(f"negative weight {w} on strategy {label!r}")
-            if w > 0:
-                cleaned[label] = w
-            total += w
-        if total != 1:
+        if (total := weight_sum(cleaned)) != 1:
             raise InputError(f"mixed-strategy weights sum to {total}, expected 1")
         super().__init__(owner, cleaned)
 

@@ -11,7 +11,6 @@ and its checks; the belief checks all read one pass per player and group.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
@@ -19,7 +18,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, TypeV
 
 from .errors import InputError
 from .frozen import Frozen
-from .games import Game, greatest_closed, lex_best_replies, other, push_forward
+from .games import (
+    Game, exact_weights, greatest_closed, lex_best_replies, other, push_forward, weight_sum)
 
 if TYPE_CHECKING:
     from .dominance import Restriction
@@ -225,23 +225,6 @@ def per_belief(groups: Iterable[tuple[B, Iterable[str]]], f: Callable[[B], R]) -
     for belief, holders in groups:
         out.update(dict.fromkeys(holders, f(belief)))
     return out
-
-
-def exact_weights(dist: Mapping[str, Fraction]) -> dict[str, Fraction]:
-    """``dist`` with each weight converted to ``Fraction`` once and zeros dropped."""
-    out = {}
-    for t, v in dist.items():
-        if type(v) is not Fraction:
-            v = Fraction(v)
-        if v:
-            out[t] = v
-    return out
-
-
-def weight_sum(dist: Mapping[str, Fraction]) -> Fraction:
-    """The exact total of ``dist``, summed as integers over the common denominator."""
-    den = math.lcm(*(v.denominator for v in dist.values()))
-    return Fraction(sum(v.numerator * (den // v.denominator) for v in dist.values()), den)
 
 
 def validate_standard(model: StandardKripkeModel | FramedModel) -> list[Violation]:

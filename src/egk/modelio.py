@@ -279,9 +279,9 @@ def model_from_json(data: Mapping, game: Game | None = None, where: str = "model
     for i in (0, 1):
         name = game.players[i]
         for w in worlds:
-            s = sigma_raw[i].get(w)
-            if s is None:
+            if w not in sigma_raw[i]:
                 raise FormatError(f"{where}.sigma: missing world {w!r} for player {name!r}")
+            s = sigma_raw[i][w]
             if s not in game.strategies[i]:
                 raise FormatError(
                     f"{where}.sigma.{name}.{w}: unknown strategy {s!r} for player {name!r}")
@@ -413,10 +413,12 @@ def types_from_json(data: Mapping, game: Game | None = None, where: str = "types
                 lex = entry_is_lex
             elif lex != entry_is_lex:
                 raise FormatError(f"{where}.beliefs: mixing single and level-list beliefs")
-            levels = entry if entry_is_lex else [entry]
+            node = f"{where}.beliefs.{game.players[i]}.{t}"
+            # A lexicographic belief's levels sit at list indices; a single belief is the node.
+            located = ([(f"{node}[{k}]", level) for k, level in enumerate(entry)]
+                       if entry_is_lex else [(node, entry)])
             fixed = []
-            for k, level in enumerate(levels):
-                spot = f"{where}.beliefs.{game.players[i]}.{t}[{k}]"
+            for spot, level in located:
                 fixed.append({
                     _parse_pair(pair, game.strategies[j], types[j], spot):
                         parse_rational(v, f"{spot}.{pair}")

@@ -26,6 +26,12 @@ their level-wise expected utility), and
 level; the integer best-reply kernel in :mod:`egk.games` must give exactly
 their results and errors.
 
+``reference_mixed_strategy`` cleans and totals a mixed strategy's weights
+by a running ``Fraction`` sum, one weight at a time; :class:`egk.games.MixedStrategy`,
+which shares :func:`egk.games.exact_weights` and :func:`egk.games.weight_sum`
+with the type and Kripke models, must keep exactly its weights and raise
+exactly its errors.
+
 ``ReferenceLexEpistemicModel`` and ``ReferenceProbEpistemicModel`` are the
 two type-model constructors written out once per flavor, with
 ``reference_type_caution``, ``reference_primary_belief_in_rationality`` and
@@ -135,15 +141,8 @@ from egk.convergence import (
 from egk.dominance import Elimination, EliminationRound, Restriction
 from egk.epistemic import LexEpistemicModel, Pair
 from egk.errors import InputError
-from egk.games import Game, MixedStrategy, expected_utility, other
-from egk.kripke import (
-    ProbKripkeModel,
-    StandardKripkeModel,
-    Violation,
-    exact_weights,
-    rat,
-    weight_sum,
-)
+from egk.games import Game, MixedStrategy, exact_weights, expected_utility, other, weight_sum
+from egk.kripke import ProbKripkeModel, StandardKripkeModel, Violation, rat
 from egk.epsilon import upper_common_belief
 from egk.ordered import OrderedKripkeModel, StructuralReport, common_level1_belief, lrat
 from egk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
@@ -592,6 +591,22 @@ def reference_maximize(
             x[basis[r]] = rhs[r]
     value = sum((ci * xi for ci, xi in zip(c, x)), _ZERO)
     return LPResult(OPTIMAL, value, tuple(x))
+
+
+def reference_mixed_strategy(weights: Mapping[str, Fraction]) -> dict[str, Fraction]:
+    """The weights a ``MixedStrategy`` of ``weights`` keeps, by a running ``Fraction`` sum."""
+    cleaned = {}
+    total = Fraction(0)
+    for label, w in weights.items():
+        w = Fraction(w)
+        if w < 0:
+            raise InputError(f"negative weight {w} on strategy {label!r}")
+        if w > 0:
+            cleaned[label] = w
+        total += w
+    if total != 1:
+        raise InputError(f"mixed-strategy weights sum to {total}, expected 1")
+    return cleaned
 
 
 def point_mass(owner: int, s: str) -> MixedStrategy:

@@ -1,12 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from egk.errors import InputError
 from egk.fixtures import myerson_game
 from egk.games import Game, MixedStrategy, expected_utility
-from oracles import lex_utility_vector, point_mass
+from oracles import lex_utility_vector, point_mass, reference_mixed_strategy
 
 
 def test_expected_utility_half_half():
@@ -71,6 +71,40 @@ def test_mixed_strategy_validation():
         MixedStrategy(0, {"A": F(3, 2), "B": F(-1, 2)})
     mix = MixedStrategy(0, {"A": F(1), "B": F(0)})
     assert mix.weights == {"A": F(1)}
+
+
+_WEIGHTS = st.one_of(st.just(0), st.integers(-2, 2),
+                     st.fractions(min_value=-1, max_value=2, max_denominator=12))
+
+
+@st.composite
+def _weight_maps(draw):
+    """Weight maps over a few labels in any key order, often closed to sum to 1."""
+    labels = draw(st.permutations("ABCD"))[:draw(st.integers(0, 4))]
+    weights = [draw(_WEIGHTS) for _ in labels]
+    if labels and draw(st.booleans()):
+        rest = 1 - sum(weights[:-1], F(0))
+        weights[-1] = int(rest) if rest.denominator == 1 and draw(st.booleans()) else rest
+    return dict(zip(labels, weights))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weight_maps())
+@example({"B": F(1, 2), "A": 0, "C": F(1, 2)})           # a zero dropped, key order kept
+@example({"C": 2, "B": -1, "A": F(-1, 2), "D": F(1, 2)})  # the first negative in item order
+@example({"A": F(1, 3), "B": F(1, 3)})                   # a total short of 1
+@example({})                                              # nothing to total
+def test_mixed_strategy_matches_the_running_sum_reference(weights):
+    try:
+        expected = reference_mixed_strategy(weights)
+    except InputError as error:
+        with pytest.raises(InputError) as raised:
+            MixedStrategy(1, weights)
+        assert str(raised.value) == str(error)
+        return
+    mix = MixedStrategy(1, weights)
+    assert list(mix.weights.items()) == list(expected.items())
+    assert all(type(v) is F for v in mix.weights.values())
 
 
 def test_game_validation():

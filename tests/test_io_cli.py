@@ -145,8 +145,9 @@ def test_cli_a_boolean_weight_exits_2_located(tmp_path, capsys):
         f"error: {path}.p.1.w2.w1: expected a rational string, got True\n")
 
 
-@pytest.mark.parametrize("strategy,shown", [("Z", "'Z'"), (["A"], "['A']"), (5, "5")],
-                         ids=["string", "list", "number"])
+@pytest.mark.parametrize("strategy,shown",
+                         [("Z", "'Z'"), (["A"], "['A']"), (5, "5"), (None, "None")],
+                         ids=["string", "list", "number", "null"])
 def test_cli_an_unknown_sigma_strategy_exits_2_at_its_node(tmp_path, capsys, strategy, shown):
     data = modelio.model_to_json(myerson_prob_model(F(1, 4)))
     data["sigma"]["1"]["w3"] = strategy
@@ -759,7 +760,7 @@ def _object_cases():
         ("types", lex, ("beliefs", "1", lex_type, 0), ["x"],
          f"types.beliefs.1.{lex_type}[0]", "'strategy,type' pair"),
         ("types", prob_types, ("beliefs", "1", prob_type), "x",
-         f"types.beliefs.1.{prob_type}[0]", "'strategy,type' pair"),
+         f"types.beliefs.1.{prob_type}", "'strategy,type' pair"),
     ]
     cases = []
     for kind, doc, path, value, where, keys in edits:
@@ -1090,12 +1091,12 @@ def test_a_belief_key_with_two_readings_exits_2(flag, tmp_path, capsys):
     assert cli.main(["types", "analyze", path, *flag]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: {path}.beliefs.1.u[0]: key 'a,b,t' splits into more "
+    assert captured.err == (f"error: {path}.beliefs.1.u: key 'a,b,t' splits into more "
                             f"than one 'strategy,type' pair\n")
     path = write(tmp_path, "missing.json", _ambiguous_types("a,b,u"))
     assert cli.main(["types", "analyze", path, *flag]) == 2
     assert capsys.readouterr().err == (
-        f"error: {path}.beliefs.1.u[0]: expected 'strategy,type', got 'a,b,u'\n")
+        f"error: {path}.beliefs.1.u: expected 'strategy,type', got 'a,b,u'\n")
 
 
 @pytest.mark.parametrize("pair", [("a", "b,t"), ("a,b", "t")])
