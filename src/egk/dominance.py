@@ -6,7 +6,9 @@ the game's compiled integer payoff rows.  Dominator supports exclude the
 candidate strategy itself; this is without loss of generality and keeps the
 LPs small.  A best reply to a surviving pure opponent strategy (the unique
 one, for weak dominance) is undominated: one integer pass over the rows per
-player and round certifies all of them, and only the rest run an LP.
+player and round certifies all of them, and only the rest run an LP.  A
+round tests only the players whose opponent lost a strategy since their last
+test: against the same opponent strategies, fewer rivals dominate nothing new.
 """
 
 from __future__ import annotations
@@ -189,16 +191,17 @@ def justifying_belief(
 
 
 def _eliminate_round(
-    game: Game, r: Restriction, phase: str
+    game: Game, r: Restriction, phase: str, players: tuple[int, ...]
 ) -> tuple[Restriction, EliminationRound | None]:
-    """One ``phase`` round within ``r``: per player, one screen certifies the pure
-    best replies, and only the survivors it leaves out run the per-strategy test."""
+    """One ``phase`` round within ``r`` on ``players``: per player, one screen certifies
+    the pure best replies, and only the survivors it leaves out run the per-strategy test."""
     unique = phase == "weak"
     test = weakly_dominated if unique else strictly_dominated
     rows, index, _ = _compiled(game)
     elims = []
-    for i in (0, 1):
-        cols = [index[other(i)][o] for o in r.sets[other(i)]]
+    for i in players:
+        j = other(i)
+        cols = [index[j][o] for o in r.sets[j]]
         screened = _pure_best_replies(rows[i], r.sets[i], cols, unique)
         for s in r.sets[i]:
             dom = None if s in screened else test(game, r, i, s)
@@ -212,23 +215,37 @@ def _eliminate_round(
     return r.remove(removals), EliminationRound(phase, tuple(elims))
 
 
+def _cut(rnd: EliminationRound) -> tuple[int, ...]:
+    """The players whose opponent lost a strategy in ``rnd``, in order 0 then 1."""
+    return tuple(i for i in (0, 1) if any(e.player != i for e in rnd.eliminations))
+
+
 def _strict_rounds(
-    game: Game, r: Restriction, rounds: list[EliminationRound]
+    game: Game, r: Restriction, rounds: list[EliminationRound], players: tuple[int, ...]
 ) -> tuple[Restriction, tuple[EliminationRound, ...]]:
-    """Strict elimination from ``r`` until a round removes nothing, appended to ``rounds``."""
+    """Strict elimination from ``r`` on ``players`` until a round removes nothing,
+    appended to ``rounds``; each round hands the next only the players it cut the
+    opponent of, since an unchanged opponent set leaves every earlier answer standing."""
     while True:
-        r, rnd = _eliminate_round(game, r, "strict")
+        r, rnd = _eliminate_round(game, r, "strict", players)
         if rnd is None:
             return r, tuple(rounds)
         rounds.append(rnd)
+        players = _cut(rnd)
 
 
 def dekel_fudenberg(game: Game) -> tuple[Restriction, tuple[EliminationRound, ...]]:
-    """One round of maximal weak elimination, then iterated strict elimination."""
-    r, rnd = _eliminate_round(game, Restriction.full(game), "weak")
-    return _strict_rounds(game, r, [] if rnd is None else [rnd])
+    """One round of maximal weak elimination, then iterated strict elimination.
+
+    The strict phase starts on the players whose opponent the weak round cut,
+    since a strategy that is not weakly dominated is not strictly dominated.
+    """
+    r, rnd = _eliminate_round(game, Restriction.full(game), "weak", (0, 1))
+    if rnd is None:
+        return r, ()
+    return _strict_rounds(game, r, [rnd], _cut(rnd))
 
 
 def iesds(game: Game) -> tuple[Restriction, tuple[EliminationRound, ...]]:
     """Iterated simultaneous elimination of strictly dominated strategies."""
-    return _strict_rounds(game, Restriction.full(game), [])
+    return _strict_rounds(game, Restriction.full(game), [], (0, 1))

@@ -265,6 +265,19 @@ def _travelers_dilemma(claims: int, reward: int = 2, scale=(1, 1), shift=(0, 0))
     return Game(("1", "2"), (labels, labels), payoffs)
 
 
+def _one_cut_game() -> Game:
+    """Player 2's W is a best reply only to the 1/2-1/2 mix of A and B, and
+    strictly dominates Z; A, B, X and Y are unique pure best replies."""
+    return _game(("A", "B"), ("X", "Y", "W", "Z"),
+                 [[(1, 3), (0, 0), (1, 2), (0, 1)], [(0, 0), (1, 3), (0, 2), (1, 1)]])
+
+
+def _alternating_game() -> Game:
+    """Under DF and IESDS alike, R, then B, then L go, one player per round."""
+    return _game(("T", "B"), ("L", "M", "R"),
+                 [[(1, 0), (1, 2), (0, 1)], [(0, 3), (0, 1), (2, 0)]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(_games_with_restrictions())
 # A tied best reply can be weakly dominated: (1, 1) beats (1, 0) weakly.
@@ -290,6 +303,9 @@ def _travelers_dilemma(claims: int, reward: int = 2, scale=(1, 1), shift=(0, 0))
 # LP on the full 8 x 8 game runs phase 1 on 9 artificials; 7 rounds.
 @example((_travelers_dilemma(8, scale=(F(3, 2), F(2, 5)), shift=(F(1, 3), F(1, 7))),
           Restriction((("c2", "c5", "c9"), ("c3", "c4")))))
+# Each procedure cuts only player 2, so its next round skips player 2, and
+# DF's weak round hands the strict phase player 1 alone.
+@example((_one_cut_game(), Restriction((("A", "B"), ("X", "W", "Z")))))
 def test_screened_tests_match_the_lp_only_references(case):
     game, sub = case
     answers = {}
@@ -362,6 +378,29 @@ def test_only_eliminations_run_an_lp(build, eliminations, monkeypatch):
     assert found == eliminations
     assert len(calls) == eliminations
     assert len(tests) == len(calls)
+
+
+@pytest.mark.parametrize("build,lps,screens", [
+    # Z goes in one round; the next tests player 1 alone, so W's LP runs once.
+    (_one_cut_game, 2, 5),
+    # Each round after the first tests only the player the last one cut the
+    # opponent of: 5 round screens, plus the one each of the 3 tests runs.
+    (_alternating_game, 3, 8),
+    # Nothing goes, so DF's weak round is its only round.
+    (lambda: _planted_game(6), 0, 2),
+], ids=["one-cut", "alternating", "planted"])
+@pytest.mark.parametrize("procedure", [dekel_fudenberg, iesds], ids=["df", "iesds"])
+def test_a_round_tests_only_players_whose_opponent_lost_a_strategy(
+        build, lps, screens, procedure, monkeypatch):
+    game = build()
+    expected = reference_elimination(game, "df" if procedure is dekel_fudenberg else "iesds")
+    calls = _count_calls(monkeypatch, "maximize")
+    tests = _count_calls(monkeypatch, "strictly_dominated", "weakly_dominated")
+    screened = _count_calls(monkeypatch, "_pure_best_replies")
+    assert procedure(game) == expected
+    assert len(calls) == lps
+    assert len(tests) == lps
+    assert len(screened) == screens
 
 
 def test_a_best_reply_within_the_restriction_runs_no_lp(monkeypatch):
