@@ -286,7 +286,7 @@ def _text_rationality(args, report) -> None:
 def _cmd_types_analyze(args) -> tuple[int, dict]:
     from . import epistemic
 
-    model = modelio.types_from_json(modelio.load_file(args.file), None, args.file)
+    model = modelio.types_from_json(modelio.load_file(args.file), args.file)
     players = model.game.players
     lex = isinstance(model, epistemic.LexEpistemicModel)
     eps = None
@@ -332,7 +332,7 @@ def _text_types_analyze(args, report) -> None:
 def _cmd_types_to_kripke(args) -> tuple[int, dict]:
     from . import epistemic
 
-    model = modelio.types_from_json(modelio.load_file(args.file), None, args.file)
+    model = modelio.types_from_json(modelio.load_file(args.file), args.file)
     if not isinstance(model, epistemic.LexEpistemicModel):
         raise InputError("to-kripke expects a lexicographic type model")
     report = modelio.model_to_json(epistemic.kripke_from_lex_types(model))

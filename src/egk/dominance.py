@@ -6,7 +6,7 @@ the game's compiled integer payoff rows.  Dominator supports exclude the
 candidate strategy itself; this is without loss of generality and keeps the
 LPs small.  A best reply to a surviving pure opponent strategy (the unique
 one, for weak dominance) is undominated: one integer pass over the rows per
-player and round certifies all of them, and only the rest run an LP.  A
+player and round, the only screen, certifies them all; the rest run an LP.  A
 round tests only the players whose opponent lost a strategy since their last
 test: against the same opponent strategies, fewer rivals dominate nothing new.
 """
@@ -105,11 +105,10 @@ def strictly_dominated(
     """A mixture strictly dominating ``s_i`` within ``r``, or None.
 
     Maximizes the minimum margin over the opponent's restricted strategies;
-    ``s_i`` is dominated iff the optimum is positive.
+    ``s_i`` is dominated iff the optimum is positive.  The LP always runs:
+    :func:`_eliminate_round`'s screen is the only one.
     """
     cands, rivals, own, cols, den = _rows(game, r, i, s_i)
-    if s_i in _pure_best_replies(_compiled(game)[0][i], r.sets[i], cols, unique=False):
-        return None
     k = len(cands)
     # Variables: dominator weights, then the free margin split as d+ - d-.
     # Every row that can carry an artificial is the exact row times ``den``,
@@ -129,11 +128,9 @@ def weakly_dominated(
     """A mixture weakly dominating ``s_i`` within ``r``, or None.
 
     Maximizes total slack subject to componentwise >=; weakly dominated iff
-    the optimum is positive.
+    the optimum is positive.  The LP always runs, as in :func:`strictly_dominated`.
     """
     cands, rivals, own, cols, den = _rows(game, r, i, s_i)
-    if s_i in _pure_best_replies(_compiled(game)[0][i], r.sets[i], cols, unique=True):
-        return None
     k = len(cands)
     nm = len(cols)
     # Variables: dominator weights, then one nonnegative margin per opponent

@@ -379,15 +379,14 @@ def _parse_pair(key: str, strategies, types, where: str, error=FormatError) -> t
     return pairs[0]
 
 
-def types_from_json(data: Mapping, game: Game | None = None, where: str = "types") -> TypeModel:
+def types_from_json(data: Mapping, where: str = "types") -> TypeModel:
     """Load a type model; a belief given as a list of levels is lexicographic."""
     from .epistemic import LexEpistemicModel, ProbEpistemicModel
 
     # "world_types" is the world-to-types map that `model to-types` adds; no
     # reader needs it, so a written file reads back.
     _only(data, where, ("game", "types", "beliefs", "world_types"))
-    if game is None:
-        game = game_from_json(_expect(data, "game", where), f"{where}.game")
+    game = game_from_json(_expect(data, "game", where), f"{where}.game")
     types_raw = _list(_expect(data, "types", where), f"{where}.types", "type lists")
     if len(types_raw) != 2:
         raise FormatError(f"{where}.types: expected two type lists")

@@ -382,10 +382,11 @@ def test_only_eliminations_run_an_lp(build, eliminations, monkeypatch):
 
 @pytest.mark.parametrize("build,lps,screens", [
     # Z goes in one round; the next tests player 1 alone, so W's LP runs once.
-    (_one_cut_game, 2, 5),
+    # The two rounds screen both players, then player 1: 3 screens in all.
+    (_one_cut_game, 2, 3),
     # Each round after the first tests only the player the last one cut the
-    # opponent of: 5 round screens, plus the one each of the 3 tests runs.
-    (_alternating_game, 3, 8),
+    # opponent of: 5 round screens in all.
+    (_alternating_game, 3, 5),
     # Nothing goes, so DF's weak round is its only round.
     (lambda: _planted_game(6), 0, 2),
 ], ids=["one-cut", "alternating", "planted"])
@@ -408,19 +409,25 @@ def test_a_best_reply_within_the_restriction_runs_no_lp(monkeypatch):
     game = _game(("A", "B", "C"), ("X", "Y"),
                  [[(1, 0), (0, 0)], [(0, 0), (1, 0)], [(2, 0), (2, 0)]])
     r = Restriction((("A", "B"), ("X", "Y")))
-    calls = _count_calls(monkeypatch, "maximize")
     for s in ("A", "B"):
         assert strictly_dominated(game, r, 0, s) is None
         assert weakly_dominated(game, r, 0, s) is None
+    # The round's screen certifies A and B: neither round runs an LP.
+    calls = _count_calls(monkeypatch, "maximize")
+    for phase in ("strict", "weak"):
+        assert dominance._eliminate_round(game, r, phase, (0,)) == (r, None)
     assert calls == []
 
 
 def test_a_tied_best_reply_runs_no_lp_in_the_strict_test(monkeypatch):
     # A and B tie at the top of both columns: neither is strictly dominated.
     game = _game(("A", "B"), ("X", "Y"), [[(1, 0), (2, 0)], [(1, 0), (2, 0)]])
-    calls = _count_calls(monkeypatch, "maximize")
+    full = Restriction.full(game)
     for s in ("A", "B"):
-        assert strictly_dominated(game, Restriction.full(game), 0, s) is None
+        assert strictly_dominated(game, full, 0, s) is None
+    # The strict round's screen counts tied best replies: no LP runs.
+    calls = _count_calls(monkeypatch, "maximize")
+    assert dominance._eliminate_round(game, full, "strict", (0,)) == (full, None)
     assert calls == []
 
 

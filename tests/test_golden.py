@@ -1,7 +1,7 @@
 """Byte-for-byte CLI output on the fixtures, against stored golden files.
 
-Each case runs one ``egk`` command on ``fixtures/``, or on a model or event
-kept beside the golden files, and compares its exit code and standard
+Each case runs one ``egk`` command on ``fixtures/``, or on a game, model or
+event kept beside the golden files, and compares its exit code and standard
 output with ``tests/golden/<name>.out``, in ``--json`` mode and, for the
 ``*_text`` cases, in text mode with ``EGK_COLOR`` unset
 (set to ``1`` for the ``*_color`` cases); ``converge --emit-family`` also
@@ -40,6 +40,9 @@ STRUCTURAL = "tests/golden/ordered_structural.json"
 # one-step mutual primary belief keeps the world, common primary belief does not.
 CROSS_CLUSTER = "tests/golden/ordered_cross_cluster.json"
 CROSS_CLUSTER_LRAT = "tests/golden/event_cross_cluster_lrat.json"
+# A 3x3 game whose weak round (M) is followed by a strict round (R), each strategy
+# dominated only by a mixture; IESDS takes M with a different mixture.
+MIXED_ROUNDS = "tests/golden/game_mixed_rounds.json"
 FAMILY = "family"
 FAMILY_PROPER = "family_proper"
 FAMILIES = (FAMILY, FAMILY_PROPER)
@@ -50,6 +53,10 @@ WRITTEN = "written"
 CASES = {
     "game_analyze_df": (["game", "analyze", GAME, "--procedure", "df", "--json"], 0),
     "game_analyze_iesds": (["game", "analyze", GAME, "--procedure", "iesds", "--json"], 0),
+    "game_analyze_mixed_rounds_df": (
+        ["game", "analyze", MIXED_ROUNDS, "--procedure", "df", "--json"], 0),
+    "game_analyze_mixed_rounds_iesds": (
+        ["game", "analyze", MIXED_ROUNDS, "--procedure", "iesds", "--json"], 0),
     "model_check_prob": (["model", "check", PROB, "--json"], 0),
     "model_check_prob_eps": (
         ["model", "check", PROB, "--eps", "1/4", "--show-upper", "--json"], 0),
@@ -113,7 +120,8 @@ CASES = {
 
 # Text-mode cases: the same commands without --json.
 _TEXT = (
-    "game_analyze_df", "game_analyze_iesds", "model_check_prob", "model_check_prob_eps",
+    "game_analyze_df", "game_analyze_iesds", "game_analyze_mixed_rounds_df",
+    "game_analyze_mixed_rounds_iesds", "model_check_prob", "model_check_prob_eps",
     "model_check_prob_pointwise", "model_check_ordered", "model_check_structural",
     "model_operators_b", "model_operators_cb", "model_operators_b1", "model_operators_cb1",
     "model_operators_beps", "model_operators_cbeps", "model_operators_b_ordered",
