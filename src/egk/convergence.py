@@ -25,10 +25,10 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .frozen import Frozen
-from .games import other, push_forward
 from .kripke import (
     ProbKripkeModel,
     _playing,
+    _pushed_levels,
     check_caution,
     check_constancy,
     common,
@@ -196,11 +196,12 @@ class ConvergenceReport(NamedTuple):
 class _LevelTable(NamedTuple):
     """One kept source group, read at every threshold of a family.
 
-    ``pushed`` holds each level pushed onto the opponent's strategies, all
-    over one common scale, so that a member's push-forward is their
-    mass-weighted sum.  ``weights`` holds each level's (world, numerator)
-    pairs over the group's one denominator ``den``: the numerators
-    ``_member_belief`` weights by the level masses.
+    ``pushed`` holds each level pushed onto the opponent's strategies, as
+    the source keeps them (``kripke._pushed_levels``), all over one common
+    scale, so that a member's push-forward is their mass-weighted sum.
+    ``weights`` holds each level's (world, numerator) pairs over the
+    group's one denominator ``den``: the numerators ``_member_belief``
+    weights by the level masses.
     """
 
     levels: tuple
@@ -210,9 +211,8 @@ class _LevelTable(NamedTuple):
     den: int
 
 
-def _level_table(model: OrderedKripkeModel, i: int, levels, holders) -> _LevelTable:
-    j = other(i)
-    pushed = [push_forward(model.game, j, level, model.sigma[j].__getitem__) for level in levels]
+def _level_table(group, pushed) -> _LevelTable:
+    levels, holders = group
     sums = [sum(p) for p in pushed]
     scale = math.lcm(*sums)
     den = math.lcm(*(v.denominator for level in levels for v in level.values()))
@@ -275,14 +275,15 @@ def verify_convergence(
     intersection, the index where the tail stops changing, and whether the
     stabilized set equals common primary belief in lexicographic
     rationality on the source model.  The rows are read from one level
-    table per kept source group, made once per call; the limit's
-    lexicographic rationality is read from the same pushed levels.  No
-    member is built.
+    table per kept source group, made once per call from the pushed levels
+    kept on the source, so a source that ``lrat`` has read is pushed no
+    more; the limit's lexicographic rationality is read from the same
+    pushed levels.  No member is built.
     """
     _check_scheme(scheme)
     _require_hypotheses(model)
-    tables = tuple(tuple(_level_table(model, i, levels, holders)
-                         for levels, holders in model.groups(i)) for i in (0, 1))
+    tables = tuple(tuple(map(_level_table, model.groups(i), _pushed_levels(model, i)))
+                   for i in (0, 1))
     rows = []
     events = []
     for n, eps in enumerate(schedule.values()):

@@ -5,8 +5,10 @@ belief is the one-level case of an ordered one.  Accessibility is expected
 to be KD45 (serial, transitive, Euclidean) and a player's own strategy
 constant on accessibility classes; ``validate_standard`` and
 ``validate_prob`` report violations as data rather than raising, so a model
-checker can surface every defect at once.  A model keeps its belief groups
-and its checks; the belief checks all read one pass per player and group.
+checker can surface every defect at once.  A model keeps its belief groups,
+its checks and each player's pushed levels; the belief checks all read one
+pass per player and group, and every best-reply reader reads the levels
+pushed once per player and group.
 """
 
 from __future__ import annotations
@@ -97,10 +99,12 @@ class FramedModel(Frozen):
     kinds (``KIND``), the wording of its messages (``_TEXT``), and whether
     beliefs must be constant on R_i classes (``_REQUIRE_CONSTANCY``).
     ``_groups`` holds each player's :meth:`groups`, kept by the constructor,
-    and ``_checked`` the belief checks once found (:func:`_checks`).
+    ``_checked`` the belief checks once found (:func:`_checks`), and
+    ``_pushed`` each player's levels pushed onto the opponent's strategies,
+    per kept group, filled per player on first use (:func:`_pushed_levels`).
     """
 
-    __slots__ = ("base", "_groups", "_checked")
+    __slots__ = ("base", "_groups", "_checked", "_pushed")
     base: StandardKripkeModel
 
     @property
@@ -242,42 +246,54 @@ def _frame_violations(model: StandardKripkeModel) -> tuple[Violation, ...]:
     """Every seriality, transitivity, Euclideanness and sigma-constancy violation.
 
     Each pair wRw1 is tested with one set inclusion, R(w1) <= R(w) for
-    transitivity and R(w) <= R(w1) for Euclideanness, and only a pair that
-    fails it is walked for its violating w2, so the violations and their
-    order are those of the walk over every triple.
+    transitivity and R(w) <= R(w1) for Euclideanness, skipped when w1 holds
+    the access set object w holds, and only a pair that fails it is walked
+    for its violating w2.  Sigma-constancy collects, once per player and
+    access set object, the strategies its worlds play, and walks R(w) only
+    when that set is not {sigma_i(w)}.  So the violations and their order
+    are those of the walk over every triple.
     """
     out = []
     for i in (0, 1):
         name = model.game.players[i]
         acc = model.access[i]
+        own = model.sigma[i]
         for w in model.worlds:
             if not acc[w]:
                 out.append(Violation("seriality", i, (w,), f"player {name}: no world accessible from {w}"))
         for w in model.worlds:
-            for w1 in acc[w]:
-                if acc[w1] <= acc[w]:
+            a = acc[w]
+            for w1 in a:
+                if (b := acc[w1]) is a or b <= a:
                     continue
-                for w2 in acc[w1]:
-                    if w2 not in acc[w]:
+                for w2 in b:
+                    if w2 not in a:
                         out.append(Violation(
                             "transitivity", i, (w, w1, w2),
                             f"player {name}: {w}R{w1} and {w1}R{w2} but not {w}R{w2}"))
         for w in model.worlds:
-            for w1 in acc[w]:
-                if acc[w] <= acc[w1]:
+            a = acc[w]
+            for w1 in a:
+                if (b := acc[w1]) is a or a <= b:
                     continue
-                for w2 in acc[w]:
-                    if w2 not in acc[w1]:
+                for w2 in a:
+                    if w2 not in b:
                         out.append(Violation(
                             "euclideanness", i, (w, w1, w2),
                             f"player {name}: {w}R{w1} and {w}R{w2} but not {w1}R{w2}"))
+        played: dict[int, set[str]] = {}
         for w in model.worlds:
-            for w1 in acc[w]:
-                if model.sigma[i][w1] != model.sigma[i][w]:
+            a = acc[w]
+            if (seen := played.get(id(a))) is None:
+                seen = played[id(a)] = {own[w1] for w1 in a}
+            if seen == {own[w]}:
+                continue
+            for w1 in a:
+                if own[w1] != own[w]:
                     out.append(Violation(
                         "sigma-constancy", i, (w, w1),
-                        f"player {name}: strategy at {w1} is {model.sigma[i][w1]!r}, "
-                        f"but {w1} is accessible from {w} playing {model.sigma[i][w]!r}"))
+                        f"player {name}: strategy at {w1} is {own[w1]!r}, "
+                        f"but {w1} is accessible from {w} playing {own[w]!r}"))
     return tuple(out)
 
 
@@ -458,17 +474,32 @@ def rat(model: ProbKripkeModel) -> tuple[tuple[EventSet, EventSet], EventSet]:
 def best_reply_worlds(model: FramedModel, i: int) -> EventSet:
     """Worlds where player ``i``'s strategy is a lexicographic best reply to their belief.
 
-    Best replies are found once per kept belief group, so worlds that share
-    a belief object, such as the members of an R_i class, cost one
-    evaluation.
+    Best replies are found once per kept belief group, from the levels
+    :func:`_pushed_levels` keeps on the model, so worlds that share a belief
+    object, such as the members of an R_i class, cost one evaluation, and a
+    later reader of the same model pushes nothing again.
     """
-    j = other(i)
-    strategy_of = model.sigma[j].__getitem__
     out = []
-    for belief, holders in model.groups(i):
-        out += _playing(model, i, holders, tuple(
-            push_forward(model.game, j, dist, strategy_of) for dist in model._as_levels(belief)))
+    for (_, holders), levels in zip(model.groups(i), _pushed_levels(model, i)):
+        out += _playing(model, i, holders, levels)
     return frozenset(out)
+
+
+def _pushed_levels(model: FramedModel, i: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Each of player ``i``'s kept groups' levels pushed onto the opponent's strategies.
+
+    Pushed in group order on first use and kept on the model per player, so
+    the first bad belief raises ``push_forward``'s error, and asking for one
+    player pushes nothing of the other's.
+    """
+    kept = model._memo("_pushed", lambda m: [None, None])
+    if kept[i] is None:
+        j = other(i)
+        strategy_of = model.sigma[j].__getitem__
+        kept[i] = tuple(tuple(push_forward(model.game, j, dist, strategy_of)
+                              for dist in model._as_levels(belief))
+                        for belief, _ in model.groups(i))
+    return kept[i]
 
 
 def _playing(model: FramedModel, i: int, holders, levels) -> list[str]:

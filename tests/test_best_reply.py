@@ -9,9 +9,11 @@ be negative or not sum to 1, where both sides must raise the same
 """
 
 from fractions import Fraction as F
+from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
+from egk import modelio
 from egk.epistemic import (
     LexEpistemicModel,
     ProbEpistemicModel,
@@ -20,7 +22,7 @@ from egk.epistemic import (
 from egk.errors import InputError
 from egk.fixtures import myerson_ordered_model, myerson_prob_model
 from egk.games import Game
-from egk.kripke import ProbKripkeModel, StandardKripkeModel, rat
+from egk.kripke import ProbKripkeModel, StandardKripkeModel, best_reply_worlds, rat
 from egk.ordered import OrderedKripkeModel, lrat
 from oracles import (
     reference_lrat,
@@ -162,3 +164,20 @@ def test_examples_reach_deep_ties_and_both_errors():
     assert outcome(rat, SHORT_SUM) == ("error", "mixed-strategy weights sum to 2/3, expected 1")
     # A negative world weight is allowed when its strategy's total is not negative.
     assert outcome(rat, NEGATIVE_WORLD_ONLY)[0] == "ok"
+
+
+def _player_2_sum_over_one() -> ProbKripkeModel:
+    """``fixtures/myerson_prob.json`` with player 2's belief at w3 summing to 5/4."""
+    data = modelio.load_file(str(Path(__file__).resolve().parent.parent / "fixtures"
+                                 / "myerson_prob.json"))
+    data["p"]["2"]["w3"] = {"w1": "1", "w3": "1/4"}
+    return modelio.model_from_json(data)
+
+
+def test_one_players_best_replies_push_none_of_the_others_beliefs():
+    error = ("error", "mixed-strategy weights sum to 5/4, expected 1")
+    assert outcome(rat, _player_2_sum_over_one()) == error
+    model = _player_2_sum_over_one()
+    assert best_reply_worlds(model, 0) == {"w1", "w2"}
+    assert outcome(rat, model) == error
+    assert outcome(best_reply_worlds, model, 1) == error

@@ -1,12 +1,14 @@
+import json
 import os
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from egk import cli, convergence, modelio
+from egk import cli, convergence, games, modelio
 from egk.convergence import (
     SCHEMES,
     EpsilonSchedule,
@@ -21,7 +23,7 @@ from egk.errors import InputError
 from egk.fixtures import myerson_game, myerson_ordered_model, myerson_prob_model
 from egk.games import Game
 from egk.kripke import ProbKripkeModel, StandardKripkeModel, rat, validate_beliefs, validate_prob
-from egk.ordered import OrderedKripkeModel
+from egk.ordered import OrderedKripkeModel, lrat
 
 from generators import _random_dist, random_game, random_ordered_model
 from oracles import (
@@ -674,3 +676,38 @@ def test_off_primary_weight_equal_to_eps_is_within_the_bound(monkeypatch):
     assert report == reference_verify_convergence(model, schedule, "perfect")
     members = [build_epsilon_model(model, row.eps) for row in report.rows]
     assert members[0].p[0]["w1"] == {"w1": F(3, 4), "w2": F(1, 4)}
+
+
+def _count_pushes(monkeypatch) -> list:
+    """Patch ``push_forward`` in every egk module that binds it to log the pushed player."""
+    pushed = []
+    push = games.push_forward
+
+    def counting(game, j, *args):
+        pushed.append(j)
+        return push(game, j, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "egk" and hasattr(module, "push_forward"):
+            monkeypatch.setattr(module, "push_forward", counting)
+    return pushed
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(SCHEMES))
+@example(1, "perfect")
+def test_lrat_then_verify_convergence_push_each_kept_level_once(seed, scheme):
+    rng = random.Random(seed)
+    source = random_ordered_model(rng, random_game(rng))
+    model = modelio.model_from_json(json.loads(modelio.dumps(modelio.model_to_json(source))))
+    levels = [sum(len(held) for held, _ in model.groups(i)) for i in (0, 1)]
+    schedule = EpsilonSchedule(F(1, 3), 3)
+    with pytest.MonkeyPatch.context() as patch:
+        pushed = _count_pushes(patch)
+        (lrat_1, lrat_2), _ = lrat(model)
+        # Player i's levels are pushed onto player j's strategies.
+        assert pushed == [1] * levels[0] + [0] * levels[1]
+        report = verify_convergence(model, schedule, scheme)
+        assert len(pushed) == sum(levels)
+    assert (lrat_1, lrat_2) == lrat(source)[0]
+    assert report == verify_convergence(source, schedule, scheme)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from egk.errors import InputError
 from egk.fixtures import myerson_game, myerson_prob_model
@@ -82,6 +82,53 @@ def test_the_triple_walk_finds_every_kind_on_random_frames():
         assert validate_standard(model) == found
         kinds |= {v.kind for v in found}
     assert kinds == {"seriality", "transitivity", "euclideanness", "sigma-constancy"}
+
+
+# Both players play A or B, so one access set object can hold worlds whose
+# strategies agree for one player and differ for the other.
+_SHARED_LABELS = Game(("1", "2"), (("A", "B"), ("A", "B")),
+                      {(r, c): (F(0), F(0)) for r in "AB" for c in "AB"})
+
+
+def _pooled_frame(access, sigma):
+    return StandardKripkeModel(_SHARED_LABELS, tuple(access[0]), access, sigma)
+
+
+@st.composite
+def _pooled_frames(draw):
+    """A frame on 1-5 worlds whose access sets come from a pool of 1-3 frozenset objects.
+
+    Worlds share the pool's objects within and across players, and about one
+    in four holds an equal but distinct copy instead.
+    """
+    worlds = tuple(f"w{k}" for k in range(draw(st.integers(1, 5))))
+    pool = draw(st.lists(st.frozensets(st.sampled_from(worlds)), min_size=1, max_size=3))
+
+    def pick():
+        held = draw(st.sampled_from(pool))
+        return frozenset(set(held)) if draw(st.integers(0, 3)) == 0 else held
+
+    access = tuple({w: pick() for w in worlds} for _ in (0, 1))
+    sigma = tuple({w: draw(st.sampled_from("AB")) for w in worlds} for _ in (0, 1))
+    return _pooled_frame(access, sigma)
+
+
+_UV = frozenset({"u", "v"})
+_V = frozenset({"v"})
+
+
+@settings(max_examples=120, deadline=None)
+@given(_pooled_frames())
+# One class object shared by both players: player 1 plays A throughout it,
+# player 2 plays A at u and B at v.
+@example(_pooled_frame(({"u": _UV, "v": _UV},) * 2,
+                       ({"u": "A", "v": "A"}, {"u": "A", "v": "B"})))
+# uRv with R(u) = {u, v} and R(v) = {v}: Euclideanness fails between two pool
+# objects; player 2 holds {u, v} at u and an equal copy of it at v.
+@example(_pooled_frame(({"u": _UV, "v": _V}, {"u": _UV, "v": frozenset(set(_UV))}),
+                       ({"u": "A", "v": "A"}, {"u": "B", "v": "B"})))
+def test_frame_violations_on_shared_access_sets_match_the_triple_walk(model):
+    assert validate_standard(model) == reference_frame_violations(model)
 
 
 def test_sigma_constancy_violation():
