@@ -11,9 +11,10 @@ rationality along the family against common primary belief in
 lexicographic rationality on the source.
 
 A member's belief is a mass-weighted sum of the source's disjoint levels,
-so its rows are read from one table per kept source group: the levels
-pushed onto the opponent's strategies and the level weights as integers.
-A member is built as a model only by ``build_epsilon_model``.
+so its rows and its beliefs are read from the integer table the source
+keeps per group (``kripke._tables``): the levels pushed onto the
+opponent's strategies and the level weights over one denominator.  A
+member is built as a model only by ``build_epsilon_model``.
 """
 
 from __future__ import annotations
@@ -27,16 +28,16 @@ from .errors import InputError
 from .frozen import Frozen
 from .kripke import (
     ProbKripkeModel,
+    _LevelTable,
     _playing,
-    _pushed_levels,
+    _tables,
     check_caution,
     check_constancy,
     common,
-    per_belief,
     validate_beliefs,
     validate_standard,
 )
-from .ordered import OrderedKripkeModel, check_structural_conditions, common_level1_belief
+from .ordered import OrderedKripkeModel, check_structural_conditions, common_level1_belief, lrat
 
 SCHEMES = ("perfect", "proper")
 
@@ -126,31 +127,30 @@ def build_epsilon_model(
 ) -> ProbKripkeModel:
     """The probabilistic model at threshold ``eps`` over the same frame.
 
-    Each of the source's kept belief groups gets one belief, built once and
-    shared by its worlds, so every reader of the member evaluates it once.
+    Each of the source's kept belief groups gets one belief, built once
+    from its level table and shared by its worlds, so every reader of the
+    member evaluates it once.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     _check_scheme(scheme)
     _require_hypotheses(model)
-    p = tuple(per_belief(model.groups(i), lambda levels: _member_belief(levels, eps, scheme))
-              for i in (0, 1))
+    p = ({}, {})
+    for i in (0, 1):
+        for (levels, holders), table in zip(model.groups(i), _tables(model, i)):
+            p[i].update(dict.fromkeys(holders, _member_belief(table, levels, eps, scheme)))
     out = ProbKripkeModel(model.base, p)
     _check_output(model, out, eps)
     return out
 
 
-def _member_belief(levels, eps: Fraction, scheme: str) -> dict[str, Fraction]:
+def _member_belief(table: _LevelTable, levels, eps: Fraction, scheme: str) -> dict[str, Fraction]:
     """Each weight as one ``Fraction`` of integers over the belief's one denominator."""
     masses = _level_masses(levels, eps, scheme)
-    den = math.lcm(*(v.denominator for level in levels for v in level.values()))
-    total = sum(masses) * den
-    dist: dict[str, Fraction] = {}
-    for mass, level in zip(masses, levels):
-        for w1, v in level.items():
-            dist[w1] = Fraction(mass * v.numerator * (den // v.denominator), total)
-    return dist
+    total = sum(masses) * table.den
+    return {w1: Fraction(mass * n, total)
+            for mass, level in zip(masses, table.weights) for w1, n in level}
 
 
 def _check_output(source: OrderedKripkeModel, out: ProbKripkeModel, eps: Fraction) -> None:
@@ -193,37 +193,6 @@ class ConvergenceReport(NamedTuple):
     matches: bool
 
 
-class _LevelTable(NamedTuple):
-    """One kept source group, read at every threshold of a family.
-
-    ``pushed`` holds each level pushed onto the opponent's strategies, as
-    the source keeps them (``kripke._pushed_levels``), all over one common
-    scale, so that a member's push-forward is their mass-weighted sum.
-    ``weights`` holds each level's (world, numerator) pairs over the
-    group's one denominator ``den``: the numerators ``_member_belief``
-    weights by the level masses.
-    """
-
-    levels: tuple
-    holders: tuple[str, ...]
-    pushed: tuple[tuple[int, ...], ...]
-    weights: tuple[tuple[tuple[str, int], ...], ...]
-    den: int
-
-
-def _level_table(group, pushed) -> _LevelTable:
-    levels, holders = group
-    sums = [sum(p) for p in pushed]
-    scale = math.lcm(*sums)
-    den = math.lcm(*(v.denominator for level in levels for v in level.values()))
-    return _LevelTable(
-        levels, holders,
-        tuple(tuple(x * (scale // s) for x in p) for p, s in zip(pushed, sums)),
-        tuple(tuple((w1, v.numerator * (den // v.denominator)) for w1, v in level.items())
-              for level in levels),
-        den)
-
-
 def _above(table: _LevelTable, masses: list[int], eps: Fraction) -> frozenset[str]:
     """The worlds the member weights strictly above eps = a/b: m_k·n·b > a·Σm·den.
 
@@ -246,17 +215,17 @@ def _above(table: _LevelTable, masses: list[int], eps: Fraction) -> frozenset[st
 
 
 def _member_events(
-    model: OrderedKripkeModel, tables, eps: Fraction, scheme: str
+    model: OrderedKripkeModel, eps: Fraction, scheme: str
 ) -> tuple[frozenset[str], frozenset[str]]:
     """RAT of the member at ``eps`` and upper common belief in it, read from the level tables."""
     rational, views = [], []
     for i in (0, 1):
         playing, view = [], {}
-        for table in tables[i]:
-            masses = _level_masses(table.levels, eps, scheme)
+        for (levels, holders), table in zip(model.groups(i), _tables(model, i)):
+            masses = _level_masses(levels, eps, scheme)
             score = tuple(sum(map(mul, masses, column)) for column in zip(*table.pushed))
-            playing += _playing(model, i, table.holders, (score,))
-            view.update(dict.fromkeys(table.holders, _above(table, masses, eps)))
+            playing += _playing(model, i, holders, (score,))
+            view.update(dict.fromkeys(holders, _above(table, masses, eps)))
         rational.append(frozenset(playing))
         views.append(view.__getitem__)
     rat_event = rational[0] & rational[1]
@@ -274,26 +243,20 @@ def verify_convergence(
     threshold in it for the family member, and reports every tail
     intersection, the index where the tail stops changing, and whether the
     stabilized set equals common primary belief in lexicographic
-    rationality on the source model.  The rows are read from one level
-    table per kept source group, made once per call from the pushed levels
-    kept on the source, so a source that ``lrat`` has read is pushed no
-    more; the limit's lexicographic rationality is read from the same
-    pushed levels.  No member is built.
+    rationality on the source model.  The rows are read from the level
+    table the source keeps per group, so a source that ``lrat`` or an
+    earlier call has read is pushed no more; the limit is read from
+    ``lrat`` on the same tables.  No member is built.
     """
     _check_scheme(scheme)
     _require_hypotheses(model)
-    tables = tuple(tuple(map(_level_table, model.groups(i), _pushed_levels(model, i)))
-                   for i in (0, 1))
     rows = []
     events = []
     for n, eps in enumerate(schedule.values()):
-        rat_event, cb = _member_events(model, tables, eps, scheme)
+        rat_event, cb = _member_events(model, eps, scheme)
         events.append(cb)
         rows.append(ConvergenceRow(n, eps, model.order(rat_event), model.order(cb)))
-    lrat = [frozenset(w for table in tables[i]
-                      for w in _playing(model, i, table.holders, table.pushed))
-            for i in (0, 1)]
-    limit = common_level1_belief(model, lrat[0] & lrat[1])
+    limit = common_level1_belief(model, lrat(model)[1])
 
     # The tail after m intersects the events from m + 1 on: one pass from the last event back.
     tails = []

@@ -19,27 +19,31 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _no_labels(i: int, w: str, w1: str) -> list[str]:
+    return []
+
+
 def export_dot(model) -> str:
+    if isinstance(model, ProbKripkeModel):
+        def labels(i: int, w: str, w1: str) -> list[str]:
+            weight = model.p[i][w].get(w1)
+            return [] if weight is None else [f"label={_quote(format_rational(weight))}"]
+    elif isinstance(model, OrderedKripkeModel):
+        def labels(i: int, w: str, w1: str) -> list[str]:
+            held = model.lam[i][w]
+            levels = [str(k + 1) for k, dist in enumerate(held) if w1 in dist]
+            attrs = [f"label={_quote(','.join(levels))}"] if levels else []
+            return attrs + ["penwidth=2"] if w1 in held[0] else attrs
+    else:
+        labels = _no_labels
     lines = ["digraph model {", "  rankdir=LR;"]
     for w in model.worlds:
         s1, s2 = model.profile(w)
         lines.append(f"  {_quote(w)} [label={_quote(f'{w}:({s1},{s2})')}];")
     for i in (0, 1):
         for w in model.worlds:
-            for w1 in model.worlds:
-                if w1 not in model.access[i][w]:
-                    continue
-                attrs = [f"style={_EDGE_STYLE[i]}"]
-                if isinstance(model, ProbKripkeModel):
-                    weight = model.p[i][w].get(w1)
-                    if weight is not None:
-                        attrs.append(f"label={_quote(format_rational(weight))}")
-                elif isinstance(model, OrderedKripkeModel):
-                    levels = [str(k + 1) for k, dist in enumerate(model.lam[i][w]) if w1 in dist]
-                    if levels:
-                        attrs.append(f"label={_quote(','.join(levels))}")
-                    if w1 in model.lam[i][w][0]:
-                        attrs.append("penwidth=2")
-                lines.append(f"  {_quote(w)} -> {_quote(w1)} [{' '.join(attrs)}];")
+            for w1 in model.order(model.access[i][w]):
+                attrs = " ".join([f"style={_EDGE_STYLE[i]}", *labels(i, w, w1)])
+                lines.append(f"  {_quote(w)} -> {_quote(w1)} [{attrs}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

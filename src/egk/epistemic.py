@@ -313,14 +313,19 @@ def types_from_kripke(
     over (opponent strategy, opponent class) pairs, computed as the coarsest
     such partition.  The belief of a type totals the world-belief weight of
     each class on each strategy, so it is independent of the representative.
-    Each belief group is summed as integers over its common denominator;
-    a signature is reduced by the gcd, so equal distributions share it.
+    Each belief group is summed as the integer weights of the table the
+    model keeps for it (``kripke._tables``), so a model whose beliefs push
+    forward to no mixed strategy raises ``push_forward``'s error, as
+    ``rat`` does; a signature is reduced by the gcd, so equal distributions
+    share it.
     """
+    from .kripke import _tables
+
     worlds = model.worlds
     # Per player: each group's common denominator, integer weights and holders.
-    scaled = [[(den := math.lcm(*(v.denominator for v in dist.values())),
-                [(w1, v.numerator * (den // v.denominator)) for w1, v in dist.items()], holders)
-               for dist, holders in model.groups(i)] for i in (0, 1)]
+    scaled = [[(table.den, table.weights[0], holders)
+               for (_, holders), table in zip(model.groups(i), _tables(model, i))]
+              for i in (0, 1)]
 
     classes = [{w: 0 for w in worlds}, {w: 0 for w in worlds}]
 

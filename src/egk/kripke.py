@@ -6,13 +6,15 @@ to be KD45 (serial, transitive, Euclidean) and a player's own strategy
 constant on accessibility classes; ``validate_standard`` and
 ``validate_prob`` report violations as data rather than raising, so a model
 checker can surface every defect at once.  A model keeps its belief groups,
-its checks and each player's pushed levels; the belief checks all read one
-pass per player and group, and every best-reply reader reads the levels
-pushed once per player and group.
+its checks and one integer table per kept group: the belief checks all read
+one pass per player and group, and every reader of a group in integers
+(best replies, the threshold family's rows and members, the type quotient)
+reads its table, built once per player.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
@@ -97,15 +99,21 @@ class FramedModel(Frozen):
     by data alone: how a stored belief reads as levels and back
     (``_as_levels``, ``_from_levels``), its name in files and violation
     kinds (``KIND``), the wording of its messages (``_TEXT``), and whether
-    beliefs must be constant on R_i classes (``_REQUIRE_CONSTANCY``).
-    ``_groups`` holds each player's :meth:`groups`, kept by the constructor,
-    ``_checked`` the belief checks once found (:func:`_checks`), and
-    ``_pushed`` each player's levels pushed onto the opponent's strategies,
-    per kept group, filled per player on first use (:func:`_pushed_levels`).
+    beliefs must be constant on R_i classes (``_REQUIRE_CONSTANCY``); the
+    one constructor, ``(base, beliefs)``, checks and cleans the flavor's
+    beliefs (:meth:`_cleaned`).  ``_groups`` holds each player's
+    :meth:`groups`, kept by the constructor, ``_checked`` the belief checks
+    once found (:func:`_checks`), and ``_tables`` each player's
+    :class:`_LevelTable` per kept group, filled per player on first use
+    (:func:`_tables`).
     """
 
-    __slots__ = ("base", "_groups", "_checked", "_pushed")
+    __slots__ = ("base", "_groups", "_checked", "_tables")
     base: StandardKripkeModel
+
+    def __init__(self, base, *beliefs) -> None:
+        # A flavor passes its one belief field; the bare core carries none.
+        super().__init__(base, *(self._cleaned(base, b) for b in beliefs))
 
     @property
     def game(self) -> Game:
@@ -204,9 +212,6 @@ class ProbKripkeModel(FramedModel):
     @staticmethod
     def _as_levels(dist: Mapping[str, Fraction]) -> tuple[Mapping[str, Fraction]]:
         return (dist,)
-
-    def __init__(self, base, p) -> None:
-        super().__init__(base, self._cleaned(base, p))
 
 
 def belief_groups(worlds: Iterable[str], beliefs: Mapping[str, B]) -> list[tuple[B, list[str]]]:
@@ -474,31 +479,56 @@ def rat(model: ProbKripkeModel) -> tuple[tuple[EventSet, EventSet], EventSet]:
 def best_reply_worlds(model: FramedModel, i: int) -> EventSet:
     """Worlds where player ``i``'s strategy is a lexicographic best reply to their belief.
 
-    Best replies are found once per kept belief group, from the levels
-    :func:`_pushed_levels` keeps on the model, so worlds that share a belief
+    Best replies are found once per kept belief group, from the pushed
+    levels of its :func:`_tables` entry, so worlds that share a belief
     object, such as the members of an R_i class, cost one evaluation, and a
     later reader of the same model pushes nothing again.
     """
     out = []
-    for (_, holders), levels in zip(model.groups(i), _pushed_levels(model, i)):
-        out += _playing(model, i, holders, levels)
+    for (_, holders), table in zip(model.groups(i), _tables(model, i)):
+        out += _playing(model, i, holders, table.pushed)
     return frozenset(out)
 
 
-def _pushed_levels(model: FramedModel, i: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Each of player ``i``'s kept groups' levels pushed onto the opponent's strategies.
+class _LevelTable(NamedTuple):
+    """One kept belief group in integers.
 
-    Pushed in group order on first use and kept on the model per player, so
-    the first bad belief raises ``push_forward``'s error, and asking for one
-    player pushes nothing of the other's.
+    ``pushed`` holds each level pushed onto the opponent's strategies, all
+    over one common scale, so that the push-forward of a mass-weighted sum
+    of the levels is the same mass-weighted sum of these.  ``weights``
+    holds each level's (world, numerator) pairs, in item order, over the
+    group's one denominator ``den``.
     """
-    kept = model._memo("_pushed", lambda m: [None, None])
+
+    pushed: tuple[tuple[int, ...], ...]
+    weights: tuple[tuple[tuple[str, int], ...], ...]
+    den: int
+
+
+def _tables(model: FramedModel, i: int) -> tuple[_LevelTable, ...]:
+    """Player ``i``'s :class:`_LevelTable` per kept group, in group order.
+
+    Built on first use and kept on the model per player, so the first bad
+    belief raises ``push_forward``'s error, and asking for one player
+    pushes nothing of the other's.
+    """
+    kept = model._memo("_tables", lambda m: [None, None])
     if kept[i] is None:
         j = other(i)
         strategy_of = model.sigma[j].__getitem__
-        kept[i] = tuple(tuple(push_forward(model.game, j, dist, strategy_of)
-                              for dist in model._as_levels(belief))
-                        for belief, _ in model.groups(i))
+        tables = []
+        for belief, _ in model.groups(i):
+            levels = model._as_levels(belief)
+            pushed = [push_forward(model.game, j, dist, strategy_of) for dist in levels]
+            sums = [sum(p) for p in pushed]
+            scale = math.lcm(*sums)
+            den = math.lcm(*(v.denominator for dist in levels for v in dist.values()))
+            tables.append(_LevelTable(
+                tuple(tuple(x * (scale // s) for x in p) for p, s in zip(pushed, sums)),
+                tuple(tuple((w1, v.numerator * (den // v.denominator)) for w1, v in dist.items())
+                      for dist in levels),
+                den))
+        kept[i] = tuple(tables)
     return kept[i]
 
 

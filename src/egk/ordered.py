@@ -49,9 +49,6 @@ class OrderedKripkeModel(FramedModel):
     }
     _as_levels = _from_levels = tuple
 
-    def __init__(self, base, lam) -> None:
-        super().__init__(base, self._cleaned(base, lam))
-
 
 def validate_ordered(model: OrderedKripkeModel) -> list[Violation]:
     """Standard axioms plus measure, support, and injectivity of the levels."""

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from egk import cli, convergence, games, modelio
+from egk import cli, convergence, games, kripke, modelio
 from egk.convergence import (
     SCHEMES,
     EpsilonSchedule,
@@ -418,7 +419,8 @@ def _wild_ordered_model(rng: random.Random) -> OrderedKripkeModel:
             cuts = sorted(rng.sample(range(1, len(members)), n_levels - 1))
             levels = tuple(_random_dist(rng, members[a:b])
                            for a, b in zip([0] + cuts, cuts + [len(members)]))
-            for w2 in model.access[i][w]:
+            # In sorted order, so that a seed draws one model under every hash seed.
+            for w2 in sorted(model.access[i][w]):
                 if w2 == w or rng.random() < 0.4:
                     per[w2] = levels
         lam.append(per)
@@ -711,3 +713,59 @@ def test_lrat_then_verify_convergence_push_each_kept_level_once(seed, scheme):
         assert len(pushed) == sum(levels)
     assert (lrat_1, lrat_2) == lrat(source)[0]
     assert report == verify_convergence(source, schedule, scheme)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(SCHEMES))
+@example(1, "perfect")
+def test_members_and_their_type_quotients_push_no_kept_level_again(seed, scheme):
+    rng = random.Random(seed)
+    source = random_ordered_model(rng, random_game(rng))
+    model = modelio.model_from_json(json.loads(modelio.dumps(modelio.model_to_json(source))))
+    schedule = EpsilonSchedule(F(1, 3), 3)
+    lrat(model)
+    report = verify_convergence(model, schedule, scheme)
+    with pytest.MonkeyPatch.context() as patch:
+        pushed = _count_pushes(patch)
+        # Each member is built from the tables lrat left on the source.
+        members = [build_epsilon_model(model, row.eps, scheme) for row in report.rows]
+        assert pushed == []
+        for member in members:
+            rat(member)
+            after_rat = len(pushed)
+            types_from_kripke(member)
+            assert len(pushed) == after_rat
+        # rat pushed each member group's one level once.
+        assert len(pushed) == sum(len(member.groups(i)) for member in members for i in (0, 1))
+    assert members == [build_epsilon_model(source, row.eps, scheme) for row in report.rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("class-constant", "wild")), st.integers(0, 10**6), _MEMBER_EPS)
+# Sources with groups whose levels have different denominators and push forward
+# to totals of different sizes.
+@example("wild", 24, F(1, 8))
+@example("wild", 40, F(1, 8))
+@example("wild", 44, F(1, 8))
+def test_each_kept_table_reproduces_its_group(kind, seed, eps):
+    rng = random.Random(seed)
+    source = (random_ordered_model(rng, random_game(rng)) if kind == "class-constant"
+              else _wild_ordered_model(rng))
+    for model in (source, build_epsilon_model(source, eps)):
+        for i in (0, 1):
+            j = 1 - i
+            tables = kripke._tables(model, i)
+            assert len(tables) == len(model.groups(i))
+            for (belief, _), table in zip(model.groups(i), tables):
+                levels = model._as_levels(belief)
+                assert table.den == math.lcm(*(v.denominator for level in levels
+                                               for v in level.values()))
+                assert [[(w1, F(n, table.den)) for w1, n in weights]
+                        for weights in table.weights] == [list(level.items()) for level in levels]
+                assert len(table.pushed) == len(levels)
+                assert len({sum(pushed) for pushed in table.pushed}) == 1
+                for pushed, level in zip(table.pushed, levels):
+                    alone = games.push_forward(model.game, j, level, model.sigma[j].__getitem__)
+                    times, rest = divmod(sum(pushed), sum(alone))
+                    assert times >= 1 and rest == 0
+                    assert pushed == tuple(times * x for x in alone)

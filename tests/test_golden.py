@@ -43,6 +43,9 @@ CROSS_CLUSTER_LRAT = "tests/golden/event_cross_cluster_lrat.json"
 # A 3x3 game whose weak round (M) is followed by a strict round (R), each strategy
 # dominated only by a mixture; IESDS takes M with a different mixture.
 MIXED_ROUNDS = "tests/golden/game_mixed_rounds.json"
+# A standard model (no beliefs) breaking transitivity, Euclideanness and sigma-constancy
+# for player 1 and seriality for player 2, once each, so the report's order is fixed.
+STANDARD = "tests/golden/standard_frame.json"
 FAMILY = "family"
 FAMILY_PROPER = "family_proper"
 FAMILIES = (FAMILY, FAMILY_PROPER)
@@ -65,6 +68,7 @@ CASES = {
          "--json"], 1),
     "model_check_ordered": (["model", "check", ORDERED, "--json"], 0),
     "model_check_structural": (["model", "check", STRUCTURAL, "--json"], 1),
+    "model_check_standard": (["model", "check", STANDARD, "--json"], 1),
     "model_operators_b": (
         ["model", "operators", PROB, "--op", "b", "--player", "1", "--event", EVENT,
          "--json"], 0),
@@ -123,6 +127,7 @@ _TEXT = (
     "game_analyze_df", "game_analyze_iesds", "game_analyze_mixed_rounds_df",
     "game_analyze_mixed_rounds_iesds", "model_check_prob", "model_check_prob_eps",
     "model_check_prob_pointwise", "model_check_ordered", "model_check_structural",
+    "model_check_standard",
     "model_operators_b", "model_operators_cb", "model_operators_b1", "model_operators_cb1",
     "model_operators_beps", "model_operators_cbeps", "model_operators_b_ordered",
     "model_operators_cb_ordered",

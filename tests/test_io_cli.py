@@ -940,6 +940,85 @@ def test_options_a_command_does_not_use_exit_2(command, message, flag, tmp_path,
     assert captured.err == f"error: {message}\n"
 
 
+_PROB_TYPES = str(_ROOT / "fixtures" / "myerson_prob_types.json")
+
+
+def _one_line_complaints():
+    """(command, the document to write at ``{path}`` or None, the complaint after ``error: ``)."""
+    game = json.loads((_ROOT / "fixtures" / "myerson_game.json").read_text(encoding="utf-8"))
+    ordered = json.loads(Path(_ORDERED).read_text(encoding="utf-8"))
+    types = json.loads(Path(_PROB_TYPES).read_text(encoding="utf-8"))
+    del game["players"]
+    del ordered["lambda"]["1"]["w2"]
+    single, unbelieved, mixed = (copy.deepcopy(types) for _ in range(3))
+    single["types"] = [["t1"]]
+    unbelieved["beliefs"]["1"] = {}
+    mixed["beliefs"]["2"]["t2"] = [types["beliefs"]["2"]["t2"]]
+    cases = [
+        ("rat-on-ordered", ["model", "rat", _ORDERED], None,
+         "rationality needs a probabilistic model"),
+        ("lrat-on-prob", ["model", "lrat", _PROB], None,
+         "lexicographic rationality needs an ordered model"),
+        ("to-types-on-ordered", ["model", "to-types", _ORDERED], None,
+         "to-types expects a probabilistic model"),
+        ("to-kripke-on-prob-types", ["types", "to-kripke", _PROB_TYPES], None,
+         "to-kripke expects a lexicographic type model"),
+        ("converge-on-prob", ["converge", _PROB, "--schedule", "geometric:1/2,3"], None,
+         "converge expects an ordered model"),
+        ("schedule-not-geometric", ["converge", _ORDERED, "--schedule", "linear:1/2,3"], None,
+         "unknown schedule 'linear:1/2,3'; expected geometric:RATIO,COUNT"),
+        ("schedule-three-parts", ["converge", _ORDERED, "--schedule", "geometric:1/2,3,4"],
+         None, "malformed schedule 'geometric:1/2,3,4'; expected geometric:RATIO,COUNT"),
+        ("game-without-players", ["game", "analyze", "{path}"], game,
+         "{path}: missing key 'players'"),
+        ("ordered-without-a-lambda-world", ["model", "check", "{path}"], ordered,
+         "{path}.lambda: missing world 'w2' for player '1'"),
+        ("types-with-one-list", ["types", "analyze", "{path}"], single,
+         "{path}.types: expected two type lists"),
+        ("types-without-a-belief", ["types", "analyze", "{path}"], unbelieved,
+         "{path}.beliefs: missing type 't1'"),
+        ("types-mixing-beliefs", ["types", "analyze", "{path}"], mixed,
+         "{path}.beliefs: mixing single and level-list beliefs"),
+    ]
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("command,doc,message", _one_line_complaints())
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+def test_each_complaint_exits_2_with_one_error_line(command, doc, message, flag, tmp_path,
+                                                     capsys):
+    path = write(tmp_path, "input.json", doc) if doc is not None else None
+    argv = [arg.format(path=path) for arg in command]
+    assert _run(capsys, [*argv, *flag]) == (2, "", f"error: {message.format(path=path)}\n")
+
+
+def _named_players(tmp_path) -> str:
+    """The probabilistic fixture with its players named ``Ann`` and ``Bob``."""
+    data = json.loads(Path(_PROB).read_text(encoding="utf-8"))
+    data["game"]["players"] = ["Ann", "Bob"]
+    for key in ("access", "sigma", "p"):
+        data[key] = {"Ann": data[key]["1"], "Bob": data[key]["2"]}
+    return write(tmp_path, "named.json", data)
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+def test_a_player_is_named_by_label_or_by_number(flag, tmp_path, capsys):
+    path = _named_players(tmp_path)
+    event = write(tmp_path, "event.json", {"worlds": ["w1", "w2"]})
+
+    def belief(player):
+        return _run(capsys, ["model", "operators", path, "--op", "b", "--player", player,
+                             "--event", event, *flag])
+
+    # A game whose players are not named 1 and 2 still takes 1 and 2 for its players.
+    by_name = belief("Bob")
+    assert by_name[0] == 0 and by_name[1]
+    assert belief("2") == by_name
+    assert belief("1") == belief("Ann") != by_name
+    for player in ("Cat", "3"):
+        assert belief(player) == (2, "", f"error: unknown player {player!r}\n")
+
+
 def _json_kind(value) -> str:
     return {list: "an array", str: "a string", int: "a number", type(None): "null"}[type(value)]
 
