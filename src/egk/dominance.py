@@ -9,6 +9,12 @@ one, for weak dominance) is undominated: one integer pass over the rows per
 player and round, the only screen, certifies them all; the rest run an LP.  A
 round tests only the players whose opponent lost a strategy since their last
 test: against the same opponent strategies, fewer rivals dominate nothing new.
+
+The strict test's LP starts at a feasible point, the pure rival with the
+largest worst-case margin, so it needs no phase 1.  Its optimum's sign
+decides, and a dominator certified as the only optimum is kept.  When the
+optimum is not unique, the LP over all mixtures with a sum-to-one row runs
+instead, so the dominator is the one that LP's Bland's rule picks.
 """
 
 from __future__ import annotations
@@ -106,20 +112,37 @@ def strictly_dominated(
 
     Maximizes the minimum margin over the opponent's restricted strategies;
     ``s_i`` is dominated iff the optimum is positive.  The LP always runs:
-    :func:`_eliminate_round`'s screen is the only one.
+    :func:`_eliminate_round`'s screen is the only one.  It starts at the pure
+    rival ``b`` with the largest worst-case margin ``M``: with ``x_b`` the
+    rest of the weight and the margin ``M + Y``, every right-hand side is
+    nonnegative.  A dominator certified unique is every exact solver's.
     """
     cands, rivals, own, cols, den = _rows(game, r, i, s_i)
     k = len(cands)
-    # Variables: dominator weights, then the free margin split as d+ - d-.
-    # Every row that can carry an artificial is the exact row times ``den``,
-    # the sum-to-one row too, so every phase-1 cost scales by one factor.
-    c = [0] * k + [1, -1]
-    a_ub = [[-row[o] for row in rivals] + [den, -den] for o in cols]
-    b_ub = [-own[o] for o in cols]
-    res = maximize(c, a_ub, b_ub, [[den] * k + [0, 0]], [den])
-    if res.status != OPTIMAL or res.value <= 0:
+    if not k:
         return None
-    return MixedStrategy(i, {t: w for t, w in zip(cands, res.x) if w > 0})
+    worst = [min(row[o] - own[o] for o in cols) for row in rivals]
+    b = worst.index(m := max(worst))
+    best, others = rivals[b], rivals[:b] + rivals[b + 1:]
+    # Variables: the other rivals' weights x_t, then Y >= 0; row o reads
+    # Y + sum of x_t (best - rival t at o) <= best's margin at o - M.
+    a_ub = [[best[o] - row[o] for row in others] + [1] for o in cols]
+    b_ub = [best[o] - own[o] - m for o in cols]
+    res = maximize([0] * (k - 1) + [1], [*a_ub, [1] * (k - 1) + [0]], [*b_ub, 1])
+    if m + res.value <= 0:
+        return None
+    if res.unique:
+        x = list(res.x[:-1])
+        x.insert(b, 1 - sum(x))
+    else:
+        # Variables: dominator weights, then the free margin split as d+ - d-.
+        # Every row that can carry an artificial is the exact row times ``den``,
+        # the sum-to-one row too, so every phase-1 cost scales by one factor.
+        c = [0] * k + [1, -1]
+        a_ub = [[-row[o] for row in rivals] + [den, -den] for o in cols]
+        b_ub = [-own[o] for o in cols]
+        x = maximize(c, a_ub, b_ub, [[den] * k + [0, 0]], [den]).x
+    return MixedStrategy(i, {t: w for t, w in zip(cands, x) if w > 0})
 
 
 def weakly_dominated(

@@ -255,8 +255,9 @@ def _frame_violations(model: StandardKripkeModel) -> tuple[Violation, ...]:
     the access set object w holds, and only a pair that fails it is walked
     for its violating w2.  Sigma-constancy collects, once per player and
     access set object, the strategies its worlds play, and walks R(w) only
-    when that set is not {sigma_i(w)}.  So the violations and their order
-    are those of the walk over every triple.
+    when that set is not {sigma_i(w)}.  A world's failing w1 and their w2
+    are listed in model order, so the violations and their order are those
+    of the walk over every triple in model order, under any hash seed.
     """
     out = []
     for i in (0, 1):
@@ -269,23 +270,31 @@ def _frame_violations(model: StandardKripkeModel) -> tuple[Violation, ...]:
         for w in model.worlds:
             a = acc[w]
             for w1 in a:
+                if (b := acc[w1]) is not a and not b <= a:
+                    break
+            else:
+                continue
+            for w1 in model.order(a):
                 if (b := acc[w1]) is a or b <= a:
                     continue
-                for w2 in b:
-                    if w2 not in a:
-                        out.append(Violation(
-                            "transitivity", i, (w, w1, w2),
-                            f"player {name}: {w}R{w1} and {w1}R{w2} but not {w}R{w2}"))
+                for w2 in model.order(b - a):
+                    out.append(Violation(
+                        "transitivity", i, (w, w1, w2),
+                        f"player {name}: {w}R{w1} and {w1}R{w2} but not {w}R{w2}"))
         for w in model.worlds:
             a = acc[w]
             for w1 in a:
+                if (b := acc[w1]) is not a and not a <= b:
+                    break
+            else:
+                continue
+            for w1 in model.order(a):
                 if (b := acc[w1]) is a or a <= b:
                     continue
-                for w2 in a:
-                    if w2 not in b:
-                        out.append(Violation(
-                            "euclideanness", i, (w, w1, w2),
-                            f"player {name}: {w}R{w1} and {w}R{w2} but not {w1}R{w2}"))
+                for w2 in model.order(a - b):
+                    out.append(Violation(
+                        "euclideanness", i, (w, w1, w2),
+                        f"player {name}: {w}R{w1} and {w}R{w2} but not {w1}R{w2}"))
         played: dict[int, set[str]] = {}
         for w in model.worlds:
             a = acc[w]
@@ -293,7 +302,7 @@ def _frame_violations(model: StandardKripkeModel) -> tuple[Violation, ...]:
                 seen = played[id(a)] = {own[w1] for w1 in a}
             if seen == {own[w]}:
                 continue
-            for w1 in a:
+            for w1 in model.order(a):
                 if own[w1] != own[w]:
                     out.append(Violation(
                         "sigma-constancy", i, (w, w1),

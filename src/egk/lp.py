@@ -4,7 +4,10 @@ Covers exactly what the dominance and justification tests need: maximize a
 linear objective over ``{x >= 0 : A_ub x <= b_ub, A_eq x = b_eq}``.  Inputs
 are ints (anything else is a ``TypeError``) and results Fractions, so
 feasibility and the sign of the optimum are exact.  Bland's rule makes the
-pivot sequence finite.
+pivot sequence finite.  ``LPResult.unique`` certifies that the optimal x is
+the only one: it is read from the final basis, where every nonbasic
+column's reduced cost is negative (Mangasarian 1979).  A False leaves the
+question open; a degenerate vertex can be the only optimum without it.
 
 The tableau is condensed and fraction-free (Edmonds 1967, Bareiss 1968; the
 dictionary of Avis's lrs): only the nonbasic columns and the right-hand side
@@ -35,6 +38,7 @@ class LPResult(NamedTuple):
     status: str
     value: Fraction | None = None
     x: tuple[Fraction, ...] | None = None
+    unique: bool = False
 
 
 def _ints(values: Sequence[int]) -> list[int]:
@@ -101,15 +105,16 @@ def maximize(
         d = p
         nonbasic[cp], basis[rp] = basis[rp], nonbasic[cp]
 
-    def run(obj: list[int]) -> bool:
-        """Bland's rule on the variable costs ``obj``; False when unbounded.
+    def run(obj: list[int]) -> bool | None:
+        """Bland's rule on the variable costs ``obj``; None when unbounded, else
+        whether every nonbasic reduced cost at the optimum is negative.
 
         Column ``j``'s reduced cost has the sign of the integer
         ``obj[nonbasic[j]] * d - sum(obj[basis[r]] * T[r][j] for each row r)``.
         """
         while True:
             lam = [(obj[b], row) for b, row in zip(basis, tab) if obj[b]]
-            enter = -1
+            enter, flat = -1, False
             for j in sorted(range(len(nonbasic)), key=nonbasic.__getitem__):
                 red = obj[nonbasic[j]] * d
                 for l, row in lam:
@@ -117,8 +122,9 @@ def maximize(
                 if red > 0:
                     enter = j
                     break
+                flat = flat or red == 0
             if enter < 0:
-                return True
+                return not flat
             # Ratio test rhs/a over rows with a > 0, compared by cross-multiplication.
             leave, best_rhs, best_a = -1, 0, 1
             for r, (b, row) in enumerate(zip(basis, tab)):
@@ -128,7 +134,7 @@ def maximize(
                     if leave < 0 or lhs < rhs or (lhs == rhs and b < basis[leave]):
                         leave, best_rhs, best_a = r, row[-1], a
             if leave < 0:
-                return False
+                return None
             pivot(leave, enter)
 
     if art_rows:
@@ -150,11 +156,12 @@ def maximize(
         nonbasic[:] = [nonbasic[j] for j in keep]
         tab[:] = [[row[j] for j in keep] + row[-1:] for row in tab]
 
-    if not run(obj + [0] * (real_cols - n)):
+    unique = run(obj + [0] * (real_cols - n))
+    if unique is None:
         return LPResult(UNBOUNDED)
     x = [_ZERO] * n
     for b, row in zip(basis, tab):
         if b < n:
             x[b] = Fraction(row[-1], d)
     value = Fraction(sum(obj[b] * row[-1] for b, row in zip(basis, tab) if b < n), d)
-    return LPResult(OPTIMAL, value, tuple(x))
+    return LPResult(OPTIMAL, value, tuple(x), unique)

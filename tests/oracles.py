@@ -88,9 +88,9 @@ integers must give exactly their labels, beliefs, world types and
 permissible strategies.
 
 ``reference_frame_violations`` walks every (w, w1, w2) triple of each
-player's accessibility; :func:`egk.kripke.validate_standard`, which walks w2
-only for a pair that fails one set inclusion, must give exactly its
-violations, in order.
+player's accessibility in model order; :func:`egk.kripke.validate_standard`,
+which walks w2 only for a pair that fails one set inclusion, must give
+exactly its violations, in order.
 
 ``ReferenceProbKripkeModel`` and ``ReferenceOrderedKripkeModel`` are the two
 Kripke-model constructors written out once per flavor, with
@@ -252,30 +252,32 @@ def oracle_weakly_dominated(game, r, i, s_i) -> bool:
 
 
 def reference_frame_violations(model: StandardKripkeModel) -> list[Violation]:
-    """Seriality, transitivity, Euclideanness and sigma-constancy, triple by triple."""
+    """Seriality, transitivity, Euclideanness and sigma-constancy, triple by triple,
+    each world walked in model order."""
     out = []
+    worlds = model.worlds
     for i in (0, 1):
         name = model.game.players[i]
         acc = model.access[i]
-        for w in model.worlds:
+        for w in worlds:
             if not acc[w]:
                 out.append(Violation("seriality", i, (w,), f"player {name}: no world accessible from {w}"))
-        for w in model.worlds:
-            for w1 in acc[w]:
-                for w2 in acc[w1]:
+        for w in worlds:
+            for w1 in (v for v in worlds if v in acc[w]):
+                for w2 in (v for v in worlds if v in acc[w1]):
                     if w2 not in acc[w]:
                         out.append(Violation(
                             "transitivity", i, (w, w1, w2),
                             f"player {name}: {w}R{w1} and {w1}R{w2} but not {w}R{w2}"))
-        for w in model.worlds:
-            for w1 in acc[w]:
-                for w2 in acc[w]:
+        for w in worlds:
+            for w1 in (v for v in worlds if v in acc[w]):
+                for w2 in (v for v in worlds if v in acc[w]):
                     if w2 not in acc[w1]:
                         out.append(Violation(
                             "euclideanness", i, (w, w1, w2),
                             f"player {name}: {w}R{w1} and {w}R{w2} but not {w1}R{w2}"))
-        for w in model.worlds:
-            for w1 in acc[w]:
+        for w in worlds:
+            for w1 in (v for v in worlds if v in acc[w]):
                 if model.sigma[i][w1] != model.sigma[i][w]:
                     out.append(Violation(
                         "sigma-constancy", i, (w, w1),
@@ -468,7 +470,9 @@ def reference_maximize(
     """The plain ``Fraction``-tableau simplex that :func:`egk.lp.maximize` must match.
 
     Same problem, same Bland's rule, same phase-1 clean-up; every entry is a
-    normalised ``Fraction``.  A test reference only.
+    normalised ``Fraction``.  The optimum is reported unique when every
+    nonbasic, non-artificial column's reduced cost is negative there.  A
+    test reference only.
     """
     c = [Fraction(v) for v in c]
     n = len(c)
@@ -590,7 +594,10 @@ def reference_maximize(
         if basis[r] < n:
             x[basis[r]] = rhs[r]
     value = sum((ci * xi for ci, xi in zip(c, x)), _ZERO)
-    return LPResult(OPTIMAL, value, tuple(x))
+    lam = [obj2[b] for b in basis]
+    unique = all(obj2[j] - sum((l * tab[r][j] for r, l in enumerate(lam)), _ZERO) < 0
+                 for j in range(cols) if j not in art_set and j not in basis)
+    return LPResult(OPTIMAL, value, tuple(x), unique)
 
 
 def reference_mixed_strategy(weights: Mapping[str, Fraction]) -> dict[str, Fraction]:

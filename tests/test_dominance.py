@@ -306,6 +306,12 @@ def _alternating_game() -> Game:
 # Each procedure cuts only player 2, so its next round skips player 2, and
 # DF's weak round hands the strict phase player 1 alone.
 @example((_one_cut_game(), Restriction((("A", "B"), ("X", "W", "Z")))))
+# r0 alone and 7/9 r0 + 2/9 r2 both beat r1 by the least margin 4, so the
+# start at the best pure rival r0 is an optimum but not the only one, and the
+# dominator must come from the sum-to-one LP.
+@example((_game(("r0", "r1", "r2"), ("c0", "c1", "c2"),
+                [[(7, 1), (9, 6), (8, 0)], [(3, 4), (3, 2), (1, 6)], [(7, 3), (0, 1), (6, 0)]]),
+          Restriction((("r0", "r1", "r2"), ("c0", "c1", "c2")))))
 def test_screened_tests_match_the_lp_only_references(case):
     game, sub = case
     answers = {}

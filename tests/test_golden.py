@@ -43,6 +43,9 @@ CROSS_CLUSTER_LRAT = "tests/golden/event_cross_cluster_lrat.json"
 # A 3x3 game whose weak round (M) is followed by a strict round (R), each strategy
 # dominated only by a mixture; IESDS takes M with a different mixture.
 MIXED_ROUNDS = "tests/golden/game_mixed_rounds.json"
+# A 3x3 game whose r1 is strictly dominated by r0 alone and by mixtures of r0 and r2
+# with the same least margin: the dominator is the sum-to-one LP's, 7/9 r0 + 2/9 r2.
+RIVAL_TIE = "tests/golden/game_rival_tie.json"
 # A standard model (no beliefs) breaking transitivity, Euclideanness and sigma-constancy
 # for player 1 and seriality for player 2, once each, so the report's order is fixed.
 STANDARD = "tests/golden/standard_frame.json"
@@ -60,6 +63,8 @@ CASES = {
         ["game", "analyze", MIXED_ROUNDS, "--procedure", "df", "--json"], 0),
     "game_analyze_mixed_rounds_iesds": (
         ["game", "analyze", MIXED_ROUNDS, "--procedure", "iesds", "--json"], 0),
+    "game_analyze_rival_tie_iesds": (
+        ["game", "analyze", RIVAL_TIE, "--procedure", "iesds", "--json"], 0),
     "model_check_prob": (["model", "check", PROB, "--json"], 0),
     "model_check_prob_eps": (
         ["model", "check", PROB, "--eps", "1/4", "--show-upper", "--json"], 0),

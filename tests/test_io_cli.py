@@ -1392,6 +1392,29 @@ def test_files_are_utf_8_under_an_ascii_locale(tmp_path):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_frame_violations_print_the_same_under_any_hash_seed(flags, tmp_path):
+    # Player 2's R(w1) = R(w2) = {w1, w2, w3} and R(w3) is empty: six
+    # Euclideanness violations, each of whose walks has three worlds.
+    game = Game(("1", "2"), (("A", "B"), ("C", "D")),
+                {(a, b): (F(0), F(0)) for a in "AB" for b in "CD"})
+    worlds = ("w1", "w2", "w3")
+    everything = set(worlds)
+    access = ({w: {w} for w in worlds}, {"w1": everything, "w2": everything, "w3": set()})
+    sigma = ({w: "A" for w in worlds}, {w: "C" for w in worlds})
+    model = write(tmp_path, "model.json",
+                  modelio.model_to_json(StandardKripkeModel(game, worlds, access, sigma)))
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"), PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "egk.cli", "model", "check", model, *flags],
+                              cwd=tmp_path, env=env, capture_output=True)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"w1Rw3 and w1Rw") == 3
+
+
 @pytest.mark.parametrize("argv", [["model", "rat"], ["export", "dot"]], ids=["rat", "dot"])
 def test_text_that_stdout_cannot_encode_exits_2(argv, tmp_path):
     model = _accented_model(tmp_path)

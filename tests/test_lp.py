@@ -164,7 +164,19 @@ _RATIO_TIE_LP = (
 @example(_RATIO_TIE_LP)
 def test_matches_reference_simplex(lp):
     got, want = maximize(*lp), reference_maximize(*lp)
-    assert (got.status, got.value, got.x) == (want.status, want.value, want.x)
+    assert (got.status, got.value, got.x, got.unique) == \
+        (want.status, want.value, want.x, want.unique)
+
+
+def test_unique_certifies_a_vertex_optimum_and_not_an_edge():
+    # max x + y  s.t. x + 2y <= 4, 3x + y <= 6: the vertex (8/5, 6/5) alone.
+    vertex = ([1, 1], [[1, 2], [3, 1]], [4, 6])
+    # max x + y  s.t. x + y <= 1: every point from (1, 0) to (0, 1).
+    edge = ([1, 1], [[1, 1]], [1])
+    for lp, value, unique in ((vertex, F(14, 5), True), (edge, F(1), False)):
+        got = maximize(*lp)
+        assert (got.status, got.value, got.unique) == (OPTIMAL, value, unique)
+        assert reference_maximize(*lp) == got
 
 
 def test_negative_cleanup_pivot():
