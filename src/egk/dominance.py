@@ -10,11 +10,11 @@ player and round, the only screen, certifies them all; the rest run an LP.  A
 round tests only the players whose opponent lost a strategy since their last
 test: against the same opponent strategies, fewer rivals dominate nothing new.
 
-The strict test's LP starts at a feasible point, the pure rival with the
-largest worst-case margin, so it needs no phase 1.  Its optimum's sign
-decides, and a dominator certified as the only optimum is kept.  When the
-optimum is not unique, the LP over all mixtures with a sum-to-one row runs
-instead, so the dominator is the one that LP's Bland's rule picks.
+Both tests' LPs start at the pure rival with the largest worst-case margin,
+its weight the rest of the others': the strict one needs no phase 1, the weak
+one none when that rival weakly dominates.  The optimum's sign decides, and a
+dominator certified as the only optimum is kept; when the optimum is not
+unique, the LP over all mixtures with a sum-to-one row picks it by Bland's rule.
 """
 
 from __future__ import annotations
@@ -105,6 +105,17 @@ def _pure_best_replies(
     return found
 
 
+def _at_best_rival(
+    rivals: list[tuple[int, ...]], own: tuple[int, ...], cols: list[int]
+) -> tuple[int, list[list[int]], list[int]]:
+    """The rival ``b`` with the largest worst-case margin (first on ties) and, with ``x_b = 1 -
+    sum(others)``, each ``o``'s row ``sum of x_t (best - rival t at o) <= best's margin at o``."""
+    worst = [min(row[o] - own[o] for o in cols) for row in rivals]
+    b = worst.index(max(worst))
+    best, others = rivals[b], rivals[:b] + rivals[b + 1:]
+    return b, [[best[o] - row[o] for row in others] for o in cols], [best[o] - own[o] for o in cols]
+
+
 def strictly_dominated(
     game: Game, r: Restriction, i: int, s_i: str
 ) -> MixedStrategy | None:
@@ -112,23 +123,19 @@ def strictly_dominated(
 
     Maximizes the minimum margin over the opponent's restricted strategies;
     ``s_i`` is dominated iff the optimum is positive.  The LP always runs:
-    :func:`_eliminate_round`'s screen is the only one.  It starts at the pure
-    rival ``b`` with the largest worst-case margin ``M``: with ``x_b`` the
-    rest of the weight and the margin ``M + Y``, every right-hand side is
-    nonnegative.  A dominator certified unique is every exact solver's.
+    :func:`_eliminate_round`'s screen is the only one.  From :func:`_at_best_rival`'s
+    ``b``, with the margin ``M + Y`` for ``M`` the least right-hand side, every
+    one is nonnegative.  A dominator certified unique is every exact solver's.
     """
     cands, rivals, own, cols, den = _rows(game, r, i, s_i)
     k = len(cands)
     if not k:
         return None
-    worst = [min(row[o] - own[o] for o in cols) for row in rivals]
-    b = worst.index(m := max(worst))
-    best, others = rivals[b], rivals[:b] + rivals[b + 1:]
-    # Variables: the other rivals' weights x_t, then Y >= 0; row o reads
-    # Y + sum of x_t (best - rival t at o) <= best's margin at o - M.
-    a_ub = [[best[o] - row[o] for row in others] + [1] for o in cols]
-    b_ub = [best[o] - own[o] - m for o in cols]
-    res = maximize([0] * (k - 1) + [1], [*a_ub, [1] * (k - 1) + [0]], [*b_ub, 1])
+    b, a_ub, b_ub = _at_best_rival(rivals, own, cols)
+    m = min(b_ub)
+    # Variables: the other rivals' weights x_t, then Y >= 0; row o gains Y and loses M.
+    a_ub = [*(row + [1] for row in a_ub), [1] * (k - 1) + [0]]
+    res = maximize([0] * (k - 1) + [1], a_ub, [*(v - m for v in b_ub), 1])
     if m + res.value <= 0:
         return None
     if res.unique:
@@ -151,26 +158,29 @@ def weakly_dominated(
     """A mixture weakly dominating ``s_i`` within ``r``, or None.
 
     Maximizes total slack subject to componentwise >=; weakly dominated iff
-    the optimum is positive.  The LP always runs, as in :func:`strictly_dominated`.
+    the optimum is positive.  The LP always runs, from :func:`_at_best_rival`'s
+    ``b``: the total is ``b``'s plus the others' gain over it, so no phase 1
+    runs when ``b`` weakly dominates.  A unique optimum is kept, and any other
+    re-solved over all mixtures with a sum-to-one row, as the strict test does.
     """
     cands, rivals, own, cols, den = _rows(game, r, i, s_i)
-    k = len(cands)
-    nm = len(cols)
-    # Variables: dominator weights, then one nonnegative margin per opponent
-    # strategy; every row is the exact row times ``den``, as in the strict test.
-    c = [0] * k + [1] * nm
-    a_eq, b_eq = [], []
-    for idx, o in enumerate(cols):
-        row = [rival[o] for rival in rivals] + [0] * nm
-        row[k + idx] = -den
-        a_eq.append(row)
-        b_eq.append(own[o])
-    a_eq.append([den] * k + [0] * nm)
-    b_eq.append(den)
-    res = maximize(c, a_eq=a_eq, b_eq=b_eq)
-    if res.status != OPTIMAL or res.value <= 0:
+    k, nm = len(cands), len(cols)
+    if not k:
         return None
-    return MixedStrategy(i, {t: w for t, w in zip(cands, res.x) if w > 0})
+    b, a_ub, b_ub = _at_best_rival(rivals, own, cols)
+    res = maximize([-sum(col) for col in zip(*a_ub)], [*a_ub, [1] * (k - 1)], [*b_ub, 1])
+    if res.status != OPTIMAL or sum(b_ub) + res.value <= 0:
+        return None
+    if res.unique:
+        x = list(res.x)
+        x.insert(b, 1 - sum(x))
+    else:
+        # Dominator weights, then a margin per ``o``; each row times ``den``, as in the strict test.
+        a_eq = [[row[o] for row in rivals] + [-den if q == p else 0 for q in range(nm)]
+                for p, o in enumerate(cols)]
+        x = maximize([0] * k + [1] * nm, a_eq=[*a_eq, [den] * k + [0] * nm],
+                     b_eq=[*(own[o] for o in cols), den]).x
+    return MixedStrategy(i, {t: w for t, w in zip(cands, x) if w > 0})
 
 
 def justifying_belief(

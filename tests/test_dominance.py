@@ -312,6 +312,18 @@ def _alternating_game() -> Game:
 @example((_game(("r0", "r1", "r2"), ("c0", "c1", "c2"),
                 [[(7, 1), (9, 6), (8, 0)], [(3, 4), (3, 2), (1, 6)], [(7, 3), (0, 1), (6, 0)]]),
           Restriction((("r0", "r1", "r2"), ("c0", "c1", "c2")))))
+# Each rival of A is below it somewhere, and so is every mixture: the weak
+# test's LP from the best pure rival is infeasible.
+@example((_game(("A", "B", "C"), ("X", "Y"), [[(2, 0), (2, 0)], [(3, 0), (0, 0)], [(0, 0), (3, 0)]]),
+          Restriction((("A", "B", "C"), ("X", "Y")))))
+# No pure rival weakly dominates A, but 1/2 B + 1/2 C does: the weak test's
+# LP from the best pure rival has a negative right-hand side, so runs phase 1.
+@example((_game(("A", "B", "C"), ("X", "Y", "Z"),
+                [[(1, 0), (1, 0), (0, 0)], [(2, 0), (0, 0), (1, 0)], [(0, 0), (2, 0), (0, 0)]]),
+          Restriction((("A", "B", "C"), ("X", "Y", "Z")))))
+# Player 2's R has a face of weak optima, M alone to 1/2 L + 1/2 M, so the
+# LP from M is not certified unique and the sum-to-one LP picks the dominator.
+@example((_alternating_game(), Restriction((("T", "B"), ("L", "M", "R")))))
 def test_screened_tests_match_the_lp_only_references(case):
     game, sub = case
     answers = {}
@@ -386,27 +398,30 @@ def test_only_eliminations_run_an_lp(build, eliminations, monkeypatch):
     assert len(tests) == len(calls)
 
 
-@pytest.mark.parametrize("build,lps,screens", [
+@pytest.mark.parametrize("build,tests,lps,screens", [
     # Z goes in one round; the next tests player 1 alone, so W's LP runs once.
     # The two rounds screen both players, then player 1: 3 screens in all.
-    (_one_cut_game, 2, 3),
+    (_one_cut_game, 2, {"df": 2, "iesds": 2}, 3),
     # Each round after the first tests only the player the last one cut the
-    # opponent of: 5 round screens in all.
-    (_alternating_game, 3, 5),
+    # opponent of: 5 round screens in all.  Under DF, R's weak optima are a
+    # face, M alone to 1/2 L + 1/2 M, so the start at M is not certified
+    # unique and the sum-to-one LP picks the dominator: a fourth LP.
+    (_alternating_game, 3, {"df": 4, "iesds": 3}, 5),
     # Nothing goes, so DF's weak round is its only round.
-    (lambda: _planted_game(6), 0, 2),
+    (lambda: _planted_game(6), 0, {"df": 0, "iesds": 0}, 2),
 ], ids=["one-cut", "alternating", "planted"])
 @pytest.mark.parametrize("procedure", [dekel_fudenberg, iesds], ids=["df", "iesds"])
 def test_a_round_tests_only_players_whose_opponent_lost_a_strategy(
-        build, lps, screens, procedure, monkeypatch):
+        build, tests, lps, screens, procedure, monkeypatch):
     game = build()
-    expected = reference_elimination(game, "df" if procedure is dekel_fudenberg else "iesds")
+    name = "df" if procedure is dekel_fudenberg else "iesds"
+    expected = reference_elimination(game, name)
     calls = _count_calls(monkeypatch, "maximize")
-    tests = _count_calls(monkeypatch, "strictly_dominated", "weakly_dominated")
+    tested = _count_calls(monkeypatch, "strictly_dominated", "weakly_dominated")
     screened = _count_calls(monkeypatch, "_pure_best_replies")
     assert procedure(game) == expected
-    assert len(calls) == lps
-    assert len(tests) == lps
+    assert len(calls) == lps[name]
+    assert len(tested) == tests
     assert len(screened) == screens
 
 

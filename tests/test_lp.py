@@ -168,6 +168,24 @@ def test_matches_reference_simplex(lp):
         (want.status, want.value, want.x, want.unique)
 
 
+@settings(deadline=None)
+@given(_lps())
+# max x + y  s.t. x + y <= 1: every point from (1, 0) to (0, 1).
+@example(([1, 1], [[1, 1]], [1], [], []))
+def test_a_unique_optimum_is_the_only_optimal_point(lp):
+    # On the optimal face (the rows plus c . x = value), the reference finds
+    # no point whose coordinate j differs from the reported x_j, either way.
+    got = maximize(*lp)
+    if not got.unique:
+        return
+    c, a_ub, b_ub, a_eq, b_eq = lp
+    face = (a_ub, b_ub, [*a_eq, c], [*b_eq, got.value])
+    for j, x_j in enumerate(got.x):
+        for sign in (1, -1):
+            res = reference_maximize([sign * (k == j) for k in range(len(c))], *face)
+            assert res.status == OPTIMAL and sign * res.value == x_j
+
+
 def test_unique_certifies_a_vertex_optimum_and_not_an_edge():
     # max x + y  s.t. x + 2y <= 4, 3x + y <= 6: the vertex (8/5, 6/5) alone.
     vertex = ([1, 1], [[1, 2], [3, 1]], [4, 6])
