@@ -11,25 +11,26 @@ rationality along the family against common primary belief in
 lexicographic rationality on the source.
 
 A member's belief is a mass-weighted sum of the source's disjoint levels,
-so its rows and its beliefs are read from the integer table the source
-keeps per group (``kripke._tables``): the levels pushed onto the
-opponent's strategies and the level weights over one denominator.  A
-member is built as a model only by ``build_epsilon_model``.
+so its rows, its beliefs and its own tables are read from the integer
+table the source keeps per group (``kripke._tables``): a row's RAT from
+the mass-weighted level utilities, its upper views from the level weights.
+A member is built as a model only by ``build_epsilon_model``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 from typing import NamedTuple
 
 from .errors import InputError
 from .frozen import Frozen
+from .games import _dot
 from .kripke import (
     ProbKripkeModel,
     _LevelTable,
-    _playing,
+    _at_best,
+    _mixed,
     _tables,
     check_caution,
     check_constancy,
@@ -127,30 +128,25 @@ def build_epsilon_model(
 ) -> ProbKripkeModel:
     """The probabilistic model at threshold ``eps`` over the same frame.
 
-    Each of the source's kept belief groups gets one belief, built once
-    from its level table and shared by its worlds, so every reader of the
-    member evaluates it once.
+    Each of the source's kept belief groups gets one belief and one table,
+    built once from its level table (``kripke._mixed``) and shared by its
+    worlds, so every reader of the member evaluates it once and pushes nothing.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     _check_scheme(scheme)
     _require_hypotheses(model)
-    p = ({}, {})
+    p, tables = ({}, {}), ([], [])
     for i in (0, 1):
         for (levels, holders), table in zip(model.groups(i), _tables(model, i)):
-            p[i].update(dict.fromkeys(holders, _member_belief(table, levels, eps, scheme)))
+            tables[i].append(mixed := _mixed(table, _level_masses(levels, eps, scheme)))
+            belief = {w1: Fraction(n, mixed.den) for w1, n in mixed.weights[0]}
+            p[i].update(dict.fromkeys(holders, belief))
     out = ProbKripkeModel(model.base, p)
     _check_output(model, out, eps)
+    out._memo("_tables", lambda _: [tuple(t) for t in tables])
     return out
-
-
-def _member_belief(table: _LevelTable, levels, eps: Fraction, scheme: str) -> dict[str, Fraction]:
-    """Each weight as one ``Fraction`` of integers over the belief's one denominator."""
-    masses = _level_masses(levels, eps, scheme)
-    total = sum(masses) * table.den
-    return {w1: Fraction(mass * n, total)
-            for mass, level in zip(masses, table.weights) for w1, n in level}
 
 
 def _check_output(source: OrderedKripkeModel, out: ProbKripkeModel, eps: Fraction) -> None:
@@ -223,8 +219,8 @@ def _member_events(
         playing, view = [], {}
         for (levels, holders), table in zip(model.groups(i), _tables(model, i)):
             masses = _level_masses(levels, eps, scheme)
-            score = tuple(sum(map(mul, masses, column)) for column in zip(*table.pushed))
-            playing += _playing(model, i, holders, (score,))
+            values = [_dot(masses, u) for u in table.utility]
+            playing += _at_best(model, i, holders, values)
             view.update(dict.fromkeys(holders, _above(table, masses, eps)))
         rational.append(frozenset(playing))
         views.append(view.__getitem__)

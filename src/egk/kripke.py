@@ -9,7 +9,8 @@ checker can surface every defect at once.  A model keeps its belief groups,
 its checks and one integer table per kept group: the belief checks all read
 one pass per player and group, and every reader of a group in integers
 (best replies, the threshold family's rows and members, the type quotient)
-reads its table, built once per player.
+reads its table, built once per player with each strategy's level
+utilities, or handed to a family member when it is built.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, TypeV
 from .errors import InputError
 from .frozen import Frozen
 from .games import (
-    Game, exact_weights, greatest_closed, lex_best_replies, other, push_forward, weight_sum)
+    Game, _compiled, _dot, exact_weights, greatest_closed, other, push_forward, weight_sum)
 
 if TYPE_CHECKING:
     from .dominance import Restriction
@@ -104,8 +105,8 @@ class FramedModel(Frozen):
     beliefs (:meth:`_cleaned`).  ``_groups`` holds each player's
     :meth:`groups`, kept by the constructor, ``_checked`` the belief checks
     once found (:func:`_checks`), and ``_tables`` each player's
-    :class:`_LevelTable` per kept group, filled per player on first use
-    (:func:`_tables`).
+    :class:`_LevelTable` per kept group (:func:`_tables`), filled per
+    player on first use or handed to a family member when it is built.
     """
 
     __slots__ = ("base", "_groups", "_checked", "_tables")
@@ -415,7 +416,8 @@ def _check_beliefs(model: FramedModel, i: int) -> _BeliefChecks:
         if pair not in per_pair:
             per_pair[pair] = problems(held, a)
         if cls not in differing:
-            differing[cls] = [w1 for w1 in a if belief_id[w1] != bid]
+            moved = [w1 for w1 in a if belief_id[w1] != bid]
+            differing[cls] = model.order(moved) if moved[1:] else moved
         found, overlaps, uncovered = per_pair[pair]
         for kind, t, fields in found:
             where = (w,) if t is None else (w, t)
@@ -488,15 +490,20 @@ def rat(model: ProbKripkeModel) -> tuple[tuple[EventSet, EventSet], EventSet]:
 def best_reply_worlds(model: FramedModel, i: int) -> EventSet:
     """Worlds where player ``i``'s strategy is a lexicographic best reply to their belief.
 
-    Best replies are found once per kept belief group, from the pushed
-    levels of its :func:`_tables` entry, so worlds that share a belief
-    object, such as the members of an R_i class, cost one evaluation, and a
-    later reader of the same model pushes nothing again.
+    Per kept belief group, the strategies with the lexicographically
+    largest utility tuple in its :func:`_tables` entry, so worlds that share
+    a belief object, such as an R_i class, cost one comparison, and a later
+    reader of the same model pushes nothing again.
     """
-    out = []
-    for (_, holders), table in zip(model.groups(i), _tables(model, i)):
-        out += _playing(model, i, holders, table.pushed)
-    return frozenset(out)
+    return frozenset(w for (_, holders), table in zip(model.groups(i), _tables(model, i))
+                     for w in _at_best(model, i, holders, table.utility))
+
+
+def _at_best(model: FramedModel, i: int, holders, values) -> list[str]:
+    """The ``holders`` whose own strategy has the largest of ``values``, one per strategy."""
+    top, own = max(values), model.sigma[i]
+    best = {s for s, v in zip(model.game.strategies[i], values) if v == top}
+    return [w for w in holders if own[w] in best]
 
 
 class _LevelTable(NamedTuple):
@@ -504,12 +511,15 @@ class _LevelTable(NamedTuple):
 
     ``pushed`` holds each level pushed onto the opponent's strategies, all
     over one common scale, so that the push-forward of a mass-weighted sum
-    of the levels is the same mass-weighted sum of these.  ``weights``
-    holds each level's (world, numerator) pairs, in item order, over the
-    group's one denominator ``den``.
+    of the levels is the same mass-weighted sum of these.  ``utility[s][k]``
+    is own strategy s's payoff row (file order) times ``pushed[k]``, so RAT
+    compares ``Σ_k m_k u[s][k]`` over the level masses m_k (a^k b^(K-1-k)
+    at eps = a/b under ``perfect``).  ``weights`` holds each level's
+    (world, numerator) pairs, in item order, over the group's one ``den``.
     """
 
     pushed: tuple[tuple[int, ...], ...]
+    utility: tuple[tuple[int, ...], ...]
     weights: tuple[tuple[tuple[str, int], ...], ...]
     den: int
 
@@ -517,23 +527,26 @@ class _LevelTable(NamedTuple):
 def _tables(model: FramedModel, i: int) -> tuple[_LevelTable, ...]:
     """Player ``i``'s :class:`_LevelTable` per kept group, in group order.
 
-    Built on first use and kept on the model per player, so the first bad
-    belief raises ``push_forward``'s error, and asking for one player
-    pushes nothing of the other's.
+    Built on first use with each own strategy's level utilities and kept
+    on the model per player (a family member is handed its :func:`_mixed`
+    tables), so the first bad belief raises ``push_forward``'s error, and
+    asking for one player pushes nothing of the other's.
     """
     kept = model._memo("_tables", lambda m: [None, None])
     if kept[i] is None:
         j = other(i)
         strategy_of = model.sigma[j].__getitem__
+        rows = _compiled(model.game)[0][i].values()
         tables = []
         for belief, _ in model.groups(i):
             levels = model._as_levels(belief)
             pushed = [push_forward(model.game, j, dist, strategy_of) for dist in levels]
             sums = [sum(p) for p in pushed]
             scale = math.lcm(*sums)
+            pushed = tuple(tuple(x * (scale // s) for x in p) for p, s in zip(pushed, sums))
             den = math.lcm(*(v.denominator for dist in levels for v in dist.values()))
             tables.append(_LevelTable(
-                tuple(tuple(x * (scale // s) for x in p) for p, s in zip(pushed, sums)),
+                pushed, tuple(tuple(_dot(row, p) for p in pushed) for row in rows),
                 tuple(tuple((w1, v.numerator * (den // v.denominator)) for w1, v in dist.items())
                       for dist in levels),
                 den))
@@ -541,11 +554,16 @@ def _tables(model: FramedModel, i: int) -> tuple[_LevelTable, ...]:
     return kept[i]
 
 
-def _playing(model: FramedModel, i: int, holders, levels) -> list[str]:
-    """The ``holders`` where player ``i`` plays a lexicographic best reply to ``levels``."""
-    best = lex_best_replies(model.game, i, levels)
-    own = model.sigma[i]
-    return [w for w in holders if own[w] in best]
+def _mixed(table: _LevelTable, masses: list[int]) -> _LevelTable:
+    """What :func:`_tables` builds from the belief giving ``table``'s level k mass ``masses[k]``."""
+    pushed = [_dot(masses, column) for column in zip(*table.pushed)]
+    g = math.gcd(*pushed)
+    weights = [(w1, mass * n) for mass, level in zip(masses, table.weights) for w1, n in level]
+    total = sum(masses) * table.den
+    h = math.gcd(total, *(n for _, n in weights))
+    return _LevelTable((tuple(x // g for x in pushed),),
+                       tuple((_dot(masses, u) // g,) for u in table.utility),
+                       (tuple((w1, n // h) for w1, n in weights),), total // h)
 
 
 class IesdsInclusionReport(NamedTuple):

@@ -1247,8 +1247,8 @@ def reference_validate_beliefs(model) -> list[Violation]:
                     f"player {name}: positive weight on {t}, not accessible from {w}"))
         belief_id = _reference_belief_ids(model.worlds, p, _one_level)
         for w in model.worlds:
-            for w1 in model.access[i][w]:
-                if belief_id[w1] != belief_id[w]:
+            for w1 in model.worlds:
+                if w1 in model.access[i][w] and belief_id[w1] != belief_id[w]:
                     out.append(Violation(
                         "p-constancy", i, (w, w1),
                         f"player {name}: belief at {w1} differs from belief at {w} "
@@ -1306,8 +1306,8 @@ def reference_check_lambda_constancy(
         name = model.game.players[i]
         levels_id = ids[i]
         for w in model.worlds:
-            for w1 in model.access[i][w]:
-                if levels_id[w1] != levels_id[w]:
+            for w1 in model.worlds:
+                if w1 in model.access[i][w] and levels_id[w1] != levels_id[w]:
                     out.append(Violation(
                         "lambda-constancy", i, (w, w1),
                         f"player {name}: levels at {w1} differ from levels at {w} "

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -735,28 +736,33 @@ def test_members_and_their_type_quotients_push_no_kept_level_again(seed, scheme)
             after_rat = len(pushed)
             types_from_kripke(member)
             assert len(pushed) == after_rat
-        # rat pushed each member group's one level once.
-        assert len(pushed) == sum(len(member.groups(i)) for member in members for i in (0, 1))
+        # Each member is handed its tables when it is built, so rat pushes nothing either.
+        assert pushed == []
     assert members == [build_epsilon_model(source, row.eps, scheme) for row in report.rows]
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(("class-constant", "wild")), st.integers(0, 10**6), _MEMBER_EPS)
+@given(st.sampled_from(("class-constant", "wild")), st.integers(0, 10**6),
+       st.sampled_from(SCHEMES), _MEMBER_EPS)
 # Sources with groups whose levels have different denominators and push forward
 # to totals of different sizes.
-@example("wild", 24, F(1, 8))
-@example("wild", 40, F(1, 8))
-@example("wild", 44, F(1, 8))
-def test_each_kept_table_reproduces_its_group(kind, seed, eps):
+@example("wild", 24, "perfect", F(1, 8))
+@example("wild", 40, "perfect", F(1, 8))
+@example("wild", 40, "proper", F(1, 8))
+@example("wild", 44, "perfect", F(1, 8))
+def test_each_kept_table_reproduces_its_group(kind, seed, scheme, eps):
     rng = random.Random(seed)
     source = (random_ordered_model(rng, random_game(rng)) if kind == "class-constant"
               else _wild_ordered_model(rng))
-    for model in (source, build_epsilon_model(source, eps)):
+    member = build_epsilon_model(source, eps, scheme)
+    for model in (source, member):
         for i in (0, 1):
             j = 1 - i
             tables = kripke._tables(model, i)
             assert len(tables) == len(model.groups(i))
-            for (belief, _), table in zip(model.groups(i), tables):
+            rows = games._compiled(model.game)[0][i].values()
+            expected = set()
+            for (belief, holders), table in zip(model.groups(i), tables):
                 levels = model._as_levels(belief)
                 assert table.den == math.lcm(*(v.denominator for level in levels
                                                for v in level.values()))
@@ -769,3 +775,14 @@ def test_each_kept_table_reproduces_its_group(kind, seed, eps):
                     times, rest = divmod(sum(pushed), sum(alone))
                     assert times >= 1 and rest == 0
                     assert pushed == tuple(times * x for x in alone)
+                assert table.utility == tuple(
+                    tuple(games._dot(row, pushed) for pushed in table.pushed) for row in rows)
+                # The kernel the utility rows replaced, kept as the oracle.
+                best = games.lex_best_replies(model.game, i, table.pushed)
+                expected.update(w for w in holders if model.sigma[i][w] in best)
+            assert kripke.best_reply_worlds(model, i) == expected
+    # The member is handed its tables; a copy is rebuilt without them and pushes its beliefs.
+    rebuilt = copy.copy(member)
+    assert rebuilt == member and not hasattr(rebuilt, "_tables")
+    for i in (0, 1):
+        assert kripke._tables(rebuilt, i) == kripke._tables(member, i)

@@ -1392,6 +1392,19 @@ def test_files_are_utf_8_under_an_ascii_locale(tmp_path):
     assert runs[0] == runs[1]
 
 
+def _check_under_hash_seeds(model: str, flags, tmp_path) -> bytes:
+    """``model check``'s stdout under hash seeds 1 and 2, required equal and exiting 1."""
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"), PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "egk.cli", "model", "check", model, *flags],
+                              cwd=tmp_path, env=env, capture_output=True)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    return outputs[0]
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
 def test_frame_violations_print_the_same_under_any_hash_seed(flags, tmp_path):
     # Player 2's R(w1) = R(w2) = {w1, w2, w3} and R(w3) is empty: six
@@ -1404,15 +1417,27 @@ def test_frame_violations_print_the_same_under_any_hash_seed(flags, tmp_path):
     sigma = ({w: "A" for w in worlds}, {w: "C" for w in worlds})
     model = write(tmp_path, "model.json",
                   modelio.model_to_json(StandardKripkeModel(game, worlds, access, sigma)))
-    outputs = []
-    for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"), PYTHONHASHSEED=seed)
-        proc = subprocess.run([sys.executable, "-m", "egk.cli", "model", "check", model, *flags],
-                              cwd=tmp_path, env=env, capture_output=True)
-        assert (proc.returncode, proc.stderr) == (1, b"")
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
-    assert outputs[0].count(b"w1Rw3 and w1Rw") == 3
+    assert _check_under_hash_seeds(model, flags, tmp_path).count(b"w1Rw3 and w1Rw") == 3
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_constancy_violations_print_the_same_under_any_hash_seed(flags, tmp_path):
+    # Player 1 reaches every world from every world and holds a different
+    # belief at each, so each world's class has two differing worlds.
+    game = Game(("1", "2"), (("A", "B"), ("C", "D")),
+                {(a, b): (F(0), F(0)) for a in "AB" for b in "CD"})
+    worlds = ("w1", "w2", "w3")
+    everything = set(worlds)
+    access = ({w: everything for w in worlds}, {w: {w} for w in worlds})
+    sigma = ({w: "A" for w in worlds}, {w: "C" for w in worlds})
+    p = ({"w1": {"w1": F(1, 2), "w2": F(1, 2)}, "w2": {"w2": F(1, 2), "w3": F(1, 2)},
+          "w3": {"w1": F(1, 3), "w2": F(2, 3)}}, {w: {w: F(1)} for w in worlds})
+    model = ProbKripkeModel(StandardKripkeModel(game, worlds, access, sigma), p)
+    path = write(tmp_path, "model.json", modelio.model_to_json(model))
+    out = _check_under_hash_seeds(path, flags, tmp_path)
+    assert out.count(b"although w2 is accessible from w1") == 1
+    assert out.index(b"although w2 is accessible from w1") < \
+        out.index(b"although w3 is accessible from w1")
 
 
 @pytest.mark.parametrize("argv", [["model", "rat"], ["export", "dot"]], ids=["rat", "dot"])
